@@ -30,13 +30,17 @@ from .io import (
     load_config,
     load_manifest,
     load_trial,
+    timed_rows,
     write_dataset,
+    write_table,
 )
 from .metrics import MetricSummary
 from .pipeline import (
+    METRICS_HEADER,
     ResultBundle,
     compute_statistics,
     export_results,
+    export_table,
     load_all_trials,
     load_bundle,
     run_pipeline,
@@ -132,14 +136,23 @@ def _cmd_preprocess(args) -> int:
                 args.out,
                 f"{trial.subject_id}_{trial.activity_id}_{trial.repeat_index}_accel.csv",
             )
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write("time_s,ax,ay,az\n")
-                for i, row in enumerate(trial.accel_inputs):
-                    cells = [repr(i * trial.dt)] + [repr(float(v)) for v in row]
-                    fh.write(",".join(cells) + "\n")
+            write_table(path, ["time_s", "ax", "ay", "az"], timed_rows(trial.dt, trial.accel_inputs))
             count += 1
     print(f"wrote {count} acceleration files to {args.out}")
     return 0
+
+
+HORIZONS_HEADER = [
+    "subject_id",
+    "activity_id",
+    "repeat_index",
+    "profile",
+    "horizon_ms",
+    "start_index",
+    "mean_error_m",
+    "max_error_m",
+    "direction_score",
+]
 
 
 def _cmd_predict(args) -> int:
@@ -148,43 +161,36 @@ def _cmd_predict(args) -> int:
     trials, _ = load_all_trials(entries, config)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "horizons.csv")
-    specs = [(t, HorizonSpec.from_duration(t, config.dt)) for t in config.horizons_ms]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            "subject_id,activity_id,repeat_index,profile,horizon_ms,start_index,"
-            "mean_error_m,max_error_m,direction_score\n"
-        )
+    specs = [(float(t), HorizonSpec.from_duration(t, config.dt)) for t in config.horizons_ms]
+    kinds = [ProfileKind.parse(name) for name in config.profiles]
+
+    def rows():
         for trial in trials:
-            for name in config.profiles:
-                kind = ProfileKind.parse(name)
+            for kind in kinds:
                 for t_ms, spec in specs:
                     try:
                         results = sweep(trial, spec, kind, stride=config.stride)
                     except TrialTooShortError:
                         continue
                     for res in results:
-                        fh.write(
-                            ",".join(
-                                [
-                                    trial.subject_id,
-                                    trial.activity_id,
-                                    str(trial.repeat_index),
-                                    kind.value,
-                                    repr(float(t_ms)),
-                                    str(res.start_index),
-                                    repr(float(res.error_series.mean())),
-                                    repr(float(res.error_series.max())),
-                                    str(res.direction_score),
-                                ]
-                            )
-                            + "\n"
+                        yield (
+                            trial.subject_id,
+                            trial.activity_id,
+                            trial.repeat_index,
+                            kind.value,
+                            t_ms,
+                            res.start_index,
+                            res.error_series.mean(),
+                            res.error_series.max(),
+                            res.direction_score,
                         )
+
+    write_table(path, HORIZONS_HEADER, rows())
     print(f"wrote {path}")
     return 0
 
 
-def _run_bundle(args) -> ResultBundle:
-    config = _load_effective_config(args)
+def _run_bundle(args, config: RunConfig) -> ResultBundle:
     entries = load_manifest(args.manifest)
     if not entries:
         raise InputError(f"manifest {args.manifest} lists no trials")
@@ -195,23 +201,16 @@ def _run_bundle(args) -> ResultBundle:
 
 
 def _cmd_metrics(args) -> int:
-    bundle = _run_bundle(args)
+    bundle = _run_bundle(args, _load_effective_config(args))
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "metrics.csv")
-    from .pipeline import METRICS_HEADER, _cell
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for r in bundle.metric_rows:
-            cells = [r.subject_id, r.profile, r.horizon_ms, r.ae, r.me, r.ada, r.mda]
-            fh.write(",".join(_cell(c) for c in cells) + "\n")
+    path = export_table(bundle, args.out, "metrics.csv")
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    bundle = _run_bundle(args)
     config = _load_effective_config(args)
+    bundle = _run_bundle(args, config)
     written = export_results(bundle, args.out, out_format=config.out_format)
     print(f"wrote {len(written)} files to {args.out}")
     return 0
@@ -221,24 +220,31 @@ def _read_metrics_csv(path: str) -> list[MetricSummary]:
     rows = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            expected = ["subject_id", "profile", "horizon_ms", "ae_m", "me_m", "ada", "mda"]
-            if reader.fieldnames != expected:
-                raise InputError(
-                    f"{path}: header {reader.fieldnames} does not match {expected}"
-                )
-            for row in reader:
-                rows.append(
-                    MetricSummary(
-                        subject_id=row["subject_id"],
-                        profile=row["profile"],
-                        horizon_ms=float(row["horizon_ms"]),
-                        ae=float(row["ae_m"]),
-                        me=float(row["me_m"]),
-                        ada=float(row["ada"]) if row["ada"] else None,
-                        mda=float(row["mda"]) if row["mda"] else None,
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != METRICS_HEADER:
+                raise InputError(f"{path}: header {header} does not match {METRICS_HEADER}")
+            for cells in reader:
+                if not cells:
+                    continue
+                try:
+                    subject_id, profile, horizon_ms, ae, me, ada, mda = cells
+                    rows.append(
+                        MetricSummary(
+                            subject_id=subject_id,
+                            profile=profile,
+                            horizon_ms=float(horizon_ms),
+                            ae=float(ae),
+                            me=float(me),
+                            ada=float(ada) if ada else None,
+                            mda=float(mda) if mda else None,
+                        )
                     )
-                )
+                except ValueError:
+                    raise InputError(
+                        f"{path}:{reader.line_num}: malformed row {cells!r}; expected "
+                        f"{','.join(METRICS_HEADER)} with numeric metric values"
+                    ) from None
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return rows

@@ -100,9 +100,10 @@ def grf_to_acceleration(grf, mass: float, g: float = STANDARD_GRAVITY) -> np.nda
 def zoh_update(positions, velocities, accelerations, dt: float):
     """One exact ZOH step; broadcasts over any leading array dimensions.
 
-    Every propagation path in the package (single-state stepping, horizon
-    sweeps, synthetic-trial generation) funnels through this expression so
-    that scalar and vectorized results are bit-identical.
+    Single-state stepping and synthetic-trial generation funnel through this
+    expression. Horizon sweeps do not: they evaluate the same dynamics in
+    closed form (see `prediction._sweep_arrays`), which agrees with stepping
+    to rounding error rather than bit for bit.
     """
     new_p = positions + dt * velocities + (0.5 * dt * dt) * accelerations
     new_v = velocities + dt * accelerations

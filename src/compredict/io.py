@@ -145,13 +145,13 @@ _FLOAT_KEYS = {"dt", "filter_cutoff_hz", "contact_threshold_n", "alpha", "gravit
 _STR_KEYS = {"aggregation", "cohens_d_variant", "out_format"}
 
 
-def _parse_bool(raw: str, key: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "on", "1"):
         return True
     if low in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    raise ValueError("expected a boolean")
 
 
 def parse_config(text: str, base: RunConfig = DEFAULTS) -> RunConfig:
@@ -164,19 +164,22 @@ def parse_config(text: str, base: RunConfig = DEFAULTS) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key in _LIST_KEYS:
-            items = [item.strip() for item in raw.split(",") if item.strip()]
-            updates[key] = tuple(float(i) for i in items) if key == "horizons_ms" else tuple(items)
-        elif key in _BOOL_KEYS:
-            updates[key] = _parse_bool(raw, key)
-        elif key in _INT_KEYS:
-            updates[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            updates[key] = float(raw)
-        elif key in _STR_KEYS:
-            updates[key] = raw
-        else:
-            raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
+        try:
+            if key in _LIST_KEYS:
+                items = [item.strip() for item in raw.split(",") if item.strip()]
+                updates[key] = tuple(float(i) for i in items) if key == "horizons_ms" else tuple(items)
+            elif key in _BOOL_KEYS:
+                updates[key] = _parse_bool(raw)
+            elif key in _INT_KEYS:
+                updates[key] = int(raw)
+            elif key in _FLOAT_KEYS:
+                updates[key] = float(raw)
+            elif key in _STR_KEYS:
+                updates[key] = raw
+            else:
+                raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: invalid value for {key}: {raw!r} ({exc})") from None
     try:
         return replace(base, **updates)
     except (ValueError, TypeError) as exc:
@@ -311,11 +314,6 @@ COM_HEADER_NO_VEL = ["time_s", "px", "py", "pz"]
 GRF_HEADER = ["time_s", "fx", "fy", "fz"]
 
 
-def _fmt(value: float) -> str:
-    # repr of a float is the shortest string that round-trips exactly
-    return repr(float(value))
-
-
 def _read_csv(path: str, allowed_headers) -> tuple[list[str], np.ndarray]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -375,23 +373,30 @@ def read_grf_csv(path: str):
     return 1.0 / dt, data[:, 1:4]
 
 
-def write_com_csv(path: str, dt: float, positions, velocities) -> None:
-    positions = np.asarray(positions, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(COM_HEADER) + "\n")
-        for i in range(len(positions)):
-            row = [_fmt(i * dt), *map(_fmt, positions[i]), *map(_fmt, velocities[i])]
-            fh.write(",".join(row) + "\n")
+def _format_cell(value) -> str:
+    """One CSV cell: None is empty, bools are true/false, and floats (numpy
+    scalars included) are their repr, the shortest string that round-trips
+    exactly."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
 
 
-def write_grf_csv(path: str, sample_rate: float, forces) -> None:
-    forces = np.asarray(forces, dtype=float)
-    period = 1.0 / sample_rate
+def write_table(path: str, header, rows) -> None:
+    """Write a header line and one comma-joined line of cells per row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(GRF_HEADER) + "\n")
-        for i in range(len(forces)):
-            fh.write(",".join([_fmt(i * period), *map(_fmt, forces[i])]) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in rows)
+
+
+def timed_rows(period: float, *blocks) -> list:
+    """Rows of a sampled table: time i * period, then each (n, k) block's row i."""
+    n = len(blocks[0])
+    return np.column_stack([np.arange(n) * period, *blocks]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +534,11 @@ def write_dataset(out_dir: str, items, gravity: float = STANDARD_GRAVITY, grf_fa
         stem = f"{activity_id}_{repeat_index}"
         com_rel = os.path.join(subject_id, f"{stem}_com.csv")
         grf_rel = os.path.join(subject_id, f"{stem}_grf.csv")
-        write_com_csv(os.path.join(out_dir, com_rel), trial.dt, trial.positions, trial.velocities)
+        write_table(
+            os.path.join(out_dir, com_rel),
+            COM_HEADER,
+            timed_rows(trial.dt, trial.positions, trial.velocities),
+        )
 
         forces = trial.mass * trial.accel_inputs.copy()
         forces[:, 1] += trial.mass * gravity
@@ -539,7 +548,10 @@ def write_dataset(out_dir: str, items, gravity: float = STANDARD_GRAVITY, grf_fa
         n_fast = grf_factor * len(forces)
         src = np.clip((np.arange(n_fast) + grf_factor // 2) // grf_factor, 0, len(forces) - 1)
         forces_fast = forces[src]
-        write_grf_csv(os.path.join(out_dir, grf_rel), grf_factor / trial.dt, forces_fast)
+        # the period is the reciprocal of the written rate, which is not always
+        # dt / grf_factor to the last bit
+        period = 1.0 / (grf_factor / trial.dt)
+        write_table(os.path.join(out_dir, grf_rel), GRF_HEADER, timed_rows(period, forces_fast))
 
         manifest["trials"].append(
             {

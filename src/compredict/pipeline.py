@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .analysis import (
     welch_anova,
     welch_t_test,
 )
-from .io import RunConfig, load_trial
+from .io import RunConfig, load_trial, write_table
 from .metrics import MetricSummary, summarize
 from .prediction import Trial, TrialTooShortError, sweep_errors
 from .profiles import ProfileKind
@@ -118,10 +118,6 @@ def load_all_trials(entries, config: RunConfig):
     return trials, notes
 
 
-def _sweep_task(trial: Trial, profile: ProfileKind, spec, stride: int):
-    return sweep_errors(trial, spec, profile, stride=stride)
-
-
 def run_pipeline(config: RunConfig, trials) -> ResultBundle:
     """Compute metric rows and the statistics layer for a set of trials."""
     if not trials:
@@ -136,22 +132,20 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
             for t_ms, spec in specs.items():
                 tasks.append((idx, profile, t_ms, spec))
 
-    outcomes: dict = {}
-
     def run_task(task):
         idx, profile, t_ms, spec = task
         try:
-            return task[:3], _sweep_task(trials[idx], profile, spec, config.stride)
+            return task[:3], sweep_errors(trials[idx], spec, profile, stride=config.stride)
         except TrialTooShortError as exc:
             return task[:3], exc
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for key, value in pool.map(run_task, tasks):
-                outcomes[key] = value
+            outcomes = dict(pool.map(run_task, tasks))
     else:
-        for key, value in map(run_task, tasks):
-            outcomes[key] = value
+        # a lone pool worker would allocate the sweep temporaries in its own
+        # malloc arena instead of reusing what loading freed, raising peak RSS
+        outcomes = dict(map(run_task, tasks))
 
     # fixed-order reduction to per-subject metric rows
     subjects = sorted({t.subject_id for t in trials})
@@ -328,7 +322,7 @@ def compute_statistics(metric_rows, config: RunConfig):
                 adj_iter = iter(adjusted)
                 for row, p in zip(rows, raw):
                     stat_rows.append(
-                        row if p is None else _with_adjusted(row, next(adj_iter))
+                        row if p is None else replace(row, adjusted_p=next(adj_iter))
                     )
     return fit_rows, level_rows, stat_rows, notes
 
@@ -347,88 +341,30 @@ def _test_row(metric: str, comparison: str, test) -> StatRow:
     )
 
 
-def _with_adjusted(row: StatRow, adjusted: float) -> StatRow:
-    return StatRow(
-        metric=row.metric,
-        horizon_ms=row.horizon_ms,
-        comparison=row.comparison,
-        statistic=row.statistic,
-        df1=row.df1,
-        df2=row.df2,
-        p_value=row.p_value,
-        adjusted_p=adjusted,
-        effect_size=row.effect_size,
-        note=row.note,
-    )
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
-METRICS_HEADER = "subject_id,profile,horizon_ms,ae_m,me_m,ada,mda"
+METRICS_HEADER = ["subject_id", "profile", "horizon_ms", "ae_m", "me_m", "ada", "mda"]
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))  # plain-float repr even for numpy scalars
-    return str(value)
-
-
-def _write_table(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def export_results(bundle: ResultBundle, out_dir: str, out_format: str = "csv") -> list[str]:
-    """Write the bundle: JSON always, plus the CSV tables unless json-only.
-
-    Outputs are deterministic: fixed row order, fixed float formatting.
-    Returns the list of files written.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    bundle_path = os.path.join(out_dir, "bundle.json")
-    with open(bundle_path, "w", encoding="utf-8") as fh:
-        json.dump(bundle_to_dict(bundle), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(bundle_path)
-    if out_format == "json":
-        return written
-
-    path = os.path.join(out_dir, "metrics.csv")
-    _write_table(
-        path,
-        METRICS_HEADER.split(","),
-        [
-            (r.subject_id, r.profile, r.horizon_ms, r.ae, r.me, r.ada, r.mda)
-            for r in bundle.metric_rows
+# file name -> (header, bundle -> rows), in export order
+TABLES = {
+    "metrics.csv": (
+        METRICS_HEADER,
+        lambda b: [
+            (r.subject_id, r.profile, r.horizon_ms, r.ae, r.me, r.ada, r.mda) for r in b.metric_rows
         ],
-    )
-    written.append(path)
-
-    path = os.path.join(out_dir, "tests.csv")
-    _write_table(
-        path,
+    ),
+    "tests.csv": (
         ["metric", "horizon_ms", "comparison", "statistic", "df1", "df2", "p_value", "adjusted_p", "cohens_d", "note"],
-        [
+        lambda b: [
             (r.metric, r.horizon_ms, r.comparison, r.statistic, r.df1, r.df2, r.p_value, r.adjusted_p, r.effect_size, r.note)
-            for r in bundle.stat_rows
+            for r in b.stat_rows
         ],
-    )
-    written.append(path)
-
-    path = os.path.join(out_dir, "fits.csv")
-    _write_table(
-        path,
+    ),
+    "fits.csv": (
         ["metric", "profile", "degree", "selected", "c0", "c1", "c2", "c3", "r_squared", "degenerate"],
-        [
+        lambda b: [
             (
                 r.metric,
                 r.profile,
@@ -438,33 +374,47 @@ def export_results(bundle: ResultBundle, out_dir: str, out_format: str = "csv") 
                 r.r_squared,
                 r.degenerate,
             )
-            for r in bundle.fit_rows
+            for r in b.fit_rows
         ],
-    )
-    written.append(path)
-
-    path = os.path.join(out_dir, "levels.csv")
-    _write_table(
-        path,
+    ),
+    "levels.csv": (
         ["metric", "profile", "horizon_ms", "mean", "ci_low", "ci_high", "n"],
-        [
-            (r.metric, r.profile, r.horizon_ms, r.mean, r.ci_low, r.ci_high, r.n)
-            for r in bundle.level_rows
+        lambda b: [
+            (r.metric, r.profile, r.horizon_ms, r.mean, r.ci_low, r.ci_high, r.n) for r in b.level_rows
         ],
-    )
-    written.append(path)
-
-    path = os.path.join(out_dir, "skips.csv")
-    _write_table(
-        path,
+    ),
+    "skips.csv": (
         ["subject_id", "activity_id", "repeat_index", "horizon_ms", "reason"],
-        [
+        lambda b: [
             (r.subject_id, r.activity_id, r.repeat_index, r.horizon_ms, r.reason.replace(",", ";"))
-            for r in bundle.skip_rows
+            for r in b.skip_rows
         ],
-    )
-    written.append(path)
-    return written
+    ),
+}
+
+
+def export_table(bundle: ResultBundle, out_dir: str, name: str) -> str:
+    """Write one of the TABLES from the bundle into out_dir; returns its path."""
+    header, rows = TABLES[name]
+    path = os.path.join(out_dir, name)
+    write_table(path, header, rows(bundle))
+    return path
+
+
+def export_results(bundle: ResultBundle, out_dir: str, out_format: str = "csv") -> list[str]:
+    """Write the bundle: JSON always, plus the CSV tables unless json-only.
+
+    Outputs are deterministic: fixed row order, fixed float formatting.
+    Returns the list of files written.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    bundle_path = os.path.join(out_dir, "bundle.json")
+    with open(bundle_path, "w", encoding="utf-8") as fh:
+        json.dump(bundle_to_dict(bundle), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    if out_format == "json":
+        return [bundle_path]
+    return [bundle_path] + [export_table(bundle, out_dir, name) for name in TABLES]
 
 
 def bundle_to_dict(bundle: ResultBundle) -> dict:

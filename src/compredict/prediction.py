@@ -6,9 +6,13 @@ each start the state is handed over from the reference, the assumed
 acceleration profile is integrated forward, and the error at every sample
 is the Euclidean distance between predicted and reference positions.
 
-All horizon starts are propagated together as stacked arrays; because each
-elementwise operation matches the scalar update in `dynamics.zoh_update`,
-a sweep is bit-identical to predicting each horizon on its own.
+All horizon starts are evaluated together as stacked arrays through the
+closed-form ZOH response: initial position, elapsed time times initial
+velocity, and the input response from `_input_kernel` (or, for the oracle,
+from prefix sums of the recorded inputs). This path does not step through
+`dynamics.zoh_update`, so it matches stepped propagation to rounding error
+only; but every element is the same expression whatever the number of
+starts, so a sweep is bit-identical to predicting each horizon on its own.
 """
 
 from __future__ import annotations

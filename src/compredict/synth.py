@@ -1,9 +1,9 @@
 """Synthetic trials with known closed-form behavior.
 
 These generators exist to validate the prediction pipeline end to end
-without recorded data. References are produced by the same exact ZOH
-propagation the predictor uses, so any deviation isolates the effect of
-the assumed acceleration profile:
+without recorded data. References are produced by exact ZOH propagation
+of the same model the predictor evaluates, so any deviation isolates the
+effect of the assumed acceleration profile:
 
   constant_acceleration  constant true acceleration
   constant_discrepancy   constant true acceleration equal to the given
@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics
-from .analysis import TestResult, nested_f_test, wls_polyfit
+from .analysis import TestResult, trend_cascade
 from .dynamics import zoh_update
 from .prediction import Trial, sweep
 from .profiles import HorizonSpec, ProfileKind
@@ -304,16 +304,16 @@ def verify_quadratic_trend(
         levels.append((t_ms, values))
         level_values[float(t_ms)] = values
 
-    fits = {d: wls_polyfit(levels, d) for d in (1, 2, 3)}
-    quad = fits[2]
-    quad_vs_lin = nested_f_test(fits[1], fits[2])
-    cubic_vs_quad = nested_f_test(fits[2], fits[3])
-    degenerate = any(f.degenerate_weights for f in fits.values())
+    cascade = trend_cascade(levels, alpha=alpha)
+    quad = cascade.fits[2]
+    # the cascade skips quadratic-vs-linear only when cubic beats quadratic,
+    # which already fails the check
+    quad_vs_lin = cascade.quadratic_vs_linear
     passed = (
-        not degenerate
+        not cascade.degenerate
         and quad.r_squared >= r2_threshold
+        and quad_vs_lin is not None
         and quad_vs_lin.p_value < p_threshold
-        and cubic_vs_quad.p_value > alpha
     )
     return TrendReport(
         horizons_ms=tuple(float(t) for t in horizons_ms),
@@ -321,8 +321,8 @@ def verify_quadratic_trend(
         r_squared=quad.r_squared,
         coefficients=quad.coefficients,
         quadratic_vs_linear=quad_vs_lin,
-        cubic_vs_quadratic=cubic_vs_quad,
-        degenerate=degenerate,
+        cubic_vs_quadratic=cascade.cubic_vs_quadratic,
+        degenerate=cascade.degenerate,
         passed=passed,
     )
 

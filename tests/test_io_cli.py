@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from compredict.cli import HORIZONS_HEADER, main
 from compredict.io import (
+    COM_HEADER,
+    COM_HEADER_NO_VEL,
     DEFAULTS,
+    GRF_HEADER,
     ConfigError,
     LengthMismatchError,
     ManifestError,
@@ -21,11 +25,12 @@ from compredict.io import (
     parse_config,
     read_com_csv,
     read_grf_csv,
-    write_com_csv,
+    timed_rows,
     write_dataset,
-    write_grf_csv,
+    write_table,
 )
 from compredict.pipeline import (
+    METRICS_HEADER,
     PipelineError,
     bundle_from_dict,
     bundle_to_dict,
@@ -34,6 +39,8 @@ from compredict.pipeline import (
     load_bundle,
     run_pipeline,
 )
+from compredict.prediction import sweep
+from compredict.profiles import HorizonSpec, ProfileKind
 from compredict.synth import SyntheticSpec, make_trial, protocol_items
 
 
@@ -84,8 +91,41 @@ def test_parse_config_rejects_unknown_or_invalid():
         RunConfig(aggregation="median")
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("stride = abc\n", 1),
+        ("# sweep setup\nhorizons_ms = 1x5\n", 2),
+        ("dt = 0.005\n\nalpha = high\n", 3),
+        ("threads = 2.5\n", 1),
+        ("stride = 2\nfilter_zero_phase = maybe\n", 2),
+    ],
+)
+def test_cli_config_value_that_fails_to_parse_exits_1_naming_the_line(tmp_path, capsys, text, lineno):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    code = main(
+        ["run", "--manifest", str(tmp_path / "unused.json"), "--out", str(tmp_path / "x"), "--config", str(config)]
+    )
+    assert code == 1
+    assert f"line {lineno}:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CSV round trips
+
+
+def test_write_table_cell_format(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(
+        path,
+        ["a", "b", "c", "d", "e", "f"],
+        [
+            (None, True, False, np.float64(0.1), 3, "x"),
+            (0.1 + 0.2, None, None, 1e-300, np.int64(7), ""),
+        ],
+    )
+    assert path.read_text() == "a,b,c,d,e,f\n,true,false,0.1,3,x\n0.30000000000000004,,,1e-300,7,\n"
 
 
 def test_com_csv_round_trip_exact(tmp_path):
@@ -93,7 +133,7 @@ def test_com_csv_round_trip_exact(tmp_path):
     positions = rng.normal(size=(40, 3))
     velocities = rng.normal(size=(40, 3))
     path = tmp_path / "com.csv"
-    write_com_csv(path, 0.005, positions, velocities)
+    write_table(path, COM_HEADER, timed_rows(0.005, positions, velocities))
     dt, pos, vel = read_com_csv(path)
     assert dt == pytest.approx(0.005, rel=1e-12)
     assert_array_equal(pos, positions)
@@ -104,7 +144,7 @@ def test_grf_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(1)
     forces = rng.normal(size=(200, 3)) * 400.0
     path = tmp_path / "grf.csv"
-    write_grf_csv(path, 1000.0, forces)
+    write_table(path, GRF_HEADER, timed_rows(1.0 / 1000.0, forces))
     rate, out = read_grf_csv(path)
     assert rate == pytest.approx(1000.0, rel=1e-9)
     assert_array_equal(out, forces)
@@ -216,7 +256,7 @@ def test_load_trial_tolerates_one_sample_mismatch(tmp_path):
     entry = load_manifest(manifest_path)[0]
     # drop the last 5 force samples: one fewer sample after downsampling
     rate, forces = read_grf_csv(entry.grf_file)
-    write_grf_csv(entry.grf_file, rate, forces[:-5])
+    write_table(entry.grf_file, GRF_HEADER, timed_rows(1.0 / rate, forces[:-5]))
     entry = replace(entry, contact_intervals=((0, len(forces) - 6),))
     (loaded,), _ = load_trial(entry, NO_FILTER)
     assert loaded.n_samples == trial.n_samples - 1
@@ -226,7 +266,7 @@ def test_load_trial_rejects_larger_mismatch(tmp_path):
     trial, manifest_path = _write_single_trial_dataset(tmp_path)
     entry = load_manifest(manifest_path)[0]
     rate, forces = read_grf_csv(entry.grf_file)
-    write_grf_csv(entry.grf_file, rate, forces[:-15])
+    write_table(entry.grf_file, GRF_HEADER, timed_rows(1.0 / rate, forces[:-15]))
     entry = replace(entry, contact_intervals=((0, len(forces) - 16),))
     with pytest.raises(LengthMismatchError):
         load_trial(entry, NO_FILTER)
@@ -244,10 +284,7 @@ def test_velocity_fallback_estimates_and_flags(tmp_path):
     entry = load_manifest(manifest_path)[0]
     # rewrite the CoM file without velocity columns
     dt, positions, _ = read_com_csv(entry.com_file)
-    with open(entry.com_file, "w") as fh:
-        fh.write("time_s,px,py,pz\n")
-        for i, row in enumerate(positions):
-            fh.write(",".join([repr(i * dt)] + [repr(float(v)) for v in row]) + "\n")
+    write_table(entry.com_file, COM_HEADER_NO_VEL, timed_rows(dt, positions))
     (loaded,), notes = load_trial(entry, NO_FILTER)
     assert any("central differences" in n for n in notes)
     assert_allclose(loaded.velocities[1:-1], trial.velocities[1:-1], atol=2e-2)
@@ -489,6 +526,74 @@ def test_cli_preprocess_and_predict(tmp_path):
     lines = open(tmp_path / "pred" / "horizons.csv").read().splitlines()
     assert lines[0].startswith("subject_id,activity_id")
     assert len(lines) > 100
+
+
+def test_cli_metrics_and_run_write_identical_metrics_csv(tmp_path, capsys):
+    manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=2, n_repeats=1)
+    common = ["--manifest", str(manifest_path), "--horizons", "125,250", "--profiles", "zero,oracle"]
+    assert main(["metrics", *common, "--out", str(tmp_path / "m")]) == 0
+    assert main(["run", *common, "--out", str(tmp_path / "r")]) == 0
+    assert (tmp_path / "m" / "metrics.csv").read_bytes() == (tmp_path / "r" / "metrics.csv").read_bytes()
+
+
+def test_cli_preprocess_files_hold_exact_accelerations(tmp_path, capsys):
+    manifest_path = _small_dataset(tmp_path, n_subjects=1, n_activities=2, n_repeats=1)
+    assert main(["preprocess", "--manifest", str(manifest_path), "--out", str(tmp_path / "pre")]) == 0
+    trials, _ = load_all_trials(load_manifest(manifest_path), DEFAULTS)
+    for trial in trials:
+        name = f"{trial.subject_id}_{trial.activity_id}_{trial.repeat_index}_accel.csv"
+        header, *lines = (tmp_path / "pre" / name).read_text().splitlines()
+        assert header == "time_s,ax,ay,az"
+        table = [[float(cell) for cell in line.split(",")] for line in lines]
+        assert [row[0] for row in table] == [i * trial.dt for i in range(trial.n_samples)]
+        assert_array_equal(np.array([row[1:] for row in table]), trial.accel_inputs)
+
+
+def test_cli_predict_rows_match_sweep(tmp_path, capsys):
+    manifest_path = _small_dataset(tmp_path, n_subjects=1, n_activities=2, n_repeats=1)
+    args = ["--horizons", "125,250", "--profiles", "zero,cubic", "--stride", "3"]
+    assert main(["predict", "--manifest", str(manifest_path), "--out", str(tmp_path / "pred"), *args]) == 0
+    header, *lines = (tmp_path / "pred" / "horizons.csv").read_text().splitlines()
+    assert header == ",".join(HORIZONS_HEADER)
+    written = [
+        (c[0], c[1], int(c[2]), c[3], c[4], int(c[5]), float(c[6]), float(c[7]), int(c[8]))
+        for c in (line.split(",") for line in lines)
+    ]
+    config = replace(DEFAULTS, horizons_ms=(125.0, 250.0), profiles=("zero", "cubic"), stride=3)
+    trials, _ = load_all_trials(load_manifest(manifest_path), config)
+    expected = [
+        (
+            trial.subject_id,
+            trial.activity_id,
+            trial.repeat_index,
+            kind.value,
+            repr(t_ms),
+            res.start_index,
+            float(res.error_series.mean()),
+            float(res.error_series.max()),
+            res.direction_score,
+        )
+        for trial in trials
+        for kind in (ProfileKind.ZERO, ProfileKind.CUBIC)
+        for t_ms in (125.0, 250.0)
+        for res in sweep(trial, HorizonSpec.from_duration(t_ms, config.dt), kind, stride=3)
+    ]
+    assert written == expected
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        ("s01", "zero", "abc", 0.1, 0.2, 0.5, 0.4),
+        ("s01", "zero", 125.0, 0.1, "", 0.5, 0.4),
+        ("s01", "zero", 125.0, 0.1, 0.2, 0.5),
+    ],
+)
+def test_cli_analyze_rejects_malformed_metrics_row_naming_file_and_line(tmp_path, capsys, bad_row):
+    path = tmp_path / "metrics.csv"
+    write_table(path, METRICS_HEADER, [("s00", "zero", 125.0, 0.1, 0.2, 0.5, 0.4), bad_row])
+    assert main(["analyze", "--metrics-csv", str(path), "--out", str(tmp_path / "stats")]) == 1
+    assert f"{path}:3:" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path):
