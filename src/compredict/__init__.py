@@ -17,7 +17,7 @@ from .dynamics import (
     step,
 )
 from .metrics import MetricSummary
-from .prediction import HorizonResult, Trial, predict_horizon, sweep
+from .prediction import Trial, sweep_errors
 from .profiles import HorizonSpec, ProfileKind, generate_profile
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "HorizonSpec",
     "generate_profile",
     "Trial",
-    "HorizonResult",
-    "predict_horizon",
-    "sweep",
+    "sweep_errors",
     "MetricSummary",
 ]

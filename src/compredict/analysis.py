@@ -321,21 +321,6 @@ def cohens_d(a, b, variant: str = "pooled") -> float:
     return float((np.mean(a) - np.mean(b)) / np.sqrt(denom2))
 
 
-EFFECT_SIZE_THRESHOLDS = {"small": 0.2, "medium": 0.5, "large": 0.8}
-
-
-def effect_size_label(d: float) -> str:
-    """Magnitude bucket for |d| against the 0.2 / 0.5 / 0.8 thresholds."""
-    mag = abs(d)
-    if mag >= EFFECT_SIZE_THRESHOLDS["large"]:
-        return "large"
-    if mag >= EFFECT_SIZE_THRESHOLDS["medium"]:
-        return "medium"
-    if mag >= EFFECT_SIZE_THRESHOLDS["small"]:
-        return "small"
-    return "negligible"
-
-
 def confidence_interval(values, level: float = 0.95) -> tuple[float, float]:
     """t-based confidence interval for the mean: mean +/- t * s / sqrt(n)."""
     values = _clean_group(values, "values")

@@ -45,7 +45,7 @@ from .pipeline import (
     load_bundle,
     run_pipeline,
 )
-from .prediction import TrialTooShortError, sweep
+from .prediction import TrialTooShortError, sweep_errors
 from .profiles import HorizonSpec, ProfileKind
 from .synth import protocol_items
 
@@ -169,20 +169,21 @@ def _cmd_predict(args) -> int:
             for kind in kinds:
                 for t_ms, spec in specs:
                     try:
-                        results = sweep(trial, spec, kind, stride=config.stride)
+                        errors, scores = sweep_errors(trial, spec, kind, stride=config.stride)
                     except TrialTooShortError:
                         continue
-                    for res in results:
+                    means, peaks = errors.mean(axis=1).tolist(), errors.max(axis=1).tolist()
+                    for row, (mean, peak, score) in enumerate(zip(means, peaks, scores.tolist())):
                         yield (
                             trial.subject_id,
                             trial.activity_id,
                             trial.repeat_index,
                             kind.value,
                             t_ms,
-                            res.start_index,
-                            res.error_series.mean(),
-                            res.error_series.max(),
-                            res.direction_score,
+                            row * config.stride,
+                            mean,
+                            peak,
+                            score,
                         )
 
     write_table(path, HORIZONS_HEADER, rows())

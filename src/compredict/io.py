@@ -261,39 +261,48 @@ def load_manifest(path: str) -> list[ManifestEntry]:
         raise ManifestError(f"manifest {path} must be an object with a 'trials' list")
     base_dir = os.path.dirname(os.path.abspath(path))
     entries = []
+
+    def bad(i, message):
+        return ManifestError(f"{path}: manifest trial {i}: {message}")
+
     for i, item in enumerate(raw["trials"]):
         try:
             mass = float(item["mass_kg"])
         except KeyError:
-            raise ManifestError(f"manifest trial {i}: mass required") from None
+            raise bad(i, "mass required") from None
         except (TypeError, ValueError):
-            raise ManifestError(f"manifest trial {i}: mass_kg must be a number") from None
+            raise bad(i, "mass_kg must be a number") from None
         if mass <= 0:
-            raise ManifestError(f"manifest trial {i}: mass must be positive, got {mass}")
+            raise bad(i, f"mass must be positive, got {mass}")
         missing = [k for k in ("subject_id", "activity_id", "repeat_index", "com_file", "grf_file") if k not in item]
         if missing:
-            raise ManifestError(f"manifest trial {i}: missing keys {missing}")
+            raise bad(i, f"missing keys {missing}")
+        try:
+            repeat_index = int(item["repeat_index"])
+        except (TypeError, ValueError):
+            raise bad(i, f"repeat_index must be an integer, got {item['repeat_index']!r}") from None
         com_file = os.path.join(base_dir, item["com_file"])
         grf_file = os.path.join(base_dir, item["grf_file"])
         for file_path in (com_file, grf_file):
             if not os.path.exists(file_path):
-                raise ManifestError(f"manifest trial {i}: file not found: {file_path}")
+                raise bad(i, f"file not found: {file_path}")
         intervals = item.get("contact_intervals")
         if intervals is not None:
-            intervals = tuple((int(a), int(b)) for a, b in intervals)
+            try:
+                intervals = tuple((int(a), int(b)) for a, b in intervals)
+            except (TypeError, ValueError):
+                raise bad(i, f"contact_intervals must be [start, end] integer pairs, got {intervals!r}") from None
         split = item.get("phase_split")
         if split is not None:
             try:
                 split = (int(split["start_end"]), int(split["return_begin"]))
             except (KeyError, TypeError, ValueError):
-                raise ManifestError(
-                    f"manifest trial {i}: phase_split needs integer start_end and return_begin"
-                ) from None
+                raise bad(i, "phase_split needs integer start_end and return_begin") from None
         entries.append(
             ManifestEntry(
                 subject_id=str(item["subject_id"]),
                 activity_id=str(item["activity_id"]),
-                repeat_index=int(item["repeat_index"]),
+                repeat_index=repeat_index,
                 is_static=bool(item.get("is_static", False)),
                 mass=mass,
                 com_file=com_file,
@@ -328,7 +337,7 @@ def _read_csv(path: str, allowed_headers) -> tuple[list[str], np.ndarray]:
                     f"{path}: header {','.join(header)} does not match any of: "
                     + " | ".join(",".join(h) for h in allowed_headers)
                 )
-            rows = []
+            rows, linenos = [], []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -338,11 +347,17 @@ def _read_csv(path: str, allowed_headers) -> tuple[list[str], np.ndarray]:
                     rows.append([float(x) for x in row])
                 except ValueError:
                     raise SchemaError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
+                linenos.append(lineno)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     if len(rows) < 2:
         raise SchemaError(f"{path}: need at least 2 samples, got {len(rows)}")
-    return header, np.asarray(rows, dtype=float)
+    data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data)
+    if not finite.all():
+        bad = int(np.argmin(finite.all(axis=1)))
+        raise SchemaError(f"{path}:{linenos[bad]}: non-finite value in {rows[bad]!r}")
+    return header, data
 
 
 def _check_timestamps(path: str, times: np.ndarray) -> float:

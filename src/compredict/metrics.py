@@ -1,4 +1,4 @@
-"""Hierarchical per-subject metrics over horizon results.
+"""Hierarchical per-subject metrics over per-horizon values.
 
 Four metrics summarize a subject's horizons for one profile and horizon
 length:
@@ -14,27 +14,34 @@ length:
                       per-(activity, repeat) mean over horizons, then the
                       minimum over repeats and activities
 
-Inputs are grouped as {activity_id: {repeat_index: [per-horizon values]}};
-per-horizon values are error arrays for the error metrics and 0/1 scores
-for the direction metrics.
+Inputs are grouped as {activity_id: {repeat_index: 1-D per-horizon values}}:
+each horizon's mean error for the average metrics, its max error for
+max_error, and its 0/1 score for the direction metrics. The sample level is
+reduced by the caller (`errors.mean(axis=1)`, `errors.max(axis=1)` of a
+`sweep_errors` matrix), so no error matrix is held until the reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
+
+Grouped = Mapping[str, Mapping[int, np.ndarray]]
 
 
 class AggregationError(ValueError):
     """A grouping level required by a metric is empty."""
 
 
-def _check_nonempty(grouped: Mapping, what: str) -> None:
+def _groups(grouped: Grouped, what: str) -> list[list[np.ndarray]]:
+    """Per activity, the per-repeat value arrays, both in sorted key order;
+    an empty level raises AggregationError naming it."""
     if not grouped:
         raise AggregationError(f"no activities to aggregate for {what}")
-    for activity, repeats in grouped.items():
+    groups = []
+    for activity, repeats in sorted(grouped.items()):
         if not repeats:
             raise AggregationError(f"activity {activity!r} has no repeats ({what})")
         for repeat, horizons in repeats.items():
@@ -42,95 +49,57 @@ def _check_nonempty(grouped: Mapping, what: str) -> None:
                 raise AggregationError(
                     f"activity {activity!r} repeat {repeat} has no horizons ({what})"
                 )
+        groups.append([np.asarray(h, dtype=float) for _, h in sorted(repeats.items())])
+    return groups
 
 
-def _horizon_means(horizons) -> np.ndarray:
-    """Per-horizon sample means; accepts a uniform (h, n) block or any
-    sequence of per-horizon series."""
-    if isinstance(horizons, np.ndarray) and horizons.ndim == 2:
-        return horizons.mean(axis=1)
-    return np.array([float(np.mean(series)) for series in horizons])
-
-
-def average_error(grouped_errors: Mapping[str, Mapping[int, Sequence[np.ndarray]]]) -> float:
-    """Mean-of-means of per-sample errors up the full hierarchy (meters)."""
-    _check_nonempty(grouped_errors, "average error")
-    activity_means = []
-    for _, repeats in sorted(grouped_errors.items()):
-        repeat_means = [
-            float(np.mean(_horizon_means(horizons))) for _, horizons in sorted(repeats.items())
-        ]
-        activity_means.append(float(np.mean(repeat_means)))
+def _mean_of_means(grouped: Grouped, what: str) -> float:
+    """Mean over activities of the mean over repeats of the mean over
+    horizons, so every level weighs equally."""
+    activity_means = [
+        float(np.mean([float(np.mean(v)) for v in repeats])) for repeats in _groups(grouped, what)
+    ]
     return float(np.mean(activity_means))
 
 
-def _block_max(horizons) -> float:
-    if isinstance(horizons, np.ndarray):
-        return float(np.max(horizons))
-    return max(float(np.max(series)) for series in horizons)
+def _pooled_mean(grouped: Grouped, what: str) -> float:
+    """Grand mean over every horizon, ignoring the hierarchy."""
+    return float(np.mean(np.concatenate([v for repeats in _groups(grouped, what) for v in repeats])))
 
 
-def max_error(grouped_errors: Mapping[str, Mapping[int, Sequence[np.ndarray]]]) -> float:
-    """Largest per-sample error anywhere in the hierarchy (meters)."""
-    _check_nonempty(grouped_errors, "max error")
-    return float(
-        max(
-            _block_max(horizons)
-            for repeats in grouped_errors.values()
-            for horizons in repeats.values()
-        )
-    )
+def average_error(grouped_means: Grouped) -> float:
+    """Mean-of-means of per-horizon mean errors up the hierarchy (meters)."""
+    return _mean_of_means(grouped_means, "average error")
 
 
-def average_direction_accuracy(grouped_scores: Mapping[str, Mapping[int, Sequence[int]]]) -> float:
+def max_error(grouped_maxima: Grouped) -> float:
+    """Largest per-horizon max error anywhere in the hierarchy (meters)."""
+    return max(float(np.max(v)) for repeats in _groups(grouped_maxima, "max error") for v in repeats)
+
+
+def average_direction_accuracy(grouped_scores: Grouped) -> float:
     """Mean-of-means of direction scores; callers must exclude static
     activities before grouping."""
-    _check_nonempty(grouped_scores, "average direction accuracy")
-    activity_means = []
-    for _, repeats in sorted(grouped_scores.items()):
-        repeat_means = [
-            float(np.mean(np.asarray(scores, dtype=float))) for _, scores in sorted(repeats.items())
-        ]
-        activity_means.append(float(np.mean(repeat_means)))
-    return float(np.mean(activity_means))
+    return _mean_of_means(grouped_scores, "average direction accuracy")
 
 
-def min_direction_accuracy(grouped_scores: Mapping[str, Mapping[int, Sequence[int]]]) -> float:
+def min_direction_accuracy(grouped_scores: Grouped) -> float:
     """Worst per-(activity, repeat) mean direction score."""
-    _check_nonempty(grouped_scores, "min direction accuracy")
-    return float(
-        min(
-            float(np.mean(np.asarray(scores, dtype=float)))
-            for repeats in grouped_scores.values()
-            for scores in repeats.values()
-        )
-    )
+    groups = _groups(grouped_scores, "min direction accuracy")
+    return min(float(np.mean(v)) for repeats in groups for v in repeats)
 
 
-def pooled_average_error(grouped_errors) -> float:
-    """Grand mean over every sample, ignoring the hierarchy. Offered as a
-    sensitivity check next to the default mean-of-means."""
-    _check_nonempty(grouped_errors, "pooled average error")
-    parts = []
-    for repeats in grouped_errors.values():
-        for horizons in repeats.values():
-            if isinstance(horizons, np.ndarray):
-                parts.append(horizons.ravel())
-            else:
-                parts.extend(np.atleast_1d(np.asarray(s, dtype=float)) for s in horizons)
-    return float(np.mean(np.concatenate(parts)))
+def pooled_average_error(grouped_means: Grouped) -> float:
+    """Grand mean of per-horizon mean errors, ignoring the hierarchy. Every
+    horizon of one length has the same number of samples, so this is the
+    mean over every sample up to rounding. Offered as a sensitivity check
+    next to the default mean-of-means."""
+    return _pooled_mean(grouped_means, "pooled average error")
 
 
-def pooled_average_direction_accuracy(grouped_scores) -> float:
+def pooled_average_direction_accuracy(grouped_scores: Grouped) -> float:
     """Grand mean over every score, ignoring the hierarchy."""
-    _check_nonempty(grouped_scores, "pooled average direction accuracy")
-    scores = [
-        float(s)
-        for repeats in grouped_scores.values()
-        for horizons in repeats.values()
-        for s in horizons
-    ]
-    return float(np.mean(scores))
+    return _pooled_mean(grouped_scores, "pooled average direction accuracy")
 
 
 @dataclass(frozen=True)
@@ -150,21 +119,23 @@ def summarize(
     subject_id: str,
     profile: str,
     horizon_ms: float,
-    grouped_errors,
-    grouped_scores,
+    grouped_means: Grouped,
+    grouped_maxima: Grouped,
+    grouped_scores: Grouped,
     aggregation: str = "hierarchical",
 ) -> MetricSummary:
-    """Reduce one subject's grouped sweep outputs to a MetricSummary.
+    """Reduce one subject's grouped per-horizon mean errors, max errors and
+    direction scores to a MetricSummary.
 
     grouped_scores must already exclude static activities; passing an empty
     mapping yields ada = mda = None (subject had only static activities for
     this horizon).
     """
     if aggregation == "hierarchical":
-        ae = average_error(grouped_errors)
+        ae = average_error(grouped_means)
         ada = average_direction_accuracy(grouped_scores) if grouped_scores else None
     elif aggregation == "pooled":
-        ae = pooled_average_error(grouped_errors)
+        ae = pooled_average_error(grouped_means)
         ada = pooled_average_direction_accuracy(grouped_scores) if grouped_scores else None
     else:
         raise ValueError(f"unknown aggregation mode {aggregation!r}")
@@ -173,7 +144,7 @@ def summarize(
         profile=str(profile),
         horizon_ms=horizon_ms,
         ae=ae,
-        me=max_error(grouped_errors),
+        me=max_error(grouped_maxima),
         ada=ada,
         mda=min_direction_accuracy(grouped_scores) if grouped_scores else None,
     )

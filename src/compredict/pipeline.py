@@ -133,11 +133,14 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
                 tasks.append((idx, profile, t_ms, spec))
 
     def run_task(task):
+        # reduce each sweep to per-horizon numbers at once, so no error
+        # matrix outlives its task
         idx, profile, t_ms, spec = task
         try:
-            return task[:3], sweep_errors(trials[idx], spec, profile, stride=config.stride)
+            errors, scores = sweep_errors(trials[idx], spec, profile, stride=config.stride)
         except TrialTooShortError as exc:
             return task[:3], exc
+        return task[:3], (errors.mean(axis=1), errors.max(axis=1), scores)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -154,7 +157,8 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
         subject_idx = [i for i, t in enumerate(trials) if t.subject_id == subject]
         for profile in profiles:
             for t_ms in specs:
-                grouped_errors: dict = {}
+                grouped_means: dict = {}
+                grouped_maxima: dict = {}
                 grouped_scores: dict = {}
                 for idx in subject_idx:
                     trial = trials[idx]
@@ -165,18 +169,20 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
                             skip_seen.add(skip_key)
                             bundle.skip_rows.append(SkipRow(*skip_key, reason=str(outcome)))
                         continue
-                    errors, scores = outcome
-                    grouped_errors.setdefault(trial.activity_id, {})[trial.repeat_index] = errors
+                    means, maxima, scores = outcome
+                    grouped_means.setdefault(trial.activity_id, {})[trial.repeat_index] = means
+                    grouped_maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = maxima
                     if not trial.is_static:
                         grouped_scores.setdefault(trial.activity_id, {})[trial.repeat_index] = scores
-                if not grouped_errors:
+                if not grouped_means:
                     continue  # every trial of this subject was too short for t_ms
                 bundle.metric_rows.append(
                     summarize(
                         subject,
                         profile.value,
                         t_ms,
-                        grouped_errors,
+                        grouped_means,
+                        grouped_maxima,
                         grouped_scores,
                         aggregation=config.aggregation,
                     )

@@ -1,10 +1,11 @@
 """Horizon sweeps: profile-conditioned prediction and per-sample errors.
 
-A sweep slides a fixed-length horizon over a trial (stride 1 by default,
-last start chosen so the horizon ends exactly on the final sample). For
-each start the state is handed over from the reference, the assumed
-acceleration profile is integrated forward, and the error at every sample
-is the Euclidean distance between predicted and reference positions.
+`sweep_errors` is the one sweep entry point. It slides a fixed-length
+horizon over a trial (stride 1 by default, last start chosen so the horizon
+ends exactly on the final sample). For each start the state is handed over
+from the reference, the assumed acceleration profile is integrated forward,
+and the error at every sample is the Euclidean distance between predicted
+and reference positions.
 
 All horizon starts are evaluated together as stacked arrays through the
 closed-form ZOH response: initial position, elapsed time times initial
@@ -12,7 +13,10 @@ velocity, and the input response from `_input_kernel` (or, for the oracle,
 from prefix sums of the recorded inputs). This path does not step through
 `dynamics.zoh_update`, so it matches stepped propagation to rounding error
 only; but every element is the same expression whatever the number of
-starts, so a sweep is bit-identical to predicting each horizon on its own.
+starts, so a sweep is bit-identical to evaluating each start on its own.
+It returns the (h, n) error matrix and the (h,) direction scores, where a
+score is 1 when the predicted displacement over the horizon has the sign of
+the reference displacement along the reference's largest axis.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import CoMState
 from .profiles import HorizonSpec, ProfileKind, cubic_decay
 
 
@@ -74,21 +77,8 @@ class Trial:
     def n_samples(self) -> int:
         return len(self.positions)
 
-    def com_state(self, index: int) -> CoMState:
-        return CoMState(position=self.positions[index], velocity=self.velocities[index])
-
     def key(self) -> tuple:
         return (self.subject_id, self.activity_id, self.repeat_index)
-
-
-@dataclass
-class HorizonResult:
-    """Prediction outcome for one horizon start (0-based start index)."""
-
-    start_index: int
-    predicted_positions: np.ndarray = field(repr=False)
-    error_series: np.ndarray = field(repr=False)
-    direction_score: int = 0
 
 
 def _input_kernel(n: int, dt: float, shape) -> np.ndarray:
@@ -110,8 +100,8 @@ def _sweep_arrays(trial: Trial, spec: HorizonSpec, kind: ProfileKind, starts: np
     Each predicted position is initial position + elapsed-time * initial
     velocity + the accumulated input response; the expressions are identical
     per element whatever the number of starts, so a sweep is bit-for-bit the
-    same as single-start prediction. Returns (predicted positions, error
-    series, direction scores) with shapes (h, n, 3), (h, n), (h,).
+    same as evaluating each start on its own. Returns (predicted positions,
+    error series, direction scores) with shapes (h, n, 3), (h, n), (h,).
     """
     n = spec.n_samples
     dt = trial.dt
@@ -155,36 +145,13 @@ def _sweep_arrays(trial: Trial, spec: HorizonSpec, kind: ProfileKind, starts: np
     return predicted, errors, scores
 
 
-def predict_horizon(trial: Trial, start: int, spec: HorizonSpec, kind: ProfileKind) -> HorizonResult:
-    """Predict one horizon beginning at sample `start` (0-based)."""
-    if trial.dt != spec.dt:
-        raise ValueError(f"trial dt {trial.dt} does not match horizon dt {spec.dt}")
-    if start < 0 or start + spec.n_samples > trial.n_samples:
-        raise IndexError(
-            f"horizon of {spec.n_samples} samples starting at {start} exceeds "
-            f"trial of {trial.n_samples} samples"
-        )
-    predicted, errors, scores = _sweep_arrays(trial, spec, kind, np.array([start]))
-    return HorizonResult(
-        start_index=start,
-        predicted_positions=predicted[0],
-        error_series=errors[0],
-        direction_score=int(scores[0]),
-    )
+def sweep_errors(trial: Trial, spec: HorizonSpec, kind: ProfileKind, stride: int = 1):
+    """Every horizon of a trial, in start order: the (h, n) error matrix and
+    the (h,) 0/1 direction scores.
 
-
-def direction_score(trial: Trial, start: int, spec: HorizonSpec, predicted_positions) -> int:
-    """1 when the predicted displacement sign matches the reference along the
-    axis with the largest reference displacement, else 0 (sign of 0 is 0)."""
-    predicted_positions = np.asarray(predicted_positions, dtype=float)
-    last = start + spec.n_samples - 1
-    ref_disp = trial.positions[last] - trial.positions[start]
-    pred_disp = predicted_positions[-1] - predicted_positions[0]
-    main_axis = int(np.argmax(np.abs(ref_disp)))
-    return int(np.sign(pred_disp[main_axis]) == np.sign(ref_disp[main_axis]))
-
-
-def _sweep_starts(trial: Trial, spec: HorizonSpec, stride: int) -> np.ndarray:
+    Starts run 0, stride, 2*stride, ... while the horizon still fits; a trial
+    shorter than one horizon is an error so callers can report the skip.
+    """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if trial.dt != spec.dt:
@@ -194,31 +161,6 @@ def _sweep_starts(trial: Trial, spec: HorizonSpec, stride: int) -> np.ndarray:
             f"trial {trial.key()} has {trial.n_samples} samples, shorter than one "
             f"{spec.horizon_ms:g} ms horizon ({spec.n_samples} samples)"
         )
-    return np.arange(0, trial.n_samples - spec.n_samples + 1, stride)
-
-
-def sweep(trial: Trial, spec: HorizonSpec, kind: ProfileKind, stride: int = 1) -> list[HorizonResult]:
-    """All horizons of a trial, in start order.
-
-    Starts run 0, stride, 2*stride, ... while the horizon still fits; a trial
-    shorter than one horizon is an error so callers can report the skip.
-    """
-    starts = _sweep_starts(trial, spec, stride)
-    predicted, errors, scores = _sweep_arrays(trial, spec, kind, starts)
-    return [
-        HorizonResult(
-            start_index=int(s),
-            predicted_positions=predicted[i],
-            error_series=errors[i],
-            direction_score=int(scores[i]),
-        )
-        for i, s in enumerate(starts)
-    ]
-
-
-def sweep_errors(trial: Trial, spec: HorizonSpec, kind: ProfileKind, stride: int = 1):
-    """Lean sweep for bulk evaluation: the (h, n) error matrix and the (h,)
-    score vector, without materializing per-horizon objects."""
-    starts = _sweep_starts(trial, spec, stride)
+    starts = np.arange(0, trial.n_samples - spec.n_samples + 1, stride)
     _, errors, scores = _sweep_arrays(trial, spec, kind, starts)
     return errors, scores

@@ -32,7 +32,7 @@ import numpy as np
 from . import metrics
 from .analysis import TestResult, trend_cascade
 from .dynamics import zoh_update
-from .prediction import Trial, sweep
+from .prediction import Trial, sweep_errors
 from .profiles import HorizonSpec, ProfileKind
 
 KINDS = ("constant_acceleration", "constant_discrepancy", "sinusoid", "piecewise_constant")
@@ -268,12 +268,10 @@ def subject_average_errors(
     trials: Sequence[Trial], spec: HorizonSpec, kind: ProfileKind, stride: int = 1
 ) -> float:
     """Average error for one subject's trials at one horizon length."""
-    grouped: dict[str, dict[int, list[np.ndarray]]] = {}
+    grouped: dict[str, dict[int, np.ndarray]] = {}
     for trial in trials:
-        results = sweep(trial, spec, kind, stride=stride)
-        grouped.setdefault(trial.activity_id, {})[trial.repeat_index] = [
-            r.error_series for r in results
-        ]
+        errors, _ = sweep_errors(trial, spec, kind, stride=stride)
+        grouped.setdefault(trial.activity_id, {})[trial.repeat_index] = errors.mean(axis=1)
     return metrics.average_error(grouped)
 
 

@@ -33,6 +33,21 @@ def convolution_position(p1, v1, inputs, dt):
     return total
 
 
+def direction_score(reference, predicted):
+    """1 when the predicted displacement over a horizon has the sign of the
+    reference displacement along the axis where the reference moves most
+    (first such axis on ties), else 0; the sign of 0 is 0. Both arguments
+    are the horizon's positions, one row of coordinates per sample."""
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    ref = [float(b) - float(a) for a, b in zip(reference[0], reference[-1])]
+    pred = [float(b) - float(a) for a, b in zip(predicted[0], predicted[-1])]
+    axis = max(range(len(ref)), key=lambda i: abs(ref[i]))
+    return int(sign(pred[axis]) == sign(ref[axis]))
+
+
 def mp_t_cdf(x, df):
     x, df = mp.mpf(x), mp.mpf(df)
     tail = mp.betainc(df / 2, mp.mpf(1) / 2, x2=df / (df + x * x), regularized=True)

@@ -8,7 +8,6 @@ from compredict.analysis import (
     bonferroni,
     cohens_d,
     confidence_interval,
-    effect_size_label,
     f_cdf,
     f_sf,
     nested_f_test,
@@ -318,13 +317,6 @@ def test_cohens_d_variants_and_errors():
         cohens_d(a, b, variant="median")
     with pytest.raises(DegenerateVarianceError):
         cohens_d([1.0, 1.0], [1.0, 1.0])
-
-
-def test_effect_size_thresholds():
-    assert effect_size_label(0.1) == "negligible"
-    assert effect_size_label(0.2) == "small"
-    assert effect_size_label(-0.6) == "medium"
-    assert effect_size_label(0.81) == "large"
 
 
 def test_confidence_interval_frozen_width():

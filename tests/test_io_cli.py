@@ -39,7 +39,7 @@ from compredict.pipeline import (
     load_bundle,
     run_pipeline,
 )
-from compredict.prediction import sweep
+from compredict.prediction import sweep_errors
 from compredict.profiles import HorizonSpec, ProfileKind
 from compredict.synth import SyntheticSpec, make_trial, protocol_items
 
@@ -561,23 +561,26 @@ def test_cli_predict_rows_match_sweep(tmp_path, capsys):
     ]
     config = replace(DEFAULTS, horizons_ms=(125.0, 250.0), profiles=("zero", "cubic"), stride=3)
     trials, _ = load_all_trials(load_manifest(manifest_path), config)
-    expected = [
-        (
-            trial.subject_id,
-            trial.activity_id,
-            trial.repeat_index,
-            kind.value,
-            repr(t_ms),
-            res.start_index,
-            float(res.error_series.mean()),
-            float(res.error_series.max()),
-            res.direction_score,
-        )
-        for trial in trials
-        for kind in (ProfileKind.ZERO, ProfileKind.CUBIC)
-        for t_ms in (125.0, 250.0)
-        for res in sweep(trial, HorizonSpec.from_duration(t_ms, config.dt), kind, stride=3)
-    ]
+    expected = []
+    for trial in trials:
+        for kind in (ProfileKind.ZERO, ProfileKind.CUBIC):
+            for t_ms in (125.0, 250.0):
+                spec = HorizonSpec.from_duration(t_ms, config.dt)
+                errors, scores = sweep_errors(trial, spec, kind, stride=3)
+                expected.extend(
+                    (
+                        trial.subject_id,
+                        trial.activity_id,
+                        trial.repeat_index,
+                        kind.value,
+                        repr(t_ms),
+                        3 * row,
+                        float(series.mean()),
+                        float(series.max()),
+                        int(score),
+                    )
+                    for row, (series, score) in enumerate(zip(errors, scores))
+                )
     assert written == expected
 
 
@@ -594,6 +597,42 @@ def test_cli_analyze_rejects_malformed_metrics_row_naming_file_and_line(tmp_path
     write_table(path, METRICS_HEADER, [("s00", "zero", 125.0, 0.1, 0.2, 0.5, 0.4), bad_row])
     assert main(["analyze", "--metrics-csv", str(path), "--out", str(tmp_path / "stats")]) == 1
     assert f"{path}:3:" in capsys.readouterr().err
+
+
+def _set_cell(path, lineno, column, text):
+    lines = open(path).read().splitlines()
+    cells = lines[lineno - 1].split(",")
+    cells[column] = text
+    lines[lineno - 1] = ",".join(cells)
+    open(path, "w").write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "file_key, change",
+    [
+        ("com_file", ("csv", 5, 2, "nan")),
+        ("grf_file", ("csv", 9, 3, "inf")),
+        ("manifest", ("contact_intervals", [["a", 5]])),
+        ("manifest", ("contact_intervals", [[0]])),
+        ("manifest", ("repeat_index", "x")),
+    ],
+    ids=["nan-in-com", "inf-in-grf", "non-integer-interval", "one-element-interval", "non-integer-repeat"],
+)
+def test_cli_malformed_input_exits_1_naming_the_file(tmp_path, capsys, file_key, change):
+    _, manifest_path = _write_single_trial_dataset(tmp_path)
+    raw = json.loads(open(manifest_path).read())
+    if file_key == "manifest":
+        key, value = change
+        raw["trials"][0][key] = value
+        open(manifest_path, "w").write(json.dumps(raw))
+        where = f"{manifest_path}: manifest trial 0"
+    else:
+        _, lineno, column, text = change
+        path = os.path.join(os.path.dirname(manifest_path), raw["trials"][0][file_key])
+        _set_cell(path, lineno, column, text)
+        where = f"{path}:{lineno}:"
+    assert main(["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out")]) == 1
+    assert where in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path):

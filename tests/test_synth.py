@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from compredict.prediction import sweep
+from compredict.prediction import sweep_errors
 from compredict.profiles import HorizonSpec, ProfileKind
 from compredict.synth import (
     SyntheticSpec,
@@ -51,8 +51,8 @@ def test_zero_acceleration_trial_is_static_for_all_profiles():
     trial = make_trial(spec)
     hspec = HorizonSpec.from_duration(125, DT)
     for kind in ProfileKind:
-        for result in sweep(trial, hspec, kind):
-            assert np.all(result.error_series <= 1e-12)
+        errors, _ = sweep_errors(trial, hspec, kind)
+        assert np.all(errors <= 1e-12)
 
 
 def test_spec_validation():
@@ -114,17 +114,17 @@ def test_expected_me_is_last_sample_error():
 def test_max_error_occurs_at_horizon_end():
     trial = make_trial(constant_discrepancy_spec(1.0, duration=0.8))
     hspec = HorizonSpec.from_duration(250, DT)
-    for result in sweep(trial, hspec, ProfileKind.ZERO):
-        assert np.argmax(result.error_series) == hspec.n_samples - 1
+    errors, _ = sweep_errors(trial, hspec, ProfileKind.ZERO)
+    assert np.all(np.argmax(errors, axis=1) == hspec.n_samples - 1)
 
 
 def test_profile_error_ordering_on_constant_discrepancy():
     c = 1.0
     trial = make_trial(constant_discrepancy_spec(c, duration=0.8))
     hspec = HorizonSpec.from_duration(250, DT)
-    const = sweep(trial, hspec, ProfileKind.CONST)[0].error_series
-    cubic = sweep(trial, hspec, ProfileKind.CUBIC)[0].error_series
-    zero = sweep(trial, hspec, ProfileKind.ZERO)[0].error_series
+    const = sweep_errors(trial, hspec, ProfileKind.CONST)[0][0]
+    cubic = sweep_errors(trial, hspec, ProfileKind.CUBIC)[0][0]
+    zero = sweep_errors(trial, hspec, ProfileKind.ZERO)[0][0]
     assert np.all(const <= 1e-12)  # const profile sees the true acceleration
     assert np.all(cubic[2:] > const[2:])
     assert np.all(cubic[2:] < zero[2:])
@@ -171,7 +171,7 @@ def test_continuous_truth_mode_leaves_small_mismatch():
     assert 0.0 < gap < 1e-4
     # the oracle is no longer exact against a continuous-truth reference
     hspec = HorizonSpec.from_duration(125, DT)
-    worst = max(np.max(r.error_series) for r in sweep(cont, hspec, ProfileKind.ORACLE))
+    worst = np.max(sweep_errors(cont, hspec, ProfileKind.ORACLE)[0])
     assert 0.0 < worst < 1e-4
 
 
