@@ -102,7 +102,7 @@ def zoh_update(positions, velocities, accelerations, dt: float):
 
     Single-state stepping and synthetic-trial generation funnel through this
     expression. Horizon sweeps do not: they evaluate the same dynamics in
-    closed form (see `prediction._sweep_arrays`), which agrees with stepping
+    closed form (see `prediction._Predictor`), which agrees with stepping
     to rounding error rather than bit for bit.
     """
     new_p = positions + dt * velocities + (0.5 * dt * dt) * accelerations

@@ -257,7 +257,7 @@ def load_manifest(path: str) -> list[ManifestEntry]:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "trials" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("trials"), list):
         raise ManifestError(f"manifest {path} must be an object with a 'trials' list")
     base_dir = os.path.dirname(os.path.abspath(path))
     entries = []
@@ -266,6 +266,8 @@ def load_manifest(path: str) -> list[ManifestEntry]:
         return ManifestError(f"{path}: manifest trial {i}: {message}")
 
     for i, item in enumerate(raw["trials"]):
+        if not isinstance(item, dict):
+            raise bad(i, f"must be an object, got {item!r}")
         try:
             mass = float(item["mass_kg"])
         except KeyError:
@@ -298,17 +300,23 @@ def load_manifest(path: str) -> list[ManifestEntry]:
                 split = (int(split["start_end"]), int(split["return_begin"]))
             except (KeyError, TypeError, ValueError):
                 raise bad(i, "phase_split needs integer start_end and return_begin") from None
+        is_static = item.get("is_static", False)
+        if not isinstance(is_static, bool):
+            raise bad(i, f"is_static must be true or false, got {is_static!r}")
+        axis_map = item.get("axis_map", ["x", "y", "z"])
+        if not isinstance(axis_map, list):
+            raise bad(i, f"axis_map must be a list of 3 axis names, got {axis_map!r}")
         entries.append(
             ManifestEntry(
                 subject_id=str(item["subject_id"]),
                 activity_id=str(item["activity_id"]),
                 repeat_index=repeat_index,
-                is_static=bool(item.get("is_static", False)),
+                is_static=is_static,
                 mass=mass,
                 com_file=com_file,
                 grf_file=grf_file,
                 contact_intervals=intervals,
-                axis_map=tuple(item.get("axis_map", ("x", "y", "z"))),
+                axis_map=tuple(axis_map),
                 phase_split=split,
             )
         )

@@ -17,8 +17,9 @@ length:
 Inputs are grouped as {activity_id: {repeat_index: 1-D per-horizon values}}:
 each horizon's mean error for the average metrics, its max error for
 max_error, and its 0/1 score for the direction metrics. The sample level is
-reduced by the caller (`errors.mean(axis=1)`, `errors.max(axis=1)` of a
-`sweep_errors` matrix), so no error matrix is held until the reduction.
+reduced by the sweep (`prediction.sweep_session`, or `errors.mean(axis=1)`
+and `errors.max(axis=1)` of a `sweep_errors` matrix), so no error matrix
+reaches this module.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """End-to-end orchestration: trials -> sweeps -> metrics -> statistics.
 
-Work is parallelizable across (trial, profile, horizon) tasks, but every
-reduction and every output row is produced in a fixed sorted order, so a
-run's outputs are byte-identical regardless of thread count. Trials too
-short for a horizon are skipped with a reason instead of aborting the run.
+All trials are laid out once (`prediction.SweepLayout`) and each profile
+sweeps the whole session in one `sweep_session` call, which keeps only the
+per-start mean error, max error and score of every horizon. Profiles may
+run on a thread pool, but every reduction and every output row is produced
+in a fixed sorted order, so a run's outputs are byte-identical regardless
+of thread count. Trials too short for a horizon are skipped with a reason
+instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .analysis import (
 )
 from .io import RunConfig, load_trial, write_table
 from .metrics import MetricSummary, summarize
-from .prediction import Trial, TrialTooShortError, sweep_errors
+from .prediction import SweepLayout, Trial, TrialTooShortError, sweep_session
+from .prediction import sweep_errors  # noqa: F401  perfbench/spans.py wraps this name here
 from .profiles import ProfileKind
 
 METRIC_NAMES = ("ae", "me", "ada", "mda")
@@ -126,29 +130,26 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
     profiles = [ProfileKind.parse(p) for p in config.profiles]
     specs = {float(t): s for t, s in zip(config.horizons_ms, config.horizon_specs())}
 
-    tasks = []
-    for idx, trial in enumerate(trials):
-        for profile in profiles:
-            for t_ms, spec in specs.items():
-                tasks.append((idx, profile, t_ms, spec))
+    # one layout of the whole session, read by every profile's sweep; a sweep
+    # keeps only each start's mean error, max error and score per horizon
+    n_max = max((spec.n_samples for spec in specs.values()), default=0)
+    layout = SweepLayout(trials, float(config.dt), n_max, config.stride)
 
-    def run_task(task):
-        # reduce each sweep to per-horizon numbers at once, so no error
-        # matrix outlives its task
-        idx, profile, t_ms, spec = task
-        try:
-            errors, scores = sweep_errors(trials[idx], spec, profile, stride=config.stride)
-        except TrialTooShortError as exc:
-            return task[:3], exc
-        return task[:3], (errors.mean(axis=1), errors.max(axis=1), scores)
+    def sweep(profile):
+        return dict(zip(specs, sweep_session(layout, specs.values(), profile)))
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = dict(pool.map(run_task, tasks))
+            swept = dict(zip(profiles, pool.map(sweep, profiles)))
     else:
-        # a lone pool worker would allocate the sweep temporaries in its own
+        # a lone pool worker would allocate the sweep's work arrays in its own
         # malloc arena instead of reusing what loading freed, raising peak RSS
-        outcomes = dict(map(run_task, tasks))
+        swept = dict(zip(profiles, map(sweep, profiles)))
+    # each trial's (first, count) share of a horizon's per-start vectors
+    shares = {}
+    for t_ms, spec in specs.items():
+        counts = layout.starts(spec.n_samples)
+        shares[t_ms] = list(zip((np.cumsum(counts) - counts).tolist(), counts.tolist()))
 
     # fixed-order reduction to per-subject metric rows
     subjects = sorted({t.subject_id for t in trials})
@@ -162,14 +163,15 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
                 grouped_scores: dict = {}
                 for idx in subject_idx:
                     trial = trials[idx]
-                    outcome = outcomes[(idx, profile, t_ms)]
-                    if isinstance(outcome, TrialTooShortError):
+                    first, count = shares[t_ms][idx]
+                    if count == 0:
                         skip_key = (subject, trial.activity_id, trial.repeat_index, t_ms)
                         if skip_key not in skip_seen:
                             skip_seen.add(skip_key)
-                            bundle.skip_rows.append(SkipRow(*skip_key, reason=str(outcome)))
+                            reason = TrialTooShortError.for_horizon(trial, specs[t_ms])
+                            bundle.skip_rows.append(SkipRow(*skip_key, reason=str(reason)))
                         continue
-                    means, maxima, scores = outcome
+                    means, maxima, scores = (v[first : first + count] for v in swept[profile][t_ms])
                     grouped_means.setdefault(trial.activity_id, {})[trial.repeat_index] = means
                     grouped_maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = maxima
                     if not trial.is_static:

@@ -615,17 +615,33 @@ def _set_cell(path, lineno, column, text):
         ("manifest", ("contact_intervals", [["a", 5]])),
         ("manifest", ("contact_intervals", [[0]])),
         ("manifest", ("repeat_index", "x")),
+        ("manifest", ("is_static", "no")),
+        ("manifest", ("axis_map", 5)),
+        ("manifest_root", ("trials", 5)),
     ],
-    ids=["nan-in-com", "inf-in-grf", "non-integer-interval", "one-element-interval", "non-integer-repeat"],
+    ids=[
+        "nan-in-com",
+        "inf-in-grf",
+        "non-integer-interval",
+        "one-element-interval",
+        "non-integer-repeat",
+        "string-is-static",
+        "non-list-axis-map",
+        "non-list-trials",
+    ],
 )
 def test_cli_malformed_input_exits_1_naming_the_file(tmp_path, capsys, file_key, change):
     _, manifest_path = _write_single_trial_dataset(tmp_path)
     raw = json.loads(open(manifest_path).read())
-    if file_key == "manifest":
+    if file_key.startswith("manifest"):
         key, value = change
-        raw["trials"][0][key] = value
+        if file_key == "manifest":
+            raw["trials"][0][key] = value
+            where = f"{manifest_path}: manifest trial 0"
+        else:
+            raw[key] = value
+            where = str(manifest_path)
         open(manifest_path, "w").write(json.dumps(raw))
-        where = f"{manifest_path}: manifest trial 0"
     else:
         _, lineno, column, text = change
         path = os.path.join(os.path.dirname(manifest_path), raw["trials"][0][file_key])

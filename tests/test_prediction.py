@@ -1,14 +1,34 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from compredict.prediction import Trial, TrialTooShortError, _sweep_arrays, sweep_errors
+from compredict import prediction
+from compredict.io import DEFAULTS
+from compredict.metrics import summarize
+from compredict.pipeline import SkipRow, run_pipeline
+from compredict.prediction import (
+    SweepLayout,
+    Trial,
+    TrialTooShortError,
+    _Predictor,
+    sweep_errors,
+    sweep_session,
+)
 from compredict.profiles import HorizonSpec, ProfileKind, generate_profile
 from compredict.synth import SyntheticSpec, constant_discrepancy_spec, make_trial
 
 from oracles import brute_force_trajectory, direction_score
 
 DT = 0.005
+
+
+def predicted_positions(trial, spec, kind, rows):
+    """The sweep kernel's (len(rows), n, 3) predicted positions for the
+    start rows in the slice `rows` of a one-trial, stride-1 layout."""
+    predictor = _Predictor(SweepLayout([trial], trial.dt, spec.n_samples), kind, spec.n_samples)
+    return np.stack([predictor.predict(c, rows).copy() for c in range(3)], axis=-1)
 
 
 def coasting_trial(n=200, v0=(0.4, -0.2, 0.1)):
@@ -54,7 +74,7 @@ def test_oracle_and_cubic_match_brute_force():
     spec = HorizonSpec.from_duration(250, DT)
     start = 23
     for kind in (ProfileKind.ORACLE, ProfileKind.CUBIC, ProfileKind.CONST):
-        predicted, _, _ = _sweep_arrays(trial, spec, kind, np.array([start]))
+        predicted = predicted_positions(trial, spec, kind, slice(start, start + 1))
         future = trial.accel_inputs[start : start + spec.n_samples]
         profile = generate_profile(kind, trial.accel_inputs[start], spec, measured_future=future)
         for axis in range(3):
@@ -100,7 +120,10 @@ def test_sweep_start_count():
     hspec = HorizonSpec.from_duration(125, DT)
     errors, _ = sweep_errors(trial, hspec, ProfileKind.ZERO)
     assert len(errors) == 1
-    assert_array_equal(errors, _sweep_arrays(trial, hspec, ProfileKind.ZERO, np.array([0]))[1])
+    deltas = predicted_positions(trial, hspec, ProfileKind.ZERO, slice(0, 1))[0] - trial.positions
+    expected = np.sqrt((deltas[:, 0] ** 2 + deltas[:, 1] ** 2) + deltas[:, 2] ** 2)
+    expected[0] = 0.0
+    assert_array_equal(errors[0], expected)
 
 
 def test_sweep_too_short_names_trial_and_horizon():
@@ -116,26 +139,29 @@ def test_sweep_stride():
     hspec = HorizonSpec.from_duration(125, DT)
     errors, scores = sweep_errors(trial, hspec, ProfileKind.ZERO, stride=7)
     # row i is the horizon starting at sample 7 * i
-    _, expected, expected_scores = _sweep_arrays(
-        trial, hspec, ProfileKind.ZERO, np.array([0, 7, 14, 21, 28])
-    )
-    assert_array_equal(errors, expected)
-    assert_array_equal(scores, expected_scores)
+    every, every_score = sweep_errors(trial, hspec, ProfileKind.ZERO)
+    assert len(errors) == 5
+    assert_array_equal(errors, every[::7])
+    assert_array_equal(scores, every_score[::7])
     with pytest.raises(ValueError):
         sweep_errors(trial, hspec, ProfileKind.ZERO, stride=0)
 
 
-def test_sweep_equals_per_start_prediction_bitwise():
+def test_sweep_equals_per_start_prediction_bitwise(monkeypatch):
     trial = make_trial(SyntheticSpec(kind="sinusoid", duration=0.7, dt=DT, amplitude=1.0))
     hspec = HorizonSpec.from_duration(250, DT)
     for kind in ProfileKind:
         errors, scores = sweep_errors(trial, hspec, kind)
-        predicted, _, _ = _sweep_arrays(trial, hspec, kind, np.arange(len(errors)))
+        predicted = predicted_positions(trial, hspec, kind, slice(0, len(errors)))
         for start in range(len(errors)):
-            single = _sweep_arrays(trial, hspec, kind, np.array([start]))
-            assert_array_equal(predicted[start], single[0][0])
-            assert_array_equal(errors[start], single[1][0])
-            assert scores[start] == single[2][0]
+            single = predicted_positions(trial, hspec, kind, slice(start, start + 1))
+            assert_array_equal(predicted[start], single[0])
+        # one start per kernel block: every start is evaluated on its own
+        with monkeypatch.context() as patch:
+            patch.setattr(prediction, "BLOCK_STARTS", 1)
+            alone_errors, alone_scores = sweep_errors(trial, hspec, kind)
+        assert_array_equal(errors, alone_errors)
+        assert_array_equal(scores, alone_scores)
 
 
 def test_sweep_is_deterministic_across_calls():
@@ -149,10 +175,12 @@ def test_sweep_is_deterministic_across_calls():
 def test_profiles_collapse_when_measured_acceleration_is_zero():
     trial = coasting_trial()
     hspec = HorizonSpec.from_duration(125, DT)
-    starts = np.arange(trial.n_samples - hspec.n_samples + 1)
-    zero = _sweep_arrays(trial, hspec, ProfileKind.ZERO, starts)
-    const = _sweep_arrays(trial, hspec, ProfileKind.CONST, starts)
-    cubic = _sweep_arrays(trial, hspec, ProfileKind.CUBIC, starts)
+    rows = slice(0, trial.n_samples - hspec.n_samples + 1)
+
+    def outcome(kind):
+        return (predicted_positions(trial, hspec, kind, rows), *sweep_errors(trial, hspec, kind))
+
+    zero, const, cubic = (outcome(k) for k in (ProfileKind.ZERO, ProfileKind.CONST, ProfileKind.CUBIC))
     for a, b, c in zip(zero, const, cubic):
         # predicted positions, error series and direction scores in turn
         assert_array_equal(a, b)
@@ -223,10 +251,16 @@ def test_sweep_kernel_matches_brute_force_on_random_trials():
             accel_inputs=rng.normal(size=(n, 3)) * 3.0,
         )
         hspec = HorizonSpec.from_duration(125, DT)
-        starts = np.arange(n - hspec.n_samples + 1)
+        starts = n - hspec.n_samples + 1
         for kind in ProfileKind:
-            predicted, _, _ = _sweep_arrays(trial, hspec, kind, starts)
-            start = int(rng.integers(0, len(starts)))
+            predicted = predicted_positions(trial, hspec, kind, slice(0, starts))
+            start = int(rng.integers(0, starts))
+            # the error series is the norm of the predicted deviation, summed
+            # over components in np.sum's order, bit for bit
+            deltas = predicted[start] - trial.positions[start : start + hspec.n_samples]
+            expected = np.sqrt(np.sum(deltas * deltas, axis=1))
+            expected[0] = 0.0
+            assert_array_equal(sweep_errors(trial, hspec, kind)[0][start], expected)
             future = trial.accel_inputs[start : start + hspec.n_samples]
             profile = generate_profile(
                 kind, trial.accel_inputs[start], hspec, measured_future=future
@@ -254,7 +288,7 @@ def test_sweep_scores_agree_with_direction_score_function():
     n = hspec.n_samples
     for kind in (ProfileKind.ZERO, ProfileKind.CUBIC):
         _, scores = sweep_errors(trial, hspec, kind)
-        predicted, _, _ = _sweep_arrays(trial, hspec, kind, np.arange(len(scores)))
+        predicted = predicted_positions(trial, hspec, kind, slice(0, len(scores)))
         for start, score in enumerate(scores):
             recomputed = direction_score(trial.positions[start : start + n], predicted[start])
             assert score == recomputed
@@ -285,3 +319,88 @@ def test_trial_validation():
             velocities=np.zeros((5, 3)),
             accel_inputs=np.zeros((5, 3)),
         )
+
+
+def ragged_session(seed=11):
+    """Random trials of two subjects whose lengths straddle 64-start blocks:
+    one exactly one 125 ms horizon long (26 samples), one too short for
+    any horizon (25), the rest shorter or longer than a block."""
+    rng = np.random.default_rng(seed)
+    trials = []
+    for i, n in enumerate([70, 26, 25, 64, 65, 127, 51, 190, 140, 33]):
+        trials.append(
+            Trial(
+                subject_id=f"s{i % 2}",
+                activity_id=f"a{i // 2}",
+                repeat_index=i % 3,
+                is_static=i == 4,
+                mass=70.0,
+                dt=DT,
+                positions=rng.normal(size=(n, 3)) * rng.uniform(0.05, 2.0),
+                velocities=rng.normal(size=(n, 3)),
+                accel_inputs=rng.normal(size=(n, 3)) * 3.0,
+            )
+        )
+    return trials
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("block", [prediction.BLOCK_STARTS, 64])
+def test_session_sweep_equals_per_trial_sweeps_bitwise(monkeypatch, stride, block):
+    monkeypatch.setattr(prediction, "BLOCK_STARTS", block)
+    trials = ragged_session()
+    specs = [HorizonSpec.from_duration(t, DT) for t in (125, 250, 375)]
+    layout = SweepLayout(trials, DT, max(s.n_samples for s in specs), stride)
+    for kind in ProfileKind:
+        vectors = sweep_session(layout, specs, kind)
+        for spec, (means, maxima, scores) in zip(specs, vectors):
+            counts = layout.starts(spec.n_samples)
+            first = np.cumsum(counts) - counts
+            for trial, lo, count in zip(trials, first, counts):
+                rows = slice(lo, lo + count)
+                if trial.n_samples < spec.n_samples:
+                    assert count == 0
+                    continue
+                errors, expected_scores = sweep_errors(trial, spec, kind, stride=stride)
+                assert_array_equal(means[rows], errors.mean(axis=1))
+                assert_array_equal(maxima[rows], errors.max(axis=1))
+                assert_array_equal(scores[rows], expected_scores)
+            assert lo + count == len(means)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("block", [prediction.BLOCK_STARTS, 64])
+def test_pipeline_batched_reduction_equals_per_trial_sweeps(monkeypatch, stride, block):
+    monkeypatch.setattr(prediction, "BLOCK_STARTS", block)
+    trials = ragged_session()
+    config = replace(DEFAULTS, horizons_ms=(125.0, 250.0, 375.0), stride=stride)
+    bundle = run_pipeline(config, trials)
+
+    # the per-(trial, profile, horizon) reduction, one sweep_errors call each
+    expected_rows, expected_skips, seen = [], [], set()
+    for subject in ("s0", "s1"):
+        for kind in (ProfileKind.parse(p) for p in config.profiles):
+            for t_ms, spec in zip(config.horizons_ms, config.horizon_specs()):
+                means, maxima, scores = {}, {}, {}
+                for trial in (t for t in trials if t.subject_id == subject):
+                    try:
+                        errors, trial_scores = sweep_errors(trial, spec, kind, stride=stride)
+                    except TrialTooShortError as exc:
+                        key = (subject, trial.activity_id, trial.repeat_index, t_ms)
+                        if key not in seen:
+                            seen.add(key)
+                            expected_skips.append(SkipRow(*key, reason=str(exc)))
+                        continue
+                    means.setdefault(trial.activity_id, {})[trial.repeat_index] = errors.mean(axis=1)
+                    maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = errors.max(axis=1)
+                    if not trial.is_static:
+                        scores.setdefault(trial.activity_id, {})[trial.repeat_index] = trial_scores
+                if means:
+                    expected_rows.append(
+                        summarize(subject, kind.value, t_ms, means, maxima, scores, config.aggregation)
+                    )
+    assert bundle.metric_rows == expected_rows
+    assert bundle.skip_rows == expected_skips
+    skipped = {(r.subject_id, r.activity_id, r.horizon_ms) for r in bundle.skip_rows}
+    assert {("s0", "a1", t_ms) for t_ms in config.horizons_ms} <= skipped  # 25 samples
+    assert ("s1", "a0", 125.0) not in skipped  # exactly one 125 ms horizon long
