@@ -8,29 +8,16 @@ direction-accuracy metrics, and fits/compares the metric-vs-horizon trends.
 
 __version__ = "0.1.0"
 
-from .dynamics import (
-    CoMState,
-    DiscreteModel,
-    discretize,
-    grf_to_acceleration,
-    propagate,
-    step,
-)
+from .dynamics import grf_to_acceleration
 from .metrics import MetricSummary
 from .prediction import Trial, sweep_errors
-from .profiles import HorizonSpec, ProfileKind, generate_profile
+from .profiles import HorizonSpec, ProfileKind
 
 __all__ = [
     "__version__",
-    "CoMState",
-    "DiscreteModel",
-    "discretize",
     "grf_to_acceleration",
-    "step",
-    "propagate",
     "ProfileKind",
     "HorizonSpec",
-    "generate_profile",
     "Trial",
     "sweep_errors",
     "MetricSummary",

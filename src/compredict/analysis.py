@@ -95,10 +95,6 @@ class FitResult:
     n_points: int = 0
     degenerate_weights: bool = False
 
-    def predict(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.polynomial.polynomial.polyval(t, self.coefficients)
-
 
 def wls_polyfit(levels, degree: int, zero_variance_eps: float = 1e-12) -> FitResult:
     """Fit a degree-`degree` polynomial to (horizon, values) levels.

@@ -25,6 +25,7 @@ from dataclasses import replace
 from . import __version__
 from .io import (
     DEFAULTS,
+    ConfigError,
     InputError,
     RunConfig,
     load_config,
@@ -65,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--manifest", required=True, help="trial manifest (JSON)")
         p.add_argument("--profiles", help="comma-separated profile names")
         p.add_argument("--horizons", help="comma-separated horizon lengths in ms")
-        p.add_argument("--stride", type=int, help="samples between horizon starts")
-        p.add_argument("--threads", type=int, help="worker threads")
+        p.add_argument("--stride", help="samples between horizon starts")
+        p.add_argument("--threads", help="worker threads")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
 
     p = sub.add_parser("synth", help="generate a synthetic validation dataset")
@@ -95,16 +96,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_effective_config(args) -> RunConfig:
+    """The config file or defaults under the flags; a bad flag is a ConfigError."""
     config = load_config(args.config) if getattr(args, "config", None) else DEFAULTS
     updates = {}
-    if getattr(args, "profiles", None):
+    if getattr(args, "profiles", None) is not None:
         updates["profiles"] = tuple(s.strip() for s in args.profiles.split(",") if s.strip())
-    if getattr(args, "horizons", None):
-        updates["horizons_ms"] = tuple(float(s) for s in args.horizons.split(","))
-    if getattr(args, "stride", None):
-        updates["stride"] = args.stride
-    if getattr(args, "threads", None):
-        updates["threads"] = args.threads
+    if getattr(args, "horizons", None) is not None:
+        try:
+            updates["horizons_ms"] = tuple(float(s) for s in args.horizons.split(","))
+        except ValueError:
+            raise ConfigError(f"--horizons must list numbers of ms, got {args.horizons!r}") from None
+    for name in ("stride", "threads"):
+        text = getattr(args, name, None)
+        if text is not None:
+            try:
+                updates[name] = int(text)
+            except ValueError:
+                raise ConfigError(f"--{name} must be an integer, got {text!r}") from None
     if getattr(args, "format", None):
         updates["out_format"] = args.format
     if updates:
@@ -275,10 +283,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        bundle = load_bundle(args.bundle)
-    except OSError as exc:
-        raise InputError(f"cannot read bundle {args.bundle}: {exc}") from exc
+    bundle = load_bundle(args.bundle)
     written = export_results(bundle, args.out, out_format=args.format or "csv")
     print(f"wrote {len(written)} files to {args.out}")
     return 0

@@ -101,6 +101,8 @@ class RunConfig:
                 ProfileKind.parse(name)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if not self.horizons_ms or not self.profiles:
+            raise ConfigError("horizons_ms and profiles must each list at least one value")
         if self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
         if self.aggregation not in ("hierarchical", "pooled"):
@@ -272,17 +274,20 @@ def load_manifest(path: str) -> list[ManifestEntry]:
             mass = float(item["mass_kg"])
         except KeyError:
             raise bad(i, "mass required") from None
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise bad(i, "mass_kg must be a number") from None
-        if mass <= 0:
-            raise bad(i, f"mass must be positive, got {mass}")
+        if not np.isfinite(mass) or mass <= 0:
+            raise bad(i, f"mass must be positive and finite, got {mass}")
         missing = [k for k in ("subject_id", "activity_id", "repeat_index", "com_file", "grf_file") if k not in item]
         if missing:
             raise bad(i, f"missing keys {missing}")
         try:
             repeat_index = int(item["repeat_index"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise bad(i, f"repeat_index must be an integer, got {item['repeat_index']!r}") from None
+        for key in ("com_file", "grf_file"):
+            if not isinstance(item[key], str):
+                raise bad(i, f"{key} must be a file path, got {item[key]!r}")
         com_file = os.path.join(base_dir, item["com_file"])
         grf_file = os.path.join(base_dir, item["grf_file"])
         for file_path in (com_file, grf_file):
@@ -292,13 +297,13 @@ def load_manifest(path: str) -> list[ManifestEntry]:
         if intervals is not None:
             try:
                 intervals = tuple((int(a), int(b)) for a, b in intervals)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise bad(i, f"contact_intervals must be [start, end] integer pairs, got {intervals!r}") from None
         split = item.get("phase_split")
         if split is not None:
             try:
                 split = (int(split["start_end"]), int(split["return_begin"]))
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise bad(i, "phase_split needs integer start_end and return_begin") from None
         is_static = item.get("is_static", False)
         if not isinstance(is_static, bool):

@@ -28,7 +28,7 @@ from .analysis import (
     welch_anova,
     welch_t_test,
 )
-from .io import RunConfig, load_trial, write_table
+from .io import InputError, RunConfig, load_trial, write_table
 from .metrics import MetricSummary, summarize
 from .prediction import SweepLayout, Trial, TrialTooShortError, sweep_session
 from .prediction import sweep_errors  # noqa: F401  perfbench/spans.py wraps this name here
@@ -130,9 +130,11 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
     profiles = [ProfileKind.parse(p) for p in config.profiles]
     specs = {float(t): s for t, s in zip(config.horizons_ms, config.horizon_specs())}
 
-    # one layout of the whole session, read by every profile's sweep; a sweep
-    # keeps only each start's mean error, max error and score per horizon
-    n_max = max((spec.n_samples for spec in specs.values()), default=0)
+    # one layout of the whole session, read by every profile's sweep, with no
+    # room for horizons longer than every trial; a sweep keeps only each
+    # start's mean error, max error and score per horizon
+    longest = max(trial.n_samples for trial in trials)
+    n_max = max((s.n_samples for s in specs.values() if s.n_samples <= longest), default=0)
     layout = SweepLayout(trials, float(config.dt), n_max, config.stride)
 
     def sweep(profile):
@@ -454,5 +456,9 @@ def bundle_from_dict(data: dict) -> ResultBundle:
 
 
 def load_bundle(path: str) -> ResultBundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return bundle_from_dict(json.load(fh))
+    """Read a saved bundle.json; one that cannot be read is an InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return bundle_from_dict(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON
+        raise InputError(f"cannot read bundle {path}: {exc!r}") from exc

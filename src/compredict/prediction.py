@@ -275,11 +275,13 @@ def sweep_session(layout: SweepLayout, specs, kind: ProfileKind):
     ns = [spec.n_samples for spec in specs]
     totals = [int(layout.starts(n).sum()) for n in ns]
     out = [(np.empty(h), np.empty(h), np.empty(h, dtype=np.int8)) for h in totals]
-    # kernel passes as (columns, indices into ns); the cubic kernel changes with n
+    # kernel passes as (columns, indices into ns) over the horizons that fit
+    # some trial, so a longer horizon costs nothing; the cubic kernel changes with n
+    live = [j for j, total in enumerate(totals) if total]
     if kind is ProfileKind.CUBIC:
-        passes = [(n, [j]) for j, n in enumerate(ns)]
+        passes = [(ns[j], [j]) for j in live]
     else:
-        passes = [(max(ns), list(range(len(ns))))] if ns else []
+        passes = [(max(ns[j] for j in live), live)] if live else []
     for n_cols, indices in passes:
         keep = [layout.remaining >= ns[j] for j in indices]
         filled = [0] * len(indices)

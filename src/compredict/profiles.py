@@ -1,18 +1,20 @@
 """Assumed acceleration profiles over a prediction horizon.
 
-Given the measured acceleration u1 at the first sample of a horizon, each
-profile produces the full assumed sequence u_h[k] for k = 1..n_samples:
+Given the measured acceleration u1 at the first sample of a horizon, a
+profile is the acceleration u_h[k] assumed to drive the step from sample k
+to k+1, for k = 1..n_samples-1:
 
   zero   -- u_h[k] = 0 (constant-velocity baseline)
   const  -- u_h[k] = u1
-  cubic  -- u_h[k] decays from u1 to 0 along the unique cubic with zero
-            slope at both ends of the horizon
-  oracle -- u_h[k] is the measured future acceleration (upper bound on
+  cubic  -- u_h[k] = cubic_decay(n_samples)[k-1] * u1: from u1 to 0 along
+            the unique cubic with zero slope at both ends of the horizon
+  oracle -- u_h[k] is the measured acceleration at sample k (upper bound on
             what integration of the dynamics can achieve)
 
-Profiles carry n_samples values even though propagation only consumes the
-first n_samples - 1 (the state at the last sample needs no further input);
-the trailing value is kept for inspection and plotting.
+No profile is materialised as a sequence: a sweep uses only its position
+response, built from these weights in `prediction._input_kernel` (or, for
+the oracle, from prefix sums of the recorded inputs). This module holds the
+profile names, the horizon geometry and the cubic weights.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dynamics import _as_vec3
 
 
 class ProfileKind(str, enum.Enum):
@@ -60,6 +60,8 @@ class HorizonSpec:
         whole number of sample periods (e.g. T=125 ms at dt=5 ms gives 26)."""
         if dt <= 0 or not np.isfinite(dt):
             raise ValueError(f"dt must be positive, got {dt}")
+        if not np.isfinite(horizon_ms):
+            raise ValueError(f"horizon must be a finite number of ms, got {horizon_ms}")
         steps = horizon_ms / 1000.0 / dt
         n_steps = round(steps)
         if abs(steps - n_steps) > 1e-9 * max(1.0, abs(steps)):
@@ -76,36 +78,3 @@ def cubic_decay(n_samples: int) -> np.ndarray:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     s = np.arange(n_samples) / (n_samples - 1)
     return 1.0 - 3.0 * s**2 + 2.0 * s**3
-
-
-def generate_profile(
-    kind: ProfileKind,
-    u1,
-    spec: HorizonSpec,
-    measured_future=None,
-) -> np.ndarray:
-    """Assumed acceleration sequence for one horizon, shape (n_samples, 3).
-
-    u1 is the measured acceleration at the horizon's first sample. The
-    oracle profile returns `measured_future` (required, length n_samples);
-    the others ignore it.
-    """
-    kind = ProfileKind(kind)
-    n = spec.n_samples
-    if kind is ProfileKind.ORACLE:
-        if measured_future is None:
-            raise ValueError("oracle profile requires the measured future accelerations")
-        future = np.asarray(measured_future, dtype=float)
-        if future.shape != (n, 3):
-            raise ValueError(
-                f"measured_future must have shape ({n}, 3), got {future.shape}"
-            )
-        return future.copy()
-
-    start = _as_vec3(u1, "u1")
-    if kind is ProfileKind.ZERO:
-        return np.zeros((n, 3))
-    if kind is ProfileKind.CONST:
-        return np.tile(start, (n, 1))
-    # cubic: per-axis scaling of the decay weights
-    return cubic_decay(n)[:, None] * start[None, :]

@@ -18,22 +18,18 @@ effect of the assumed acceleration profile:
 For a constant input discrepancy c the predicted and reference positions
 separate by a closed-form amount at every sample, which gives the exact
 expected values for the error metrics (`analytic_error`, `expected_ae`,
-`expected_me`) and the quadratic-in-horizon growth that
-`verify_quadratic_trend` checks over the full pipeline.
+`expected_me`) and average errors that grow quadratically with horizon
+length, as the trend fits of `pipeline.run_pipeline` should find.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
-from .analysis import TestResult, trend_cascade
 from .dynamics import zoh_update
-from .prediction import Trial, sweep_errors
-from .profiles import HorizonSpec, ProfileKind
+from .prediction import Trial
 
 KINDS = ("constant_acceleration", "constant_discrepancy", "sinusoid", "piecewise_constant")
 
@@ -244,85 +240,6 @@ def expected_ae(n_samples: int, dt: float, c) -> float:
 def expected_me(n_samples: int, dt: float, c) -> float:
     """Max of analytic_error over a horizon, attained at the last sample."""
     return analytic_error(n_samples, dt, c)
-
-
-# ---------------------------------------------------------------------------
-# full-pipeline trend check
-
-
-@dataclass(frozen=True)
-class TrendReport:
-    """Outcome of the quadratic-growth check on average error vs horizon."""
-
-    horizons_ms: tuple
-    level_values: dict[float, list[float]] = field(repr=False)
-    r_squared: float = 0.0
-    coefficients: np.ndarray | None = None
-    quadratic_vs_linear: TestResult | None = None
-    cubic_vs_quadratic: TestResult | None = None
-    degenerate: bool = False
-    passed: bool = False
-
-
-def subject_average_errors(
-    trials: Sequence[Trial], spec: HorizonSpec, kind: ProfileKind, stride: int = 1
-) -> float:
-    """Average error for one subject's trials at one horizon length."""
-    grouped: dict[str, dict[int, np.ndarray]] = {}
-    for trial in trials:
-        errors, _ = sweep_errors(trial, spec, kind, stride=stride)
-        grouped.setdefault(trial.activity_id, {})[trial.repeat_index] = errors.mean(axis=1)
-    return metrics.average_error(grouped)
-
-
-def verify_quadratic_trend(
-    trials_by_subject: Mapping[str, Sequence[Trial]],
-    horizons_ms: Sequence[float],
-    kind: ProfileKind,
-    dt: float = 0.005,
-    r2_threshold: float = 0.999,
-    p_threshold: float = 0.001,
-    alpha: float = 0.05,
-) -> TrendReport:
-    """Run sweep -> metrics -> weighted quadratic fit on average error vs T.
-
-    Passes when the quadratic fit reaches the R^2 threshold, quadratic beats
-    linear at p < p_threshold, and cubic does not beat quadratic at alpha.
-    All-identical data (e.g. zero discrepancy) is reported as degenerate
-    rather than passed.
-    """
-    levels = []
-    level_values: dict[float, list[float]] = {}
-    for t_ms in horizons_ms:
-        hspec = HorizonSpec.from_duration(t_ms, dt)
-        values = [
-            subject_average_errors(trials, hspec, kind)
-            for _, trials in sorted(trials_by_subject.items())
-        ]
-        levels.append((t_ms, values))
-        level_values[float(t_ms)] = values
-
-    cascade = trend_cascade(levels, alpha=alpha)
-    quad = cascade.fits[2]
-    # the cascade skips quadratic-vs-linear only when cubic beats quadratic,
-    # which already fails the check
-    quad_vs_lin = cascade.quadratic_vs_linear
-    passed = (
-        not cascade.degenerate
-        and quad.r_squared >= r2_threshold
-        and quad_vs_lin is not None
-        and quad_vs_lin.p_value < p_threshold
-    )
-    return TrendReport(
-        horizons_ms=tuple(float(t) for t in horizons_ms),
-        level_values=level_values,
-        r_squared=quad.r_squared,
-        coefficients=quad.coefficients,
-        quadratic_vs_linear=quad_vs_lin,
-        cubic_vs_quadratic=cascade.cubic_vs_quadratic,
-        degenerate=cascade.degenerate,
-        passed=passed,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,23 @@ def convolution_position(p1, v1, inputs, dt):
     return total
 
 
+def generate_profile(kind, u1, n_samples, measured_future=None):
+    """The assumed accelerations of one horizon, one [x, y, z] row per
+    sample; row k-1 drives the step from sample k to k+1 (the last row
+    drives none). zero gives 0, const gives u1, cubic gives
+    (1 - 3s^2 + 2s^3) * u1 with s = (k-1)/(n-1), and oracle gives the rows
+    of measured_future, the recorded accelerations of the horizon."""
+    kind = getattr(kind, "value", kind)  # a profile name or a ProfileKind
+    if kind == "oracle":
+        return [[float(a) for a in row] for row in measured_future[:n_samples]]
+    rows = []
+    for k in range(1, n_samples + 1):
+        s = (k - 1) / (n_samples - 1)
+        weight = {"zero": 0.0, "const": 1.0, "cubic": 1.0 - 3.0 * s**2 + 2.0 * s**3}[kind]
+        rows.append([weight * float(a) for a in u1])
+    return rows
+
+
 def direction_score(reference, predicted):
     """1 when the predicted displacement over a horizon has the sign of the
     reference displacement along the axis where the reference moves most

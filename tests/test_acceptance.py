@@ -19,12 +19,14 @@ import numpy as np
 import pytest
 
 from compredict.analysis import bonferroni, cohens_d, f_cdf, t_cdf, welch_t_test
+from compredict.io import RunConfig
 from compredict.metrics import (
     average_direction_accuracy,
     average_error,
     max_error,
     min_direction_accuracy,
 )
+from compredict.pipeline import run_pipeline
 from compredict.prediction import sweep_errors
 from compredict.profiles import HorizonSpec, ProfileKind
 from compredict.signal import ForceSeries, butterworth_lowpass
@@ -36,7 +38,6 @@ from compredict.synth import (
     expected_me,
     make_trial,
     sign_reversal_spec,
-    verify_quadratic_trend,
 )
 
 from oracles import mp_f_cdf, mp_t_cdf
@@ -112,20 +113,22 @@ def test_criterion_03_oracle_is_exact_on_model_consistent_trials():
 def test_criterion_04_quadratic_trend_reproduction():
     with criterion(4, "average error grows quadratically with horizon length"):
         started = time.monotonic()
-        trials = {}
-        for s in range(10):
-            subject = f"s{s:02d}"
-            trials[subject] = [
-                make_trial(
-                    constant_discrepancy_spec(1.0 + 0.005 * s, duration=1.0, dt=DT),
-                    subject_id=subject,
-                )
-            ]
-        report = verify_quadratic_trend(trials, HORIZONS_MS, ProfileKind.ZERO, dt=DT)
-        assert report.r_squared >= 0.999
-        assert report.quadratic_vs_linear.p_value < 0.001
-        assert report.cubic_vs_quadratic.p_value > 0.05
-        assert report.passed
+        trials = [
+            make_trial(
+                constant_discrepancy_spec(1.0 + 0.005 * s, duration=1.0, dt=DT),
+                subject_id=f"s{s:02d}",
+            )
+            for s in range(10)
+        ]
+        config = RunConfig(dt=DT, horizons_ms=HORIZONS_MS, profiles=("zero",))
+        bundle = run_pipeline(config, trials)
+        fits = {r.degree: r for r in bundle.fit_rows if r.metric == "ae"}
+        tests = {r.comparison: r for r in bundle.stat_rows if r.metric == "ae"}
+        assert fits[2].selected
+        assert not any(fit.degenerate for fit in fits.values())
+        assert fits[2].r_squared >= 0.999
+        assert tests["zero:quadratic-vs-linear"].p_value < 0.001
+        assert tests["zero:cubic-vs-quadratic"].p_value > 0.05
         assert time.monotonic() - started < 10.0
 
 

@@ -1,0 +1,35 @@
+"""The public names and the README's library example stay in step with the code."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import numpy as np
+
+import compredict
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_exported_name_resolves():
+    for name in compredict.__all__:
+        assert getattr(compredict, name) is not None, name
+
+
+def test_readme_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("Library use") :]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    rng = np.random.default_rng(5)
+    inputs = {
+        "positions": rng.normal(size=(60, 3)),
+        "velocities": rng.normal(size=(60, 3)),
+        "accels": rng.normal(size=(60, 3)),
+    }
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(snippet, str(README), "exec"), inputs)
+    # one line per start of a 51-sample horizon in a 60-sample trial
+    assert len(printed.getvalue().splitlines()) == 10
+    assert inputs["errors"].shape == (10, 51)

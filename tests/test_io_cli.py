@@ -617,6 +617,8 @@ def _set_cell(path, lineno, column, text):
         ("manifest", ("repeat_index", "x")),
         ("manifest", ("is_static", "no")),
         ("manifest", ("axis_map", 5)),
+        ("manifest", ("com_file", 5)),
+        ("manifest", ("mass_kg", float("nan"))),
         ("manifest_root", ("trials", 5)),
     ],
     ids=[
@@ -627,6 +629,8 @@ def _set_cell(path, lineno, column, text):
         "non-integer-repeat",
         "string-is-static",
         "non-list-axis-map",
+        "non-string-com-file",
+        "nan-mass",
         "non-list-trials",
     ],
 )
@@ -649,6 +653,27 @@ def test_cli_malformed_input_exits_1_naming_the_file(tmp_path, capsys, file_key,
         where = f"{path}:{lineno}:"
     assert main(["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out")]) == 1
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [("--stride", "0"), ("--threads", "0"), ("--horizons", "125,abc"), ("--stride", "two"), ("--profiles", ",")],
+)
+def test_cli_malformed_override_exits_1_naming_the_setting(tmp_path, capsys, flag, text):
+    _, manifest_path = _write_single_trial_dataset(tmp_path)
+    args = ["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out"), f"{flag}={text}"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert flag.lstrip("-") in err
+
+
+@pytest.mark.parametrize("text", ['{"version": 1', "{}", '{"version": 1, "config": {}, "metric_rows": 5}'])
+def test_cli_report_malformed_bundle_exits_1_naming_it(tmp_path, capsys, text):
+    path = tmp_path / "bundle.json"
+    path.write_text(text)
+    assert main(["report", "--bundle", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"bundle {path}" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path):

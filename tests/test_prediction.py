@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,10 +17,10 @@ from compredict.prediction import (
     sweep_errors,
     sweep_session,
 )
-from compredict.profiles import HorizonSpec, ProfileKind, generate_profile
+from compredict.profiles import HorizonSpec, ProfileKind
 from compredict.synth import SyntheticSpec, constant_discrepancy_spec, make_trial
 
-from oracles import brute_force_trajectory, direction_score
+from oracles import brute_force_trajectory, direction_score, generate_profile
 
 DT = 0.005
 
@@ -75,13 +76,13 @@ def test_oracle_and_cubic_match_brute_force():
     start = 23
     for kind in (ProfileKind.ORACLE, ProfileKind.CUBIC, ProfileKind.CONST):
         predicted = predicted_positions(trial, spec, kind, slice(start, start + 1))
-        future = trial.accel_inputs[start : start + spec.n_samples]
-        profile = generate_profile(kind, trial.accel_inputs[start], spec, measured_future=future)
+        future = trial.accel_inputs[start : start + spec.n_samples].tolist()
+        profile = generate_profile(kind, trial.accel_inputs[start].tolist(), spec.n_samples, future)
         for axis in range(3):
             pred_ps, _ = brute_force_trajectory(
                 trial.positions[start, axis],
                 trial.velocities[start, axis],
-                profile[: spec.n_samples - 1, axis],
+                [row[axis] for row in profile[: spec.n_samples - 1]],
                 DT,
             )
             assert_allclose(predicted[0, :, axis], pred_ps, rtol=1e-12, atol=1e-15)
@@ -261,15 +262,15 @@ def test_sweep_kernel_matches_brute_force_on_random_trials():
             expected = np.sqrt(np.sum(deltas * deltas, axis=1))
             expected[0] = 0.0
             assert_array_equal(sweep_errors(trial, hspec, kind)[0][start], expected)
-            future = trial.accel_inputs[start : start + hspec.n_samples]
+            future = trial.accel_inputs[start : start + hspec.n_samples].tolist()
             profile = generate_profile(
-                kind, trial.accel_inputs[start], hspec, measured_future=future
+                kind, trial.accel_inputs[start].tolist(), hspec.n_samples, future
             )
             for axis in range(3):
                 expected, _ = brute_force_trajectory(
                     trial.positions[start, axis],
                     trial.velocities[start, axis],
-                    profile[: hspec.n_samples - 1, axis],
+                    [row[axis] for row in profile[: hspec.n_samples - 1]],
                     DT,
                 )
                 assert_allclose(predicted[start, :, axis], expected, rtol=1e-11, atol=1e-13)
@@ -404,3 +405,21 @@ def test_pipeline_batched_reduction_equals_per_trial_sweeps(monkeypatch, stride,
     skipped = {(r.subject_id, r.activity_id, r.horizon_ms) for r in bundle.skip_rows}
     assert {("s0", "a1", t_ms) for t_ms in config.horizons_ms} <= skipped  # 25 samples
     assert ("s1", "a0", 125.0) not in skipped  # exactly one 125 ms horizon long
+
+
+def test_horizon_longer_than_every_trial_takes_no_memory():
+    # a 60 s horizon (12,001 samples) fits no trial: it adds one skip row per
+    # trial and changes no other row, without work arrays of its length
+    trials = ragged_session()
+    config = replace(DEFAULTS, horizons_ms=(125.0, 250.0, 375.0))
+    expected = run_pipeline(config, trials)
+    tracemalloc.start()
+    try:
+        bundle = run_pipeline(replace(config, horizons_ms=(125.0, 250.0, 375.0, 60000.0)), trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert bundle.metric_rows == expected.metric_rows
+    assert [r for r in bundle.skip_rows if r.horizon_ms != 60000.0] == expected.skip_rows
+    assert sum(r.horizon_ms == 60000.0 for r in bundle.skip_rows) == len(trials)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from compredict.profiles import HorizonSpec, ProfileKind, cubic_decay, generate_profile
+from compredict.profiles import HorizonSpec, ProfileKind, cubic_decay
+
+from oracles import generate_profile
 
 
 @pytest.mark.parametrize(
@@ -30,29 +32,32 @@ def test_profile_kind_parsing():
         ProfileKind.parse("ballistic")
 
 
+# The profile definitions themselves, checked on the plain-Python reference
+# that the sweep kernel's predictions are compared against.
+
+
 def test_zero_profile_is_all_zero():
-    spec = HorizonSpec.from_duration(125, 0.005)
-    out = generate_profile(ProfileKind.ZERO, np.array([1.0, -2.0, 3.0]), spec)
-    assert out.shape == (26, 3)
+    out = generate_profile(ProfileKind.ZERO, [1.0, -2.0, 3.0], 26)
+    assert len(out) == 26
     assert_array_equal(out, np.zeros((26, 3)))
 
 
 def test_const_profile_repeats_first_sample():
-    spec = HorizonSpec.from_duration(125, 0.005)
-    u1 = np.array([0.3, -0.1, 0.2])
-    out = generate_profile(ProfileKind.CONST, u1, spec)
-    assert out.shape == (26, 3)
+    u1 = [0.3, -0.1, 0.2]
+    out = generate_profile(ProfileKind.CONST, u1, 26)
+    assert len(out) == 26
     for row in out:
         assert_array_equal(row, u1)
 
 
 def test_cubic_profile_boundary_and_midpoint():
-    spec = HorizonSpec.from_duration(250, 0.005)  # 51 samples
-    out = generate_profile(ProfileKind.CUBIC, np.array([1.0, 0.0, 0.0]), spec)
-    assert_array_equal(out[0], np.array([1.0, 0.0, 0.0]))
+    out = generate_profile(ProfileKind.CUBIC, [1.0, 0.0, 0.0], 51)
+    assert_array_equal(out[0], [1.0, 0.0, 0.0])
     assert_array_equal(out[50], np.zeros(3))
     # s = 0.5 -> 1 - 3/4 + 1/4 = 1/2 exactly
-    assert_array_equal(out[25], np.array([0.5, 0.0, 0.0]))
+    assert_array_equal(out[25], [0.5, 0.0, 0.0])
+    # the sweep's cubic weights are the reference's, sample for sample
+    assert_allclose(cubic_decay(51), [row[0] for row in out], rtol=0, atol=1e-15)
 
 
 def test_cubic_decay_is_monotone_from_one_to_zero():
@@ -73,52 +78,31 @@ def test_cubic_decay_flat_at_both_ends(n):
 
 
 def test_profiles_scale_linearly_in_u1():
-    spec = HorizonSpec.from_duration(125, 0.005)
     u1 = np.array([0.4, -0.8, 1.2])
     for kind in (ProfileKind.ZERO, ProfileKind.CONST, ProfileKind.CUBIC):
-        base = generate_profile(kind, u1, spec)
-        scaled = generate_profile(kind, 2.0 * u1, spec)
-        assert_allclose(scaled, 2.0 * base, rtol=0, atol=0)
+        base = generate_profile(kind, u1, 26)
+        scaled = generate_profile(kind, 2.0 * u1, 26)
+        assert_allclose(scaled, 2.0 * np.asarray(base), rtol=0, atol=0)
 
 
 def test_profiles_act_per_axis():
-    spec = HorizonSpec.from_duration(125, 0.005)
-    u1 = np.array([0.7, 0.0, 0.0])
     for kind in (ProfileKind.CONST, ProfileKind.CUBIC):
-        out = generate_profile(kind, u1, spec)
+        out = np.asarray(generate_profile(kind, [0.7, 0.0, 0.0], 26))
         assert_array_equal(out[:, 1], np.zeros(26))
         assert_array_equal(out[:, 2], np.zeros(26))
 
 
 def test_profiles_coincide_for_zero_u1():
-    spec = HorizonSpec.from_duration(125, 0.005)
-    zero = generate_profile(ProfileKind.ZERO, np.zeros(3), spec)
-    const = generate_profile(ProfileKind.CONST, np.zeros(3), spec)
-    cubic = generate_profile(ProfileKind.CUBIC, np.zeros(3), spec)
+    zero = generate_profile(ProfileKind.ZERO, [0.0] * 3, 26)
+    const = generate_profile(ProfileKind.CONST, [0.0] * 3, 26)
+    cubic = generate_profile(ProfileKind.CUBIC, [0.0] * 3, 26)
     assert_array_equal(zero, const)
     assert_array_equal(zero, cubic)
 
 
 def test_oracle_profile_returns_measured_future():
-    spec = HorizonSpec.from_duration(125, 0.005)
-    future = np.arange(26 * 3, dtype=float).reshape(26, 3)
-    out = generate_profile(ProfileKind.ORACLE, np.zeros(3), spec, measured_future=future)
+    future = np.arange(26 * 3, dtype=float).reshape(26, 3).tolist()
+    out = generate_profile(ProfileKind.ORACLE, [0.0] * 3, 26, future)
     assert_array_equal(out, future)
-    out[0, 0] = 99.0  # the caller's data must not alias
-    assert future[0, 0] == 0.0
-
-
-def test_oracle_profile_requires_future_of_right_length():
-    spec = HorizonSpec.from_duration(125, 0.005)
-    with pytest.raises(ValueError):
-        generate_profile(ProfileKind.ORACLE, np.zeros(3), spec)
-    with pytest.raises(ValueError):
-        generate_profile(
-            ProfileKind.ORACLE, np.zeros(3), spec, measured_future=np.zeros((25, 3))
-        )
-
-
-def test_non_finite_u1_rejected():
-    spec = HorizonSpec.from_duration(125, 0.005)
-    with pytest.raises(ValueError):
-        generate_profile(ProfileKind.CONST, np.array([np.inf, 0.0, 0.0]), spec)
+    out[0][0] = 99.0  # the caller's data must not alias
+    assert future[0][0] == 0.0

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from compredict.io import RunConfig
+from compredict.pipeline import run_pipeline
 from compredict.prediction import sweep_errors
 from compredict.profiles import HorizonSpec, ProfileKind
 from compredict.synth import (
@@ -13,7 +15,6 @@ from compredict.synth import (
     make_trial,
     protocol_items,
     sign_reversal_spec,
-    verify_quadratic_trend,
 )
 
 from oracles import brute_force_trajectory
@@ -186,42 +187,51 @@ def test_horizon_count_nearly_constant_when_trial_is_long():
     assert (counts[125] - counts[625]) / counts[625] < 0.01
 
 
+def ae_trend(trials, kind):
+    """One profile's full pipeline run over the default horizons: its ae fit
+    rows by degree, ae trend tests by comparison, and ae metric rows."""
+    bundle = run_pipeline(RunConfig(profiles=(kind.value,)), trials)
+    fits = {r.degree: r for r in bundle.fit_rows if r.metric == "ae"}
+    tests = {r.comparison: r for r in bundle.stat_rows if r.metric == "ae"}
+    assert len(bundle.metric_rows) == 5 * len({t.subject_id for t in trials})
+    return fits, tests, bundle.metric_rows
+
+
 def test_verify_quadratic_trend_passes_on_discrepancy_family():
     # weighted R^2 reflects between/within subject spread, so the per-subject
     # discrepancies sit within ~2% of each other
-    trials = {}
-    for s in range(10):
-        c = 1.0 + 0.005 * s
-        trials[f"s{s:02d}"] = [make_trial(constant_discrepancy_spec(c, duration=1.0),
-                                          subject_id=f"s{s:02d}")]
-    report = verify_quadratic_trend(trials, (125, 250, 375, 500, 625), ProfileKind.ZERO)
-    assert report.passed
-    assert report.r_squared >= 0.999
-    assert report.coefficients[2] > 0.0
-    assert report.quadratic_vs_linear.p_value < 0.001
-    assert report.cubic_vs_quadratic.p_value > 0.05
+    trials = [
+        make_trial(constant_discrepancy_spec(1.0 + 0.005 * s, duration=1.0), subject_id=f"s{s:02d}")
+        for s in range(10)
+    ]
+    fits, tests, _ = ae_trend(trials, ProfileKind.ZERO)
+    assert fits[2].selected
+    assert not any(fit.degenerate for fit in fits.values())
+    assert fits[2].r_squared >= 0.999
+    assert fits[2].coefficients[2] > 0.0
+    assert tests["zero:quadratic-vs-linear"].p_value < 0.001
+    assert tests["zero:cubic-vs-quadratic"].p_value > 0.05
 
 
 def test_verify_quadratic_trend_flags_degenerate_zero_family():
-    trials = {
-        f"s{s:02d}": [make_trial(constant_discrepancy_spec(0.0, duration=1.0))]
+    trials = [
+        make_trial(constant_discrepancy_spec(0.0, duration=1.0), subject_id=f"s{s:02d}")
         for s in range(4)
-    }
-    report = verify_quadratic_trend(trials, (125, 250, 375, 500, 625), ProfileKind.ZERO)
-    assert report.degenerate
-    assert not report.passed
-    for values in report.level_values.values():
-        assert np.all(np.asarray(values) <= 1e-12)
+    ]
+    fits, _, metric_rows = ae_trend(trials, ProfileKind.ZERO)
+    assert any(fit.degenerate for fit in fits.values())
+    for row in metric_rows:
+        assert row.ae <= 1e-12
 
 
 def test_verify_quadratic_trend_oracle_errors_vanish():
-    trials = {
-        f"s{s:02d}": [make_trial(constant_discrepancy_spec(1.0 + 0.1 * s, duration=1.0))]
+    trials = [
+        make_trial(constant_discrepancy_spec(1.0 + 0.1 * s, duration=1.0), subject_id=f"s{s:02d}")
         for s in range(4)
-    }
-    report = verify_quadratic_trend(trials, (125, 250, 375, 500, 625), ProfileKind.ORACLE)
-    for values in report.level_values.values():
-        assert np.all(np.asarray(values) <= 1e-12)
+    ]
+    _, _, metric_rows = ae_trend(trials, ProfileKind.ORACLE)
+    for row in metric_rows:
+        assert row.ae <= 1e-12
 
 
 def test_protocol_items_shape_and_determinism():
