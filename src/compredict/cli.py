@@ -302,6 +302,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # No option takes a list, but argparse before Python 3.12 drops a value
+    # of exactly "--" (``--horizons=--``) and stores []; give back the text.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            setattr(args, name, "--")
     try:
         return _COMMANDS[args.command](args)
     except InputError as exc:
