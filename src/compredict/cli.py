@@ -96,27 +96,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_effective_config(args) -> RunConfig:
-    """The config file or defaults under the flags; a bad flag is a ConfigError."""
+    """The config file or defaults under the flags; a bad flag is a ConfigError
+    that names it."""
     config = load_config(args.config) if getattr(args, "config", None) else DEFAULTS
-    updates = {}
+    updates = {}  # flag -> (RunConfig field, value)
     if getattr(args, "profiles", None) is not None:
-        updates["profiles"] = tuple(s.strip() for s in args.profiles.split(",") if s.strip())
+        updates["--profiles"] = ("profiles", tuple(s.strip() for s in args.profiles.split(",") if s.strip()))
     if getattr(args, "horizons", None) is not None:
         try:
-            updates["horizons_ms"] = tuple(float(s) for s in args.horizons.split(","))
+            updates["--horizons"] = ("horizons_ms", tuple(float(s) for s in args.horizons.split(",")))
         except ValueError:
             raise ConfigError(f"--horizons must list numbers of ms, got {args.horizons!r}") from None
     for name in ("stride", "threads"):
         text = getattr(args, name, None)
         if text is not None:
             try:
-                updates[name] = int(text)
+                updates[f"--{name}"] = (name, int(text))
             except ValueError:
                 raise ConfigError(f"--{name} must be an integer, got {text!r}") from None
     if getattr(args, "format", None):
-        updates["out_format"] = args.format
-    if updates:
-        config = replace(config, **updates)
+        updates["--format"] = ("out_format", args.format)
+    for flag, (key, value) in updates.items():
+        try:
+            config = replace(config, **{key: value})
+        except ConfigError as exc:
+            raise ConfigError(f"{flag}: {exc}") from None
     return config
 
 

@@ -20,6 +20,7 @@ the keys and `RunConfig` for their meaning.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 from dataclasses import dataclass, fields, replace
@@ -336,20 +337,70 @@ COM_HEADER_NO_VEL = ["time_s", "px", "py", "pz"]
 GRF_HEADER = ["time_s", "fx", "fy", "fz"]
 
 
+_BLANK_LINES = ("\n", "\r\n", "\r")  # lines that both csv and np.loadtxt skip
+
+
+def _read_header(path: str, reader, allowed_headers) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if header not in allowed_headers:
+        raise SchemaError(
+            f"{path}: header {','.join(header)} does not match any of: "
+            + " | ".join(",".join(h) for h in allowed_headers)
+        )
+    return header
+
+
+def _parse_body(lines, n_columns: int) -> np.ndarray | None:
+    """The remaining lines as one (rows, n_columns) array, parsed in bulk by
+    `np.loadtxt`; None unless they are at least 2 rows of finite numbers.
+
+    comments=None keeps '#' an error, as it is for float(). A body of blank
+    lines alone returns None before loadtxt can warn that it holds no data.
+    """
+    try:
+        lines = itertools.dropwhile(_BLANK_LINES.__contains__, lines)
+        first = next(lines, None)
+        if first is None:
+            return None
+        data = np.loadtxt(
+            itertools.chain((first,), lines), delimiter=",", comments=None, ndmin=2, dtype=float
+        )
+    except ValueError:
+        return None
+    if data.shape[1] != n_columns or len(data) < 2 or not np.isfinite(data).all():
+        return None
+    return data
+
+
 def _read_csv(path: str, allowed_headers) -> tuple[list[str], np.ndarray]:
+    """Header and data of a flat numeric CSV file.
+
+    Valid files are parsed in bulk. Anything the bulk parser declines is
+    re-read by `_read_csv_by_line`, which defines the result: its array, or
+    its SchemaError naming `path:line`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = _read_header(path, csv.reader(fh), allowed_headers)
+            data = _parse_body(fh, len(header))
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    if data is None:
+        return _read_csv_by_line(path, allowed_headers)
+    return header, data
+
+
+def _read_csv_by_line(path: str, allowed_headers) -> tuple[list[str], np.ndarray]:
+    """`_read_csv` one row at a time through csv and float(): the reference
+    for every file, and the reader that names the line of a bad row."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file") from None
-            header = [h.strip() for h in header]
-            if header not in allowed_headers:
-                raise SchemaError(
-                    f"{path}: header {','.join(header)} does not match any of: "
-                    + " | ".join(",".join(h) for h in allowed_headers)
-                )
+            header = _read_header(path, reader, allowed_headers)
             rows, linenos = [], []
             for lineno, row in enumerate(reader, start=2):
                 if not row:

@@ -87,7 +87,7 @@ class Trial:
                 raise ValueError(f"{name} contains non-finite values")
         if n < 2:
             raise ValueError(f"a trial needs at least 2 samples, got {n}")
-        if self.dt <= 0:
+        if self.dt <= 0 or not np.isfinite(self.dt):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.mass <= 0:
             raise ValueError(f"mass must be positive, got {self.mass}")

@@ -57,7 +57,8 @@ class HorizonSpec:
     @classmethod
     def from_duration(cls, horizon_ms: float, dt: float) -> "HorizonSpec":
         """Derive the sample count: n = round(T/dt) + 1, requiring T to be a
-        whole number of sample periods (e.g. T=125 ms at dt=5 ms gives 26)."""
+        whole number of sample periods (e.g. T=125 ms at dt=5 ms gives 26)
+        and n to fit an array index."""
         if dt <= 0 or not np.isfinite(dt):
             raise ValueError(f"dt must be positive, got {dt}")
         if not np.isfinite(horizon_ms):
@@ -68,6 +69,8 @@ class HorizonSpec:
             raise ValueError(
                 f"horizon {horizon_ms} ms is not a whole number of {dt*1000:g} ms samples"
             )
+        if n_steps + 1 > np.iinfo(np.intp).max:
+            raise ValueError(f"horizon {horizon_ms} ms has more samples than an array can index")
         return cls(horizon_ms=float(horizon_ms), dt=float(dt), n_samples=n_steps + 1)
 
 

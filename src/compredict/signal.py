@@ -11,10 +11,12 @@ at low normalized cutoffs. Zero-phase (forward-backward) filtering with
 odd-reflection padding is the default so filtered forces stay aligned with
 the marker-derived kinematics; note the two passes square the magnitude
 response, so single-pass mode is what matches the nominal -3 dB cutoff.
+A filter design is computed once per (order, cutoff, rate) and reused.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,6 +96,11 @@ def clamp_noncontact(series: ForceSeries) -> ForceSeries:
     return replace(series, samples=clamped)
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _butter_sos(order: int, cutoff_hz: float, sample_rate: float) -> np.ndarray:
+    return _scipy_signal.butter(order, cutoff_hz, btype="low", fs=sample_rate, output="sos")
+
+
 def butterworth_lowpass(
     series: ForceSeries,
     spec: FilterSpec = FilterSpec(),
@@ -108,9 +115,8 @@ def butterworth_lowpass(
     used.
     """
     spec.validate_for(series.sample_rate)
-    sos = _scipy_signal.butter(
-        spec.order, spec.cutoff_hz, btype="low", fs=series.sample_rate, output="sos"
-    )
+    # each call gets its own copy of the shared design
+    sos = _butter_sos(spec.order, spec.cutoff_hz, series.sample_rate).copy()
     if zero_phase:
         if padlen is None:
             padlen = spec.default_padlen()

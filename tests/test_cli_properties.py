@@ -1,19 +1,20 @@
-"""Property test of the CLI's exit-code contract on generated overrides and
-manifests: every run exits 0, 1 or 2 without a traceback, and a malformed
-command-line override always exits 1 like a malformed config file."""
+"""Property tests of the CLI's exit-code contract on generated overrides,
+manifests and config files: every run exits 0, 1 or 2 without a traceback,
+and a malformed command-line override or config file always exits 1."""
 
 import contextlib
 import io
 import json
 import os
 import tempfile
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compredict.cli import main
-from compredict.io import DEFAULTS, write_dataset
+from compredict.io import DEFAULTS, ConfigError, parse_config, write_dataset
 from compredict.profiles import HorizonSpec, ProfileKind
 from compredict.synth import protocol_items
 
@@ -79,6 +80,54 @@ MANIFEST_VALUES = st.one_of(
 MANIFEST_FIELDS = ("mass_kg", "com_file", "repeat_index", "is_static", "contact_intervals", "axis_map", "phase_split")
 
 
+# junk text holds no line break, so each drawn value stays on its own line
+JUNK = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=6)
+CONFIG_VALUES = st.one_of(
+    JUNK,
+    st.integers(-3, 40).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["0.005", "0.004", "125, 250", "9e99", "zero,Cubic", "ballistic", "no", "true",
+                     "pooled", "unequal", "json", "nan", "inf", "0.5", "0"]),
+)
+# at most 4 threads and an 8th-order filter, so that no example starts many
+# threads or designs a huge filter; their junk holds no digit, and no digit
+# of another script, that int() could read
+BOUNDED_VALUES = {
+    "threads": st.one_of(st.integers(-2, 4).map(str), st.text("abx.-+ ,", max_size=4)),
+    "filter_order": st.one_of(st.integers(-2, 8).map(str), st.text("abx.-+ ,", max_size=4)),
+}
+CONFIG_KEYS = [f.name for f in fields(DEFAULTS)] + ["colour", "Threads", "horizons"]
+
+
+def default_text(key):
+    """The default value of a config key as config-file text ("" for unknown keys)."""
+    value = getattr(DEFAULTS, key, "")
+    if isinstance(value, bool):
+        return str(value).lower()
+    return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@st.composite
+def config_texts(draw):
+    """Up to 5 "key = value" lines over known and unknown keys."""
+    lines = []
+    for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=5)):
+        values = st.one_of(st.just(default_text(key)), BOUNDED_VALUES.get(key, CONFIG_VALUES))
+        lines.append(f"{key} = {draw(values)}")
+    return "\n".join(lines) + "\n"
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one in-process CLI call, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def session(tmp_path_factory):
     """A 2 subject x 2 activity x 1 repeat synthetic session: (directory, manifest)."""
@@ -101,16 +150,32 @@ def test_cli_run_exit_codes_on_generated_input(session, overrides, mutation):
     manifest_path = os.path.join(data, "mutated.json")
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh)
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
+    with tempfile.TemporaryDirectory() as out:
         argv = ["run", "--manifest", manifest_path, "--out", out, "--format", "json"]
         argv += [f"{flag}={text}" for flag, text in overrides.items()]
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    assert code in (0, 1, 2), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+        code, err = run_cli(argv)
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
     if any(OVERRIDES[flag][1](text) for flag, text in overrides.items()):
-        assert code == 1, (argv, err.getvalue())
+        assert code == 1, (argv, err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=config_texts())
+def test_cli_run_exit_codes_on_generated_config_files(session, text):
+    data, _ = session
+    config_path = os.path.join(data, "generated.cfg")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    try:
+        parse_config(text)
+        malformed = False
+    except ConfigError:
+        malformed = True
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["run", "--manifest", os.path.join(data, "manifest.json"), "--out", out, "--config", config_path]
+        code, err = run_cli(argv)
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if malformed:
+        assert code == 1, (text, err)

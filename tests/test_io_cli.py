@@ -655,9 +655,27 @@ def test_cli_malformed_input_exits_1_naming_the_file(tmp_path, capsys, file_key,
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("file_key", ["com_file", "grf_file"])
+def test_cli_header_only_file_prints_one_error_line(tmp_path, capsys, file_key):
+    _, manifest_path = _write_single_trial_dataset(tmp_path)
+    raw = json.loads(open(manifest_path).read())
+    path = os.path.join(os.path.dirname(manifest_path), raw["trials"][0][file_key])
+    header = open(path).readline()
+    open(path, "w").write(header)
+    assert main(["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: need at least 2 samples, got 0\n"
+
+
 @pytest.mark.parametrize(
     "flag, text",
-    [("--stride", "0"), ("--threads", "0"), ("--horizons", "125,abc"), ("--stride", "two"), ("--profiles", ",")],
+    [
+        ("--stride", "0"),
+        ("--threads", "0"),
+        ("--horizons", "125,abc"),
+        ("--horizons", "125,9e99"),
+        ("--stride", "two"),
+        ("--profiles", ","),
+    ],
 )
 def test_cli_malformed_override_exits_1_naming_the_setting(tmp_path, capsys, flag, text):
     _, manifest_path = _write_single_trial_dataset(tmp_path)

@@ -322,6 +322,13 @@ def test_trial_validation():
         )
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+def test_trial_rejects_non_finite_dt(dt):
+    z = np.zeros((5, 3))
+    with pytest.raises(ValueError, match="dt must be positive"):
+        Trial("s", "a", 0, False, 70.0, dt, z, z, z)
+
+
 def ragged_session(seed=11):
     """Random trials of two subjects whose lengths straddle 64-start blocks:
     one exactly one 125 ms horizon long (26 samples), one too short for
