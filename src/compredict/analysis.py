@@ -7,8 +7,8 @@ lowest degree the data supports. Profiles are compared per horizon length
 with Welch's ANOVA, Welch's t-tests under a Bonferroni correction, and
 Cohen's d effect sizes.
 
-The t and F distribution functions are evaluated through the regularized
-incomplete beta function.
+The t and F tail probabilities and the t quantile are evaluated through
+the regularized incomplete beta function.
 """
 
 from __future__ import annotations
@@ -27,28 +27,9 @@ class DegenerateVarianceError(ValueError):
 # distribution functions (regularized incomplete beta)
 
 
-def t_cdf(x: float, df: float) -> float:
-    """CDF of Student's t with df degrees of freedom (df may be fractional)."""
-    if df <= 0:
-        raise ValueError(f"df must be positive, got {df}")
-    x = float(x)
-    tail = special.betainc(df / 2.0, 0.5, df / (df + x * x))
-    return 0.5 * tail if x < 0 else 1.0 - 0.5 * tail
-
-
 def t_sf_two_sided(x: float, df: float) -> float:
     """Two-sided tail probability P(|T| >= |x|)."""
     return float(special.betainc(df / 2.0, 0.5, df / (df + float(x) ** 2)))
-
-
-def f_cdf(x: float, df1: float, df2: float) -> float:
-    """CDF of the F distribution with (df1, df2) degrees of freedom."""
-    if df1 <= 0 or df2 <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got ({df1}, {df2})")
-    x = float(x)
-    if x <= 0:
-        return 0.0
-    return float(special.betainc(df1 / 2.0, df2 / 2.0, df1 * x / (df1 * x + df2)))
 
 
 def f_sf(x: float, df1: float, df2: float) -> float:
@@ -76,6 +57,8 @@ def t_ppf(q: float, df: float) -> float:
 # ---------------------------------------------------------------------------
 # weighted least squares and nested model comparison
 
+ZERO_VARIANCE_EPS = 1e-12  # stands in for the variance of a level with none
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -96,12 +79,12 @@ class FitResult:
     degenerate_weights: bool = False
 
 
-def wls_polyfit(levels, degree: int, zero_variance_eps: float = 1e-12) -> FitResult:
+def wls_polyfit(levels, degree: int) -> FitResult:
     """Fit a degree-`degree` polynomial to (horizon, values) levels.
 
     levels is a sequence of (t, values) pairs, one per horizon length; every
     observation at level t gets weight 1/var(values at t). A zero-variance
-    level falls back to weight 1/zero_variance_eps and flags the result.
+    level falls back to weight 1/ZERO_VARIANCE_EPS and flags the result.
     """
     levels = [(float(t), np.asarray(v, dtype=float)) for t, v in levels]
     if len(levels) <= degree:
@@ -119,7 +102,7 @@ def wls_polyfit(levels, degree: int, zero_variance_eps: float = 1e-12) -> FitRes
             raise ValueError(f"level {t} has no values")
         var = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
         if var <= 0.0:
-            var = zero_variance_eps
+            var = ZERO_VARIANCE_EPS
             degenerate = True
         weights[t] = 1.0 / var
         ts.append(np.full(values.size, t))
@@ -160,27 +143,19 @@ class TestResult:
     statistic: float
     df: object
     p_value: float
-    effect_size: float | None = None
-    adjusted_p: float | None = None
     perfect_fit: bool = False
 
 
-def nested_f_test(
-    fit_reduced: FitResult,
-    fit_full: FitResult,
-    n_total: int | None = None,
-    p_reduced: int | None = None,
-    p_full: int | None = None,
-) -> TestResult:
+def nested_f_test(fit_reduced: FitResult, fit_full: FitResult) -> TestResult:
     """F-test of whether the fuller polynomial improves on the reduced one.
 
     Both fits must come from the same observations and weights. Equal
     residual sums give F = 0, p = 1; a perfectly fitting full model (with a
     worse reduced one) reports p = 0 and sets perfect_fit.
     """
-    n = fit_full.n_points if n_total is None else int(n_total)
-    p_r = fit_reduced.degree + 1 if p_reduced is None else int(p_reduced)
-    p_f = fit_full.degree + 1 if p_full is None else int(p_full)
+    n = fit_full.n_points
+    p_r = fit_reduced.degree + 1
+    p_f = fit_full.degree + 1
     if p_f <= p_r:
         raise ValueError(f"full model must have more parameters ({p_f} <= {p_r})")
     if fit_reduced.n_points != fit_full.n_points:

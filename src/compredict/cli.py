@@ -4,7 +4,7 @@ Subcommands:
 
   synth       generate a synthetic validation dataset (CSV files + manifest)
   preprocess  run only the GRF chain and write per-trial acceleration CSVs
-  predict     run horizon sweeps and write per-horizon summaries
+  predict     run the session sweep and write per-start horizon summaries
   metrics     compute per-subject metric rows only
   analyze     run the statistics layer on an existing metrics.csv
   run         everything end to end: load, sweep, metrics, statistics, export
@@ -45,9 +45,9 @@ from .pipeline import (
     load_all_trials,
     load_bundle,
     run_pipeline,
+    sweep_trials,
 )
-from .prediction import TrialTooShortError, sweep_errors
-from .profiles import HorizonSpec, ProfileKind
+from .profiles import ProfileKind
 from .synth import protocol_items
 
 
@@ -173,19 +173,15 @@ def _cmd_predict(args) -> int:
     trials, _ = load_all_trials(entries, config)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "horizons.csv")
-    specs = [(float(t), HorizonSpec.from_duration(t, config.dt)) for t in config.horizons_ms]
-    kinds = [ProfileKind.parse(name) for name in config.profiles]
+    swept, shares = sweep_trials(config, trials)
 
     def rows():
-        for trial in trials:
-            for kind in kinds:
-                for t_ms, spec in specs:
-                    try:
-                        errors, scores = sweep_errors(trial, spec, kind, stride=config.stride)
-                    except TrialTooShortError:
-                        continue
-                    means, peaks = errors.mean(axis=1).tolist(), errors.max(axis=1).tolist()
-                    for row, (mean, peak, score) in enumerate(zip(means, peaks, scores.tolist())):
+        for i, trial in enumerate(trials):
+            for name in config.profiles:
+                kind = ProfileKind.parse(name)
+                for t_ms in map(float, config.horizons_ms):
+                    means, peaks, scores = (v[shares[t_ms][i]].tolist() for v in swept[kind][t_ms])
+                    for row, (mean, peak, score) in enumerate(zip(means, peaks, scores)):
                         yield (
                             trial.subject_id,
                             trial.activity_id,

@@ -69,7 +69,9 @@ class RunConfig:
 
     dt is the prediction sample period (seconds); every horizon length must
     be a whole number of sample periods. bonferroni_m of 0 means "use the
-    size of each pairwise family".
+    size of each pairwise family". Settings that depend on a GRF file (a
+    cutoff below its Nyquist frequency, a padlen shorter than it) are
+    checked when that file is loaded.
     """
 
     dt: float = 0.005
@@ -104,18 +106,27 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if not self.horizons_ms or not self.profiles:
             raise ConfigError("horizons_ms and profiles must each list at least one value")
-        if self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
         if self.aggregation not in ("hierarchical", "pooled"):
             raise ConfigError(f"aggregation must be hierarchical or pooled, got {self.aggregation!r}")
         if self.cohens_d_variant not in ("pooled", "unequal"):
             raise ConfigError(f"cohens_d_variant must be pooled or unequal, got {self.cohens_d_variant!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.out_format!r}")
+        limits = {  # key -> (whether its value is valid, what it must be)
+            "stride": (self.stride >= 1, ">= 1"),
+            "threads": (self.threads >= 1, ">= 1"),
+            "alpha": (0.0 < self.alpha < 1.0, "in (0, 1)"),
+            "bonferroni_m": (self.bonferroni_m >= 0, ">= 0"),
+            "filter_order": (self.filter_order >= 1, ">= 1"),
+            "filter_cutoff_hz": (self.filter_cutoff_hz > 0, "positive"),
+            "filter_padlen": (self.filter_padlen >= 0, ">= 0"),
+            "contact_threshold_n": (self.contact_threshold_n > 0, "positive"),
+            "contact_hold_samples": (self.contact_hold_samples >= 1, ">= 1"),
+            "gravity": (np.isfinite(self.gravity), "finite"),
+        }
+        for key, (valid, rule) in limits.items():
+            if not valid:
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)}")
 
     def horizon_specs(self) -> list[HorizonSpec]:
         return [HorizonSpec.from_duration(t, self.dt) for t in self.horizons_ms]
@@ -482,11 +493,6 @@ def timed_rows(period: float, *blocks) -> list:
 # trial loading
 
 
-def _finite_difference_velocity(positions: np.ndarray, dt: float) -> np.ndarray:
-    """Central differences inside, one-sided at the edges."""
-    return np.gradient(positions, dt, axis=0)
-
-
 def load_trial(entry: ManifestEntry, config: RunConfig = DEFAULTS):
     """Build Trial objects from one manifest entry.
 
@@ -505,7 +511,8 @@ def load_trial(entry: ManifestEntry, config: RunConfig = DEFAULTS):
     if velocities is None:
         if not config.velocity_fallback:
             raise SchemaError(f"{entry.com_file}: velocity columns required")
-        velocities = _finite_difference_velocity(positions, config.dt)
+        # central differences inside, one-sided at the edges
+        velocities = np.gradient(positions, config.dt, axis=0)
         notes.append(
             f"{entry.subject_id}/{entry.activity_id}/{entry.repeat_index}: "
             "velocities estimated by central differences"
@@ -543,14 +550,17 @@ def load_trial(entry: ManifestEntry, config: RunConfig = DEFAULTS):
     except ValueError as exc:
         raise ManifestError(f"{entry.grf_file}: bad contact intervals: {exc}") from exc
 
-    processed = preprocess(
-        series,
-        spec=config.filter_spec(),
-        zero_phase=config.filter_zero_phase,
-        padlen=config.filter_padlen if config.filter_padlen > 0 else None,
-        downsample_factor=factor,
-        apply_filter=config.filter_enabled,
-    )
+    try:
+        processed = preprocess(
+            series,
+            spec=config.filter_spec(),
+            zero_phase=config.filter_zero_phase,
+            padlen=config.filter_padlen or None,
+            downsample_factor=factor,
+            apply_filter=config.filter_enabled,
+        )
+    except ValueError as exc:  # a cutoff at or above this file's Nyquist, or padlen beyond its length
+        raise SchemaError(f"{entry.grf_file}: cannot filter: {exc}") from exc
     accel = grf_to_acceleration(processed.samples, entry.mass, g=config.gravity)
 
     n_com, n_acc = len(positions), len(accel)

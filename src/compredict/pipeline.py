@@ -1,8 +1,9 @@
 """End-to-end orchestration: trials -> sweeps -> metrics -> statistics.
 
-All trials are laid out once (`prediction.SweepLayout`) and each profile
-sweeps the whole session in one `sweep_session` call, which keeps only the
-per-start mean error, max error and score of every horizon. Profiles may
+`sweep_trials` lays all trials out once (`prediction.SweepLayout`) and each
+profile sweeps the whole session in one `sweep_session` call, which keeps
+only the per-start mean error, max error and score of every horizon; both
+`run_pipeline` and the CLI's `predict` read those vectors. Profiles may
 run on a thread pool, but every reduction and every output row is produced
 in a fixed sorted order, so a run's outputs are byte-identical regardless
 of thread count. Trials too short for a horizon are skipped with a reason
@@ -122,18 +123,21 @@ def load_all_trials(entries, config: RunConfig):
     return trials, notes
 
 
-def run_pipeline(config: RunConfig, trials) -> ResultBundle:
-    """Compute metric rows and the statistics layer for a set of trials."""
-    if not trials:
-        raise PipelineError("no trials to process")
-    bundle = ResultBundle(version=__version__, config=config.to_dict())
-    profiles = [ProfileKind.parse(p) for p in config.profiles]
+def sweep_trials(config: RunConfig, trials):
+    """Sweep every trial with every configured profile and horizon.
+
+    Returns (swept, shares). swept[profile][t_ms] holds the per-start
+    (means, maxima, scores) vectors of `sweep_session`, trial after trial;
+    shares[t_ms][i] is the slice of them that belongs to trials[i], empty
+    when that trial is shorter than the horizon.
+    """
+    profiles = list(dict.fromkeys(ProfileKind.parse(p) for p in config.profiles))
     specs = {float(t): s for t, s in zip(config.horizons_ms, config.horizon_specs())}
 
     # one layout of the whole session, read by every profile's sweep, with no
     # room for horizons longer than every trial; a sweep keeps only each
     # start's mean error, max error and score per horizon
-    longest = max(trial.n_samples for trial in trials)
+    longest = max((trial.n_samples for trial in trials), default=0)
     n_max = max((s.n_samples for s in specs.values() if s.n_samples <= longest), default=0)
     layout = SweepLayout(trials, float(config.dt), n_max, config.stride)
 
@@ -147,11 +151,22 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
         # a lone pool worker would allocate the sweep's work arrays in its own
         # malloc arena instead of reusing what loading freed, raising peak RSS
         swept = dict(zip(profiles, map(sweep, profiles)))
-    # each trial's (first, count) share of a horizon's per-start vectors
     shares = {}
     for t_ms, spec in specs.items():
         counts = layout.starts(spec.n_samples)
-        shares[t_ms] = list(zip((np.cumsum(counts) - counts).tolist(), counts.tolist()))
+        ends = np.cumsum(counts).tolist()
+        shares[t_ms] = [slice(end - count, end) for end, count in zip(ends, counts.tolist())]
+    return swept, shares
+
+
+def run_pipeline(config: RunConfig, trials) -> ResultBundle:
+    """Compute metric rows and the statistics layer for a set of trials."""
+    if not trials:
+        raise PipelineError("no trials to process")
+    bundle = ResultBundle(version=__version__, config=config.to_dict())
+    profiles = [ProfileKind.parse(p) for p in config.profiles]
+    specs = {float(t): s for t, s in zip(config.horizons_ms, config.horizon_specs())}
+    swept, shares = sweep_trials(config, trials)
 
     # fixed-order reduction to per-subject metric rows
     subjects = sorted({t.subject_id for t in trials})
@@ -165,15 +180,15 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
                 grouped_scores: dict = {}
                 for idx in subject_idx:
                     trial = trials[idx]
-                    first, count = shares[t_ms][idx]
-                    if count == 0:
+                    share = shares[t_ms][idx]
+                    if share.start == share.stop:
                         skip_key = (subject, trial.activity_id, trial.repeat_index, t_ms)
                         if skip_key not in skip_seen:
                             skip_seen.add(skip_key)
                             reason = TrialTooShortError.for_horizon(trial, specs[t_ms])
                             bundle.skip_rows.append(SkipRow(*skip_key, reason=str(reason)))
                         continue
-                    means, maxima, scores = (v[first : first + count] for v in swept[profile][t_ms])
+                    means, maxima, scores = (v[share] for v in swept[profile][t_ms])
                     grouped_means.setdefault(trial.activity_id, {})[trial.repeat_index] = means
                     grouped_maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = maxima
                     if not trial.is_static:

@@ -89,7 +89,7 @@ class Trial:
             raise ValueError(f"a trial needs at least 2 samples, got {n}")
         if self.dt <= 0 or not np.isfinite(self.dt):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.mass <= 0:
+        if self.mass <= 0 or not np.isfinite(self.mass):
             raise ValueError(f"mass must be positive, got {self.mass}")
 
     @property

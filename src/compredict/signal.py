@@ -12,6 +12,8 @@ odd-reflection padding is the default so filtered forces stay aligned with
 the marker-derived kinematics; note the two passes square the magnitude
 response, so single-pass mode is what matches the nominal -3 dB cutoff.
 A filter design is computed once per (order, cutoff, rate) and reused.
+`scipy.signal` takes about a second to import, so it is imported on first
+use and commands that never filter (synth, analyze, report) skip it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal as _scipy_signal
 
 VERTICAL_AXIS = 1  # Y is up
 
@@ -98,7 +99,9 @@ def clamp_noncontact(series: ForceSeries) -> ForceSeries:
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _butter_sos(order: int, cutoff_hz: float, sample_rate: float) -> np.ndarray:
-    return _scipy_signal.butter(order, cutoff_hz, btype="low", fs=sample_rate, output="sos")
+    from scipy.signal import butter
+
+    return butter(order, cutoff_hz, btype="low", fs=sample_rate, output="sos")
 
 
 def butterworth_lowpass(
@@ -114,17 +117,17 @@ def butterworth_lowpass(
     3*(2*order+1)), cancelling the phase; otherwise a single causal pass is
     used.
     """
+    from scipy.signal import sosfilt, sosfiltfilt
+
     spec.validate_for(series.sample_rate)
     # each call gets its own copy of the shared design
     sos = _butter_sos(spec.order, spec.cutoff_hz, series.sample_rate).copy()
     if zero_phase:
         if padlen is None:
             padlen = spec.default_padlen()
-        filtered = _scipy_signal.sosfiltfilt(
-            sos, series.samples, axis=0, padtype="odd", padlen=padlen
-        )
+        filtered = sosfiltfilt(sos, series.samples, axis=0, padtype="odd", padlen=padlen)
     else:
-        filtered = _scipy_signal.sosfilt(sos, series.samples, axis=0)
+        filtered = sosfilt(sos, series.samples, axis=0)
     return replace(series, samples=np.ascontiguousarray(filtered))
 
 

@@ -5,21 +5,13 @@ without recorded data. References are produced by exact ZOH propagation
 of the same model the predictor evaluates, so any deviation isolates the
 effect of the assumed acceleration profile:
 
-  constant_acceleration  constant true acceleration
-  constant_discrepancy   constant true acceleration equal to the given
-                         discrepancy, so the zero profile is off by exactly
-                         that constant at every step
+  constant_acceleration  constant true acceleration c, so the zero profile
+                         is off by exactly c at every step
   sinusoid               sinusoidal acceleration along X (inputs sampled at
                          interval midpoints, keeping the discrete reference
                          within O(dt^2) of the continuous trajectory)
   piecewise_constant     scheduled constant segments, e.g. a mid-trial sign
                          reversal that stresses direction prediction
-
-For a constant input discrepancy c the predicted and reference positions
-separate by a closed-form amount at every sample, which gives the exact
-expected values for the error metrics (`analytic_error`, `expected_ae`,
-`expected_me`) and average errors that grow quadratically with horizon
-length, as the trend fits of `pipeline.run_pipeline` should find.
 """
 
 from __future__ import annotations
@@ -31,7 +23,7 @@ import numpy as np
 from .dynamics import zoh_update
 from .prediction import Trial
 
-KINDS = ("constant_acceleration", "constant_discrepancy", "sinusoid", "piecewise_constant")
+KINDS = ("constant_acceleration", "sinusoid", "piecewise_constant")
 
 
 def _vec3_or_scalar(value, name: str) -> np.ndarray:
@@ -49,7 +41,7 @@ class SyntheticSpec:
     """Recipe for one synthetic trial.
 
     duration must be a whole number of sample periods. Kind-specific fields:
-    accel (constant kinds), amplitude/frequency_hz (sinusoid), segments as
+    accel (constant kind), amplitude/frequency_hz (sinusoid), segments as
     (duration_s, accel) pairs (piecewise_constant). noise_amplitude adds
     seeded uniform noise to the stored acceleration inputs only, leaving the
     reference trajectory untouched (models a drifting oracle).
@@ -94,7 +86,7 @@ class SyntheticSpec:
 def _continuous_accel(spec: SyntheticSpec, times: np.ndarray) -> np.ndarray:
     """True acceleration a(t) evaluated at the given times, shape (len, 3)."""
     out = np.zeros((len(times), 3))
-    if spec.kind in ("constant_acceleration", "constant_discrepancy"):
+    if spec.kind == "constant_acceleration":
         out[:] = _vec3_or_scalar(spec.accel, "accel")
     elif spec.kind == "sinusoid":
         out[:, 0] = spec.amplitude * np.sin(2.0 * np.pi * spec.frequency_hz * times)
@@ -181,16 +173,6 @@ def make_trial(
     )
 
 
-def constant_discrepancy_spec(
-    c, duration: float = 1.0, dt: float = 0.005, mass: float = 70.0
-) -> SyntheticSpec:
-    """Trial whose true acceleration is the constant c, so the zero profile
-    is wrong by exactly c at every step of every horizon."""
-    return SyntheticSpec(
-        kind="constant_discrepancy", duration=duration, dt=dt, mass=mass, accel=c
-    )
-
-
 def sign_reversal_spec(
     accel_mag: float,
     t_flip: float,
@@ -209,37 +191,6 @@ def sign_reversal_spec(
         mass=mass,
         segments=((t_flip, accel_mag), (duration - t_flip, -accel_mag)),
     )
-
-
-# ---------------------------------------------------------------------------
-# closed-form expectations for the constant-discrepancy family
-
-
-def analytic_error(k: int, dt: float, c) -> float:
-    """Exact position error at sample k (1-based) of a horizon when the
-    assumed acceleration differs from the true one by the constant c.
-
-    Each of the k-1 ZOH steps feeds the discrepancy through the position row
-    of the input matrix; the accumulated gap is (k-1)^2/2 * dt^2 * |c|.
-    """
-    if k < 1:
-        raise ValueError(f"sample index must be >= 1, got {k}")
-    mag = float(np.linalg.norm(_vec3_or_scalar(c, "c")))
-    return 0.5 * (k - 1) ** 2 * dt * dt * mag
-
-
-def expected_ae(n_samples: int, dt: float, c) -> float:
-    """Mean of analytic_error over k = 1..n_samples:
-    dt^2 * |c| * (n-1)(2n-1)/12."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    mag = float(np.linalg.norm(_vec3_or_scalar(c, "c")))
-    return dt * dt * mag * (n_samples - 1) * (2 * n_samples - 1) / 12.0
-
-
-def expected_me(n_samples: int, dt: float, c) -> float:
-    """Max of analytic_error over a horizon, attained at the last sample."""
-    return analytic_error(n_samples, dt, c)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ mpmath arbitrary precision) and must not import from compredict, so that
 test comparisons are genuine dual-route checks.
 """
 
+import math
+
 import mpmath as mp
 
 mp.mp.dps = 50
@@ -50,6 +52,32 @@ def generate_profile(kind, u1, n_samples, measured_future=None):
     return rows
 
 
+def _magnitude(c):
+    """|c| of a scalar discrepancy (acting along X) or of a 3-vector."""
+    return math.hypot(*c) if hasattr(c, "__len__") else abs(float(c))
+
+
+def analytic_error(k, dt, c):
+    """Exact position error at sample k (1-based) of a horizon when the
+    assumed acceleration differs from the true one by the constant c.
+
+    Each of the k-1 ZOH steps feeds the discrepancy through the position row
+    of the input matrix; the accumulated gap is (k-1)^2/2 * dt^2 * |c|.
+    """
+    return 0.5 * (k - 1) ** 2 * dt * dt * _magnitude(c)
+
+
+def expected_ae(n_samples, dt, c):
+    """Mean of analytic_error over k = 1..n_samples:
+    dt^2 * |c| * (n-1)(2n-1)/12."""
+    return dt * dt * _magnitude(c) * (n_samples - 1) * (2 * n_samples - 1) / 12.0
+
+
+def expected_me(n_samples, dt, c):
+    """Max of analytic_error over a horizon, attained at the last sample."""
+    return analytic_error(n_samples, dt, c)
+
+
 def direction_score(reference, predicted):
     """1 when the predicted displacement over a horizon has the sign of the
     reference displacement along the axis where the reference moves most
@@ -69,13 +97,6 @@ def mp_t_cdf(x, df):
     x, df = mp.mpf(x), mp.mpf(df)
     tail = mp.betainc(df / 2, mp.mpf(1) / 2, x2=df / (df + x * x), regularized=True)
     return tail / 2 if x < 0 else 1 - tail / 2
-
-
-def mp_f_cdf(x, df1, df2):
-    x, df1, df2 = mp.mpf(x), mp.mpf(df1), mp.mpf(df2)
-    if x <= 0:
-        return mp.mpf(0)
-    return mp.betainc(df1 / 2, df2 / 2, x2=df1 * x / (df1 * x + df2), regularized=True)
 
 
 def mp_f_sf(x, df1, df2):

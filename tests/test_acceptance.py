@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from compredict.analysis import bonferroni, cohens_d, f_cdf, t_cdf, welch_t_test
+from compredict.analysis import bonferroni, cohens_d, f_sf, t_ppf, t_sf_two_sided, welch_t_test
 from compredict.io import RunConfig
 from compredict.metrics import (
     average_direction_accuracy,
@@ -30,17 +30,9 @@ from compredict.pipeline import run_pipeline
 from compredict.prediction import sweep_errors
 from compredict.profiles import HorizonSpec, ProfileKind
 from compredict.signal import ForceSeries, butterworth_lowpass
-from compredict.synth import (
-    SyntheticSpec,
-    analytic_error,
-    constant_discrepancy_spec,
-    expected_ae,
-    expected_me,
-    make_trial,
-    sign_reversal_spec,
-)
+from compredict.synth import SyntheticSpec, make_trial, sign_reversal_spec
 
-from oracles import mp_f_cdf, mp_t_cdf
+from oracles import analytic_error, expected_ae, expected_me, mp_f_sf, mp_t_cdf
 
 DT = 0.005
 HORIZONS_MS = (125, 250, 375, 500, 625)
@@ -66,7 +58,7 @@ def test_criterion_01_constant_discrepancy_matches_closed_form():
     with criterion(1, "pipeline errors equal the closed-form constant-discrepancy error"):
         started = time.monotonic()
         for c in (0.5, 1.0, 2.0):
-            trial = make_trial(constant_discrepancy_spec(c, duration=0.75, dt=DT))
+            trial = make_trial(SyntheticSpec(kind="constant_acceleration", accel=c, duration=0.75, dt=DT))
             for t_ms in HORIZONS_MS:
                 spec = HorizonSpec.from_duration(t_ms, DT)
                 errors, _ = sweep_errors(trial, spec, ProfileKind.ZERO)
@@ -83,7 +75,7 @@ def test_criterion_02_closed_form_average_and_max_error():
     with criterion(2, "per-horizon average/max errors equal their closed forms"):
         started = time.monotonic()
         for c in (0.5, 1.0, 2.0):
-            trial = make_trial(constant_discrepancy_spec(c, duration=0.75, dt=DT))
+            trial = make_trial(SyntheticSpec(kind="constant_acceleration", accel=c, duration=0.75, dt=DT))
             for t_ms in HORIZONS_MS:
                 spec = HorizonSpec.from_duration(t_ms, DT)
                 errors, _ = sweep_errors(trial, spec, ProfileKind.ZERO)
@@ -99,7 +91,7 @@ def test_criterion_02_closed_form_average_and_max_error():
 def test_criterion_03_oracle_is_exact_on_model_consistent_trials():
     with criterion(3, "oracle profile reproduces model-consistent references to 1e-12 m"):
         trials = [
-            make_trial(constant_discrepancy_spec(1.3, duration=0.8, dt=DT)),
+            make_trial(SyntheticSpec(kind="constant_acceleration", accel=1.3, duration=0.8, dt=DT)),
             make_trial(SyntheticSpec(kind="sinusoid", duration=0.8, dt=DT, amplitude=1.1, frequency_hz=1.2)),
             make_trial(sign_reversal_spec(1.0, t_flip=0.3, duration=0.8, dt=DT)),
         ]
@@ -115,7 +107,7 @@ def test_criterion_04_quadratic_trend_reproduction():
         started = time.monotonic()
         trials = [
             make_trial(
-                constant_discrepancy_spec(1.0 + 0.005 * s, duration=1.0, dt=DT),
+                SyntheticSpec(kind="constant_acceleration", accel=1.0 + 0.005 * s, duration=1.0, dt=DT),
                 subject_id=f"s{s:02d}",
             )
             for s in range(10)
@@ -185,13 +177,17 @@ def test_criterion_07_statistics_golden_values():
         assert welch.df == pytest.approx(8.0, rel=1e-12)
         assert abs(welch.p_value - 0.3466) <= 0.0005
 
+        # the tail probabilities and quantile the pipeline's tests and CIs use
         worst = 0.0
         for df in (1, 2, 5, 20, 80, 140, 200):
             for x in (0.0, 0.3, 1.0, 2.5, 7.0, 20.0, 50.0):
-                worst = max(worst, abs(t_cdf(x, df) - float(mp_t_cdf(x, df))))
-                worst = max(worst, abs(t_cdf(-x, df) - float(mp_t_cdf(-x, df))))
+                two_sided = float(2 * (1 - mp_t_cdf(x, df)))
+                worst = max(worst, abs(t_sf_two_sided(x, df) - two_sided))
+                worst = max(worst, abs(t_sf_two_sided(-x, df) - two_sided))
                 for df2 in (1, 9, 48, 200):
-                    worst = max(worst, abs(f_cdf(x, df, df2) - float(mp_f_cdf(x, df, df2))))
+                    worst = max(worst, abs(f_sf(x, df, df2) - float(mp_f_sf(x, df, df2))))
+            for q in (0.005, 0.1, 0.4, 0.6, 0.9, 0.975, 0.995):
+                worst = max(worst, abs(float(mp_t_cdf(t_ppf(q, df), df)) - q))
         assert worst <= 1e-10
 
         assert bonferroni([0.004], 6) == [0.024]

@@ -551,19 +551,24 @@ def test_cli_preprocess_files_hold_exact_accelerations(tmp_path, capsys):
 
 def test_cli_predict_rows_match_sweep(tmp_path, capsys):
     manifest_path = _small_dataset(tmp_path, n_subjects=1, n_activities=2, n_repeats=1)
-    args = ["--horizons", "125,250", "--profiles", "zero,cubic", "--stride", "3"]
-    assert main(["predict", "--manifest", str(manifest_path), "--out", str(tmp_path / "pred"), *args]) == 0
-    header, *lines = (tmp_path / "pred" / "horizons.csv").read_text().splitlines()
+    # a non-default profile order, and a 2 s horizon longer than every trial, which adds no rows
+    args = ["--horizons", "125,2000,250", "--profiles", "cubic,zero", "--stride", "3"]
+    for threads in ("1", "3"):
+        out = str(tmp_path / f"pred{threads}")
+        assert main(["predict", "--manifest", str(manifest_path), "--out", out, *args, "--threads", threads]) == 0
+    table = (tmp_path / "pred1" / "horizons.csv").read_bytes()
+    assert (tmp_path / "pred3" / "horizons.csv").read_bytes() == table
+    header, *lines = table.decode().splitlines()
     assert header == ",".join(HORIZONS_HEADER)
     written = [
         (c[0], c[1], int(c[2]), c[3], c[4], int(c[5]), float(c[6]), float(c[7]), int(c[8]))
         for c in (line.split(",") for line in lines)
     ]
-    config = replace(DEFAULTS, horizons_ms=(125.0, 250.0), profiles=("zero", "cubic"), stride=3)
+    config = replace(DEFAULTS, horizons_ms=(125.0, 250.0), profiles=("cubic", "zero"), stride=3)
     trials, _ = load_all_trials(load_manifest(manifest_path), config)
     expected = []
     for trial in trials:
-        for kind in (ProfileKind.ZERO, ProfileKind.CUBIC):
+        for kind in (ProfileKind.CUBIC, ProfileKind.ZERO):
             for t_ms in (125.0, 250.0):
                 spec = HorizonSpec.from_duration(t_ms, config.dt)
                 errors, scores = sweep_errors(trial, spec, kind, stride=3)
@@ -620,6 +625,8 @@ def _set_cell(path, lineno, column, text):
         ("manifest", ("com_file", 5)),
         ("manifest", ("mass_kg", float("nan"))),
         ("manifest_root", ("trials", 5)),
+        ("config", "filter_cutoff_hz = 600\n"),
+        ("config", "filter_padlen = 100000\n"),
     ],
     ids=[
         "nan-in-com",
@@ -632,12 +639,20 @@ def _set_cell(path, lineno, column, text):
         "non-string-com-file",
         "nan-mass",
         "non-list-trials",
+        "cutoff-above-grf-nyquist",
+        "padlen-beyond-grf-length",
     ],
 )
 def test_cli_malformed_input_exits_1_naming_the_file(tmp_path, capsys, file_key, change):
     _, manifest_path = _write_single_trial_dataset(tmp_path)
     raw = json.loads(open(manifest_path).read())
-    if file_key.startswith("manifest"):
+    args = ["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out")]
+    if file_key == "config":  # a filter setting that this trial's GRF file cannot take
+        config = tmp_path / "run.cfg"
+        config.write_text(change)
+        args += ["--config", str(config)]
+        where = os.path.join(os.path.dirname(manifest_path), raw["trials"][0]["grf_file"])
+    elif file_key.startswith("manifest"):
         key, value = change
         if file_key == "manifest":
             raw["trials"][0][key] = value
@@ -651,7 +666,7 @@ def test_cli_malformed_input_exits_1_naming_the_file(tmp_path, capsys, file_key,
         path = os.path.join(os.path.dirname(manifest_path), raw["trials"][0][file_key])
         _set_cell(path, lineno, column, text)
         where = f"{path}:{lineno}:"
-    assert main(["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out")]) == 1
+    assert main(args) == 1
     assert where in capsys.readouterr().err
 
 
@@ -675,11 +690,25 @@ def test_cli_header_only_file_prints_one_error_line(tmp_path, capsys, file_key):
         ("--horizons", "125,9e99"),
         ("--stride", "two"),
         ("--profiles", ","),
+        # config-file settings, written as "key = value"
+        ("filter_order", "0"),
+        ("filter_cutoff_hz", "-1"),
+        ("gravity", "nan"),
+        ("filter_padlen", "-3"),
+        ("bonferroni_m", "-2"),
+        ("contact_hold_samples", "0"),
+        ("contact_threshold_n", "-5"),
     ],
 )
 def test_cli_malformed_override_exits_1_naming_the_setting(tmp_path, capsys, flag, text):
     _, manifest_path = _write_single_trial_dataset(tmp_path)
-    args = ["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out"), f"{flag}={text}"]
+    args = ["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out")]
+    if flag.startswith("--"):
+        args.append(f"{flag}={text}")
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag} = {text}\n")
+        args += ["--config", str(config)]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -714,3 +743,6 @@ def test_cli_exit_codes(tmp_path):
     empty_manifest.write_text('{"trials": []}')
     empty = run_cli("run", "--manifest", empty_manifest, "--out", tmp_path / "x")
     assert empty.returncode == 1
+    predicted = run_cli("predict", "--manifest", empty_manifest, "--out", tmp_path / "p")
+    assert predicted.returncode == 0, predicted.stderr
+    assert (tmp_path / "p" / "horizons.csv").read_text() == ",".join(HORIZONS_HEADER) + "\n"

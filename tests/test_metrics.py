@@ -12,7 +12,9 @@ from compredict.metrics import (
 )
 from compredict.prediction import sweep_errors
 from compredict.profiles import HorizonSpec, ProfileKind
-from compredict.synth import constant_discrepancy_spec, expected_me, make_trial
+from compredict.synth import SyntheticSpec, make_trial
+
+from oracles import expected_me
 
 
 def _per_horizon(grouped_series, reduce):
@@ -61,7 +63,7 @@ def test_max_error_over_everything():
 
 
 def test_max_error_matches_constant_discrepancy_closed_form():
-    trial = make_trial(constant_discrepancy_spec(1.0, duration=0.8))
+    trial = make_trial(SyntheticSpec(kind="constant_acceleration", accel=1.0, duration=0.8, dt=0.005))
     hspec = HorizonSpec.from_duration(125, 0.005)
     errors, _ = sweep_errors(trial, hspec, ProfileKind.ZERO)
     grouped = {"synthetic": {0: errors.max(axis=1)}}

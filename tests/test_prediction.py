@@ -18,7 +18,7 @@ from compredict.prediction import (
     sweep_session,
 )
 from compredict.profiles import HorizonSpec, ProfileKind
-from compredict.synth import SyntheticSpec, constant_discrepancy_spec, make_trial
+from compredict.synth import SyntheticSpec, make_trial
 
 from oracles import brute_force_trajectory, direction_score, generate_profile
 
@@ -48,7 +48,7 @@ def test_zero_profile_is_exact_on_coasting_motion():
 
 def test_zero_profile_error_matches_constant_discrepancy_closed_form():
     c = 1.3
-    trial = make_trial(constant_discrepancy_spec(c, duration=0.8))
+    trial = make_trial(SyntheticSpec(kind="constant_acceleration", accel=c, duration=0.8, dt=DT))
     spec = HorizonSpec.from_duration(250, DT)
     k = np.arange(1, spec.n_samples + 1)
     expected = 0.5 * (k - 1) ** 2 * DT * DT * c
@@ -60,7 +60,7 @@ def test_zero_profile_error_matches_constant_discrepancy_closed_form():
 
 def test_zero_profile_error_matches_brute_force():
     c = 0.9
-    trial = make_trial(constant_discrepancy_spec(c, duration=0.8))
+    trial = make_trial(SyntheticSpec(kind="constant_acceleration", accel=c, duration=0.8, dt=DT))
     spec = HorizonSpec.from_duration(125, DT)
     errors, _ = sweep_errors(trial, spec, ProfileKind.ZERO)
     p0, v0 = trial.positions[17, 0], trial.velocities[17, 0]
@@ -106,7 +106,7 @@ def test_error_series_starts_at_zero_for_every_profile():
 
 
 def test_constant_discrepancy_error_is_strictly_increasing():
-    trial = make_trial(constant_discrepancy_spec(1.0, duration=0.8))
+    trial = make_trial(SyntheticSpec(kind="constant_acceleration", accel=1.0, duration=0.8, dt=DT))
     hspec = HorizonSpec.from_duration(375, DT)
     errors, _ = sweep_errors(trial, hspec, ProfileKind.ZERO)
     assert np.all(np.diff(errors[0, 1:]) > 0.0)
@@ -327,6 +327,13 @@ def test_trial_rejects_non_finite_dt(dt):
     z = np.zeros((5, 3))
     with pytest.raises(ValueError, match="dt must be positive"):
         Trial("s", "a", 0, False, 70.0, dt, z, z, z)
+
+
+@pytest.mark.parametrize("mass", [float("nan"), float("inf")])
+def test_trial_rejects_non_finite_mass(mass):
+    z = np.zeros((5, 3))
+    with pytest.raises(ValueError, match="mass must be positive"):
+        Trial("s", "a", 0, False, mass, 0.005, z, z, z)
 
 
 def ragged_session(seed=11):

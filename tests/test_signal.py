@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -213,3 +216,11 @@ def test_preprocess_can_skip_filter():
     series = ForceSeries(sample_rate=FS, samples=samples, contact_intervals=((0, 999),))
     out = preprocess(series, downsample_factor=5, apply_filter=False)
     assert_array_equal(out.samples, samples[::5])
+
+
+def test_importing_the_cli_leaves_scipy_signal_unimported():
+    # scipy.signal takes about a second to import, and only filtering needs it
+    code = "import sys, compredict.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

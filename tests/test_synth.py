@@ -6,18 +6,9 @@ from compredict.io import RunConfig
 from compredict.pipeline import run_pipeline
 from compredict.prediction import sweep_errors
 from compredict.profiles import HorizonSpec, ProfileKind
-from compredict.synth import (
-    SyntheticSpec,
-    analytic_error,
-    constant_discrepancy_spec,
-    expected_ae,
-    expected_me,
-    make_trial,
-    protocol_items,
-    sign_reversal_spec,
-)
+from compredict.synth import SyntheticSpec, make_trial, protocol_items, sign_reversal_spec
 
-from oracles import brute_force_trajectory
+from oracles import analytic_error, brute_force_trajectory, expected_ae, expected_me
 
 DT = 0.005
 
@@ -113,7 +104,7 @@ def test_expected_me_is_last_sample_error():
 
 
 def test_max_error_occurs_at_horizon_end():
-    trial = make_trial(constant_discrepancy_spec(1.0, duration=0.8))
+    trial = make_trial(SyntheticSpec(kind="constant_acceleration", accel=1.0, duration=0.8, dt=DT))
     hspec = HorizonSpec.from_duration(250, DT)
     errors, _ = sweep_errors(trial, hspec, ProfileKind.ZERO)
     assert np.all(np.argmax(errors, axis=1) == hspec.n_samples - 1)
@@ -121,7 +112,7 @@ def test_max_error_occurs_at_horizon_end():
 
 def test_profile_error_ordering_on_constant_discrepancy():
     c = 1.0
-    trial = make_trial(constant_discrepancy_spec(c, duration=0.8))
+    trial = make_trial(SyntheticSpec(kind="constant_acceleration", accel=c, duration=0.8, dt=DT))
     hspec = HorizonSpec.from_duration(250, DT)
     const = sweep_errors(trial, hspec, ProfileKind.CONST)[0][0]
     cubic = sweep_errors(trial, hspec, ProfileKind.CUBIC)[0][0]
@@ -201,7 +192,10 @@ def test_verify_quadratic_trend_passes_on_discrepancy_family():
     # weighted R^2 reflects between/within subject spread, so the per-subject
     # discrepancies sit within ~2% of each other
     trials = [
-        make_trial(constant_discrepancy_spec(1.0 + 0.005 * s, duration=1.0), subject_id=f"s{s:02d}")
+        make_trial(
+            SyntheticSpec(kind="constant_acceleration", accel=1.0 + 0.005 * s, duration=1.0, dt=DT),
+            subject_id=f"s{s:02d}",
+        )
         for s in range(10)
     ]
     fits, tests, _ = ae_trend(trials, ProfileKind.ZERO)
@@ -215,7 +209,10 @@ def test_verify_quadratic_trend_passes_on_discrepancy_family():
 
 def test_verify_quadratic_trend_flags_degenerate_zero_family():
     trials = [
-        make_trial(constant_discrepancy_spec(0.0, duration=1.0), subject_id=f"s{s:02d}")
+        make_trial(
+            SyntheticSpec(kind="constant_acceleration", accel=0.0, duration=1.0, dt=DT),
+            subject_id=f"s{s:02d}",
+        )
         for s in range(4)
     ]
     fits, _, metric_rows = ae_trend(trials, ProfileKind.ZERO)
@@ -226,7 +223,10 @@ def test_verify_quadratic_trend_flags_degenerate_zero_family():
 
 def test_verify_quadratic_trend_oracle_errors_vanish():
     trials = [
-        make_trial(constant_discrepancy_spec(1.0 + 0.1 * s, duration=1.0), subject_id=f"s{s:02d}")
+        make_trial(
+            SyntheticSpec(kind="constant_acceleration", accel=1.0 + 0.1 * s, duration=1.0, dt=DT),
+            subject_id=f"s{s:02d}",
+        )
         for s in range(4)
     ]
     _, _, metric_rows = ae_trend(trials, ProfileKind.ORACLE)
