@@ -187,7 +187,6 @@ class TrendCascade:
     cubic_vs_quadratic: TestResult
     quadratic_vs_linear: TestResult | None
     selected_degree: int
-    degenerate: bool = False
 
 
 def trend_cascade(levels, alpha: float = 0.05) -> TrendCascade:
@@ -195,16 +194,15 @@ def trend_cascade(levels, alpha: float = 0.05) -> TrendCascade:
 
     The cubic-vs-quadratic test runs first; only when its null survives is
     quadratic-vs-linear tested (rejecting selects the quadratic, otherwise
-    the line). Data flagged by degenerate weights propagates the flag.
+    the line).
     """
     fits = {d: wls_polyfit(levels, d) for d in (1, 2, 3)}
-    degenerate = any(f.degenerate_weights for f in fits.values())
     cubic_test = nested_f_test(fits[2], fits[3])
     if cubic_test.p_value <= alpha:
-        return TrendCascade(fits, cubic_test, None, selected_degree=3, degenerate=degenerate)
+        return TrendCascade(fits, cubic_test, None, selected_degree=3)
     quad_test = nested_f_test(fits[1], fits[2])
     selected = 2 if quad_test.p_value <= alpha else 1
-    return TrendCascade(fits, cubic_test, quad_test, selected_degree=selected, degenerate=degenerate)
+    return TrendCascade(fits, cubic_test, quad_test, selected_degree=selected)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .io import (
     load_config,
     load_manifest,
     load_trial,
+    parse_value,
     timed_rows,
     write_dataset,
     write_table,
@@ -68,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizons", help="comma-separated horizon lengths in ms")
         p.add_argument("--stride", help="samples between horizon starts")
         p.add_argument("--threads", help="worker threads")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        p.add_argument("--format", help="output format: csv or json")
 
     p = sub.add_parser("synth", help="generate a synthetic validation dataset")
     p.add_argument("--out", required=True)
@@ -86,41 +87,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="run configuration file")
     p.add_argument("--metrics-csv", required=True, dest="metrics_csv")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format")
 
     p = sub.add_parser("report", help="re-export tables from a saved bundle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format")
     return parser
 
 
+# flag -> the RunConfig key it overrides, in the order they apply
+FLAG_KEYS = {
+    "--profiles": "profiles",
+    "--horizons": "horizons_ms",
+    "--stride": "stride",
+    "--threads": "threads",
+    "--format": "out_format",
+}
+
+
 def _load_effective_config(args) -> RunConfig:
-    """The config file or defaults under the flags; a bad flag is a ConfigError
-    that names it."""
+    """The config file or defaults under the flags, each read as its config
+    key's value would be; a bad flag is a ConfigError that names it."""
     config = load_config(args.config) if getattr(args, "config", None) else DEFAULTS
-    updates = {}  # flag -> (RunConfig field, value)
-    if getattr(args, "profiles", None) is not None:
-        updates["--profiles"] = ("profiles", tuple(s.strip() for s in args.profiles.split(",") if s.strip()))
-    if getattr(args, "horizons", None) is not None:
-        try:
-            updates["--horizons"] = ("horizons_ms", tuple(float(s) for s in args.horizons.split(",")))
-        except ValueError:
-            raise ConfigError(f"--horizons must list numbers of ms, got {args.horizons!r}") from None
-    for name in ("stride", "threads"):
-        text = getattr(args, name, None)
+    for flag, key in FLAG_KEYS.items():
+        text = getattr(args, flag[2:], None)
         if text is not None:
             try:
-                updates[f"--{name}"] = (name, int(text))
-            except ValueError:
-                raise ConfigError(f"--{name} must be an integer, got {text!r}") from None
-    if getattr(args, "format", None):
-        updates["--format"] = ("out_format", args.format)
-    for flag, (key, value) in updates.items():
-        try:
-            config = replace(config, **{key: value})
-        except ConfigError as exc:
-            raise ConfigError(f"{flag}: {exc}") from None
+                config = replace(config, **{key: parse_value(key, text)})
+            except ConfigError as exc:
+                raise ConfigError(f"{flag}: {exc}") from None
     return config
 
 
@@ -177,16 +173,15 @@ def _cmd_predict(args) -> int:
 
     def rows():
         for i, trial in enumerate(trials):
-            for name in config.profiles:
-                kind = ProfileKind.parse(name)
-                for t_ms in map(float, config.horizons_ms):
-                    means, peaks, scores = (v[shares[t_ms][i]].tolist() for v in swept[kind][t_ms])
+            for profile in config.profiles:
+                for t_ms in config.horizons_ms:
+                    means, peaks, scores = (v[shares[t_ms][i]].tolist() for v in swept[profile][t_ms])
                     for row, (mean, peak, score) in enumerate(zip(means, peaks, scores)):
                         yield (
                             trial.subject_id,
                             trial.activity_id,
                             trial.repeat_index,
-                            kind.value,
+                            profile,
                             t_ms,
                             row * config.stride,
                             mean,
@@ -241,7 +236,7 @@ def _read_metrics_csv(path: str) -> list[MetricSummary]:
                     rows.append(
                         MetricSummary(
                             subject_id=subject_id,
-                            profile=profile,
+                            profile=ProfileKind.parse(profile).value,
                             horizon_ms=float(horizon_ms),
                             ae=float(ae),
                             me=float(me),
@@ -252,7 +247,7 @@ def _read_metrics_csv(path: str) -> list[MetricSummary]:
                 except ValueError:
                     raise InputError(
                         f"{path}:{reader.line_num}: malformed row {cells!r}; expected "
-                        f"{','.join(METRICS_HEADER)} with numeric metric values"
+                        f"{','.join(METRICS_HEADER)} with a known profile and numeric metric values"
                     ) from None
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -283,8 +278,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    config = _load_effective_config(args)
     bundle = load_bundle(args.bundle)
-    written = export_results(bundle, args.out, out_format=args.format or "csv")
+    written = export_results(bundle, args.out, out_format=config.out_format)
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 

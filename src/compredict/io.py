@@ -60,23 +60,21 @@ class ConfigError(InputError):
 # ---------------------------------------------------------------------------
 # run configuration
 
-PROFILE_NAMES = tuple(k.value for k in ProfileKind)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Effective settings for a pipeline run.
 
     dt is the prediction sample period (seconds); every horizon length must
-    be a whole number of sample periods. bonferroni_m of 0 means "use the
-    size of each pairwise family". Settings that depend on a GRF file (a
-    cutoff below its Nyquist frequency, a padlen shorter than it) are
-    checked when that file is loaded.
+    be a whole number of sample periods. Profile names are stored lower-case
+    and horizons as floats, and neither list may repeat an entry.
+    bonferroni_m of 0 means "use the size of each pairwise family". Settings
+    that depend on a GRF file (a cutoff below its Nyquist frequency, a padlen
+    shorter than it) are checked when that file is loaded.
     """
 
     dt: float = 0.005
     horizons_ms: tuple = (125.0, 250.0, 375.0, 500.0, 625.0)
-    profiles: tuple = PROFILE_NAMES
+    profiles: tuple = tuple(k.value for k in ProfileKind)
     stride: int = 1
     filter_enabled: bool = True
     filter_order: int = 5
@@ -95,24 +93,15 @@ class RunConfig:
     out_format: str = "csv"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
         try:
-            for t_ms in self.horizons_ms:
-                HorizonSpec.from_duration(t_ms, self.dt)
-            for name in self.profiles:
-                ProfileKind.parse(name)
+            object.__setattr__(self, "profiles", tuple(ProfileKind.parse(p).value for p in self.profiles))
+            object.__setattr__(self, "horizons_ms", tuple(map(float, self.horizons_ms)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not self.horizons_ms or not self.profiles:
-            raise ConfigError("horizons_ms and profiles must each list at least one value")
-        if self.aggregation not in ("hierarchical", "pooled"):
-            raise ConfigError(f"aggregation must be hierarchical or pooled, got {self.aggregation!r}")
-        if self.cohens_d_variant not in ("pooled", "unequal"):
-            raise ConfigError(f"cohens_d_variant must be pooled or unequal, got {self.cohens_d_variant!r}")
-        if self.out_format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.out_format!r}")
         limits = {  # key -> (whether its value is valid, what it must be)
+            "dt": (0 < self.dt < np.inf, "positive and finite"),
+            "horizons_ms": (0 < len(self.horizons_ms) == len(set(self.horizons_ms)), "non-empty with no repeats"),
+            "profiles": (0 < len(self.profiles) == len(set(self.profiles)), "non-empty with no repeats"),
             "stride": (self.stride >= 1, ">= 1"),
             "threads": (self.threads >= 1, ">= 1"),
             "alpha": (0.0 < self.alpha < 1.0, "in (0, 1)"),
@@ -122,11 +111,18 @@ class RunConfig:
             "filter_padlen": (self.filter_padlen >= 0, ">= 0"),
             "contact_threshold_n": (self.contact_threshold_n > 0, "positive"),
             "contact_hold_samples": (self.contact_hold_samples >= 1, ">= 1"),
+            "aggregation": (self.aggregation in ("hierarchical", "pooled"), "hierarchical or pooled"),
+            "cohens_d_variant": (self.cohens_d_variant in ("pooled", "unequal"), "pooled or unequal"),
             "gravity": (np.isfinite(self.gravity), "finite"),
+            "out_format": (self.out_format in ("csv", "json"), "csv or json"),
         }
         for key, (valid, rule) in limits.items():
             if not valid:
-                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+        try:
+            self.horizon_specs()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def horizon_specs(self) -> list[HorizonSpec]:
         return [HorizonSpec.from_duration(t, self.dt) for t in self.horizons_ms]
@@ -151,21 +147,35 @@ class RunConfig:
 
 
 DEFAULTS = RunConfig()
-
-_LIST_KEYS = {"horizons_ms", "profiles"}
-_BOOL_KEYS = {"filter_enabled", "filter_zero_phase", "velocity_fallback"}
-_INT_KEYS = {"stride", "filter_order", "filter_padlen", "contact_hold_samples", "bonferroni_m", "threads"}
-_FLOAT_KEYS = {"dt", "filter_cutoff_hz", "contact_threshold_n", "alpha", "gravity"}
-_STR_KEYS = {"aggregation", "cohens_d_variant", "out_format"}
+_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
+    low = raw.lower()
     if low in ("true", "yes", "on", "1"):
         return True
     if low in ("false", "no", "off", "0"):
         return False
     raise ValueError("expected a boolean")
+
+
+def parse_value(key: str, text: str):
+    """One setting's value from its text, typed by the key's default in
+    DEFAULTS: comma-separated floats or names, a boolean, an int, a float or
+    a name. Config-file lines and CLI flags both go through here; an unknown
+    key, an empty list item or unreadable text is a ConfigError."""
+    if key not in _KEYS:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    default = getattr(DEFAULTS, key)
+    try:
+        if isinstance(default, tuple):
+            items = [item.strip() for item in text.split(",")]
+            if "" in items:
+                raise ValueError("empty list item")
+            return tuple(map(type(default[0]), items))
+        return (_parse_bool if isinstance(default, bool) else type(default))(text.strip())
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for {key}: {text!r} ({exc})") from None
 
 
 def parse_config(text: str, base: RunConfig = DEFAULTS) -> RunConfig:
@@ -179,25 +189,10 @@ def parse_config(text: str, base: RunConfig = DEFAULTS) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         try:
-            if key in _LIST_KEYS:
-                items = [item.strip() for item in raw.split(",") if item.strip()]
-                updates[key] = tuple(float(i) for i in items) if key == "horizons_ms" else tuple(items)
-            elif key in _BOOL_KEYS:
-                updates[key] = _parse_bool(raw)
-            elif key in _INT_KEYS:
-                updates[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                updates[key] = float(raw)
-            elif key in _STR_KEYS:
-                updates[key] = raw
-            else:
-                raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: invalid value for {key}: {raw!r} ({exc})") from None
-    try:
-        return replace(base, **updates)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+            updates[key] = parse_value(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+    return replace(base, **updates)
 
 
 def load_config(path: str, base: RunConfig = DEFAULTS) -> RunConfig:
@@ -261,6 +256,13 @@ class ManifestEntry:
     axis_map: tuple = ("x", "y", "z")
     phase_split: tuple | None = None  # (start_end, return_begin), CoM-rate indices
 
+    def trial_activities(self) -> tuple[str, ...]:
+        """Activity ids of the trials this entry yields: its own, or the
+        '_start' and '_return' halves of a phase split."""
+        if self.phase_split is None:
+            return (self.activity_id,)
+        return (f"{self.activity_id}_start", f"{self.activity_id}_return")
+
 
 def load_manifest(path: str) -> list[ManifestEntry]:
     """Read a manifest JSON and resolve its file paths."""
@@ -275,6 +277,7 @@ def load_manifest(path: str) -> list[ManifestEntry]:
         raise ManifestError(f"manifest {path} must be an object with a 'trials' list")
     base_dir = os.path.dirname(os.path.abspath(path))
     entries = []
+    seen = {}  # (subject, activity, repeat) of each trial -> its manifest position
 
     def bad(i, message):
         return ManifestError(f"{path}: manifest trial {i}: {message}")
@@ -323,20 +326,24 @@ def load_manifest(path: str) -> list[ManifestEntry]:
         axis_map = item.get("axis_map", ["x", "y", "z"])
         if not isinstance(axis_map, list):
             raise bad(i, f"axis_map must be a list of 3 axis names, got {axis_map!r}")
-        entries.append(
-            ManifestEntry(
-                subject_id=str(item["subject_id"]),
-                activity_id=str(item["activity_id"]),
-                repeat_index=repeat_index,
-                is_static=is_static,
-                mass=mass,
-                com_file=com_file,
-                grf_file=grf_file,
-                contact_intervals=intervals,
-                axis_map=tuple(axis_map),
-                phase_split=split,
-            )
+        entry = ManifestEntry(
+            subject_id=str(item["subject_id"]),
+            activity_id=str(item["activity_id"]),
+            repeat_index=repeat_index,
+            is_static=is_static,
+            mass=mass,
+            com_file=com_file,
+            grf_file=grf_file,
+            contact_intervals=intervals,
+            axis_map=tuple(axis_map),
+            phase_split=split,
         )
+        for activity_id in entry.trial_activities():
+            key = (entry.subject_id, activity_id, repeat_index)
+            if key in seen:
+                raise bad(i, f"trial key {'/'.join(map(str, key))} repeats manifest trial {seen[key]}")
+            seen[key] = i
+        entries.append(entry)
     return entries
 
 
@@ -593,11 +600,8 @@ def load_trial(entry: ManifestEntry, config: RunConfig = DEFAULTS):
         raise ManifestError(
             f"{entry.com_file}: phase_split ({start_end}, {return_begin}) out of bounds for {n} samples"
         )
-    trials = [
-        build(f"{entry.activity_id}_start", slice(0, start_end + 1)),
-        build(f"{entry.activity_id}_return", slice(return_begin, n)),
-    ]
-    return trials, notes
+    halves = (slice(0, start_end + 1), slice(return_begin, n))
+    return [build(a, sl) for a, sl in zip(entry.trial_activities(), halves)], notes
 
 
 # ---------------------------------------------------------------------------

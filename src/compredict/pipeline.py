@@ -131,8 +131,7 @@ def sweep_trials(config: RunConfig, trials):
     shares[t_ms][i] is the slice of them that belongs to trials[i], empty
     when that trial is shorter than the horizon.
     """
-    profiles = list(dict.fromkeys(ProfileKind.parse(p) for p in config.profiles))
-    specs = {float(t): s for t, s in zip(config.horizons_ms, config.horizon_specs())}
+    specs = dict(zip(config.horizons_ms, config.horizon_specs()))
 
     # one layout of the whole session, read by every profile's sweep, with no
     # room for horizons longer than every trial; a sweep keeps only each
@@ -146,11 +145,11 @@ def sweep_trials(config: RunConfig, trials):
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            swept = dict(zip(profiles, pool.map(sweep, profiles)))
+            swept = dict(zip(config.profiles, pool.map(sweep, config.profiles)))
     else:
         # a lone pool worker would allocate the sweep's work arrays in its own
         # malloc arena instead of reusing what loading freed, raising peak RSS
-        swept = dict(zip(profiles, map(sweep, profiles)))
+        swept = dict(zip(config.profiles, map(sweep, config.profiles)))
     shares = {}
     for t_ms, spec in specs.items():
         counts = layout.starts(spec.n_samples)
@@ -164,8 +163,7 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
     if not trials:
         raise PipelineError("no trials to process")
     bundle = ResultBundle(version=__version__, config=config.to_dict())
-    profiles = [ProfileKind.parse(p) for p in config.profiles]
-    specs = {float(t): s for t, s in zip(config.horizons_ms, config.horizon_specs())}
+    specs = config.horizon_specs()
     swept, shares = sweep_trials(config, trials)
 
     # fixed-order reduction to per-subject metric rows
@@ -173,8 +171,8 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
     skip_seen = set()
     for subject in subjects:
         subject_idx = [i for i, t in enumerate(trials) if t.subject_id == subject]
-        for profile in profiles:
-            for t_ms in specs:
+        for profile in config.profiles:
+            for t_ms, spec in zip(config.horizons_ms, specs):
                 grouped_means: dict = {}
                 grouped_maxima: dict = {}
                 grouped_scores: dict = {}
@@ -185,7 +183,7 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
                         skip_key = (subject, trial.activity_id, trial.repeat_index, t_ms)
                         if skip_key not in skip_seen:
                             skip_seen.add(skip_key)
-                            reason = TrialTooShortError.for_horizon(trial, specs[t_ms])
+                            reason = TrialTooShortError.for_horizon(trial, spec)
                             bundle.skip_rows.append(SkipRow(*skip_key, reason=str(reason)))
                         continue
                     means, maxima, scores = (v[share] for v in swept[profile][t_ms])
@@ -198,7 +196,7 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
                 bundle.metric_rows.append(
                     summarize(
                         subject,
-                        profile.value,
+                        profile,
                         t_ms,
                         grouped_means,
                         grouped_maxima,
@@ -232,8 +230,6 @@ def compute_statistics(metric_rows, config: RunConfig):
     level_rows: list[LevelRow] = []
     stat_rows: list[StatRow] = []
     notes: list[str] = []
-    profiles = [str(p) for p in config.profiles]
-    horizons = [float(t) for t in config.horizons_ms]
 
     n_subjects = len({r.subject_id for r in metric_rows})
     if n_subjects < 2:
@@ -241,9 +237,9 @@ def compute_statistics(metric_rows, config: RunConfig):
         return fit_rows, level_rows, stat_rows, notes
 
     for metric in METRIC_NAMES:
-        for profile in profiles:
+        for profile in config.profiles:
             levels = []
-            for t_ms in horizons:
+            for t_ms in config.horizons_ms:
                 values = _metric_values(metric_rows, metric, profile, t_ms)
                 if len(values) >= 2:
                     levels.append((t_ms, values))
@@ -284,13 +280,13 @@ def compute_statistics(metric_rows, config: RunConfig):
                 )
 
     oracle = ProfileKind.ORACLE.value
-    plain = [p for p in profiles if p != oracle]
+    plain = [p for p in config.profiles if p != oracle]
     plain_pairs = [(a, b) for i, a in enumerate(plain) for b in plain[i + 1 :]]
-    oracle_pairs = [(oracle, p) for p in plain] if oracle in profiles else []
+    oracle_pairs = [(oracle, p) for p in plain] if oracle in config.profiles else []
 
     for metric in METRIC_NAMES:
-        for t_ms in horizons:
-            groups = {p: _metric_values(metric_rows, metric, p, t_ms) for p in profiles}
+        for t_ms in config.horizons_ms:
+            groups = {p: _metric_values(metric_rows, metric, p, t_ms) for p in config.profiles}
             usable = {p: v for p, v in groups.items() if len(v) >= 2}
             if len(usable) < 2:
                 continue
@@ -435,24 +431,11 @@ def export_results(bundle: ResultBundle, out_dir: str, out_format: str = "csv") 
     os.makedirs(out_dir, exist_ok=True)
     bundle_path = os.path.join(out_dir, "bundle.json")
     with open(bundle_path, "w", encoding="utf-8") as fh:
-        json.dump(bundle_to_dict(bundle), fh, indent=2, sort_keys=True)
+        json.dump(asdict(bundle), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if out_format == "json":
         return [bundle_path]
     return [bundle_path] + [export_table(bundle, out_dir, name) for name in TABLES]
-
-
-def bundle_to_dict(bundle: ResultBundle) -> dict:
-    return {
-        "version": bundle.version,
-        "config": bundle.config,
-        "metric_rows": [asdict(r) for r in bundle.metric_rows],
-        "fit_rows": [asdict(r) for r in bundle.fit_rows],
-        "level_rows": [asdict(r) for r in bundle.level_rows],
-        "stat_rows": [asdict(r) for r in bundle.stat_rows],
-        "skip_rows": [asdict(r) for r in bundle.skip_rows],
-        "notes": list(bundle.notes),
-    }
 
 
 def bundle_from_dict(data: dict) -> ResultBundle:

@@ -43,7 +43,7 @@ class ForceSeries:
         if samples.ndim != 2 or samples.shape[1] != 3:
             raise ValueError(f"samples must be (n, 3), got {samples.shape}")
         object.__setattr__(self, "samples", samples)
-        if self.sample_rate <= 0:
+        if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         intervals = tuple((int(a), int(b)) for a, b in self.contact_intervals)
         last_end = -1
@@ -73,7 +73,7 @@ class FilterSpec:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.cutoff_hz <= 0:
+        if not self.cutoff_hz > 0:
             raise ValueError(f"cutoff must be positive, got {self.cutoff_hz}")
 
     def validate_for(self, sample_rate: float) -> None:
@@ -165,7 +165,7 @@ def detect_contact(
     ignored). This is a convenience for unlabeled data; labeled intervals
     from a manifest always take precedence.
     """
-    if rise_threshold <= 0:
+    if not rise_threshold > 0:
         raise ValueError(f"rise_threshold must be positive, got {rise_threshold}")
     if hold_samples < 1:
         raise ValueError(f"hold_samples must be >= 1, got {hold_samples}")

@@ -3,11 +3,13 @@
 import contextlib
 import io
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 import compredict
+from compredict.io import DEFAULTS, RunConfig, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +35,11 @@ def test_readme_library_example_runs():
     # one line per start of a 51-sample horizon in a 60-sample trial
     assert len(printed.getvalue().splitlines()) == 10
     assert inputs["errors"].shape == (10, 51)
+
+
+def test_readme_configuration_block_lists_every_setting_once_at_its_default():
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index("## Configuration") :].split("```")[1]
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if line.split("#", 1)[0].strip()]
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+    assert parse_config(block) == DEFAULTS

@@ -1,7 +1,9 @@
 """Property tests of the CLI's exit-code contract on generated overrides,
 manifests and config files: every run exits 0, 1 or 2 without a traceback,
-and a malformed command-line override or config file always exits 1."""
+and a malformed command-line override or config file always exits 1. A flag
+and its config-file line read the same text to the same setting."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compredict.cli import main
+from compredict.cli import FLAG_KEYS, _load_effective_config, main
 from compredict.io import DEFAULTS, ConfigError, parse_config, write_dataset
 from compredict.profiles import HorizonSpec, ProfileKind
 from compredict.synth import protocol_items
@@ -179,3 +181,20 @@ def test_cli_run_exit_codes_on_generated_config_files(session, text):
     assert "Traceback" not in err
     if malformed:
         assert code == 1, (text, err)
+
+
+def read_setting(read):
+    """The RunConfig that read() returns, or ConfigError if it raises one."""
+    try:
+        return read()
+    except ConfigError:
+        return ConfigError
+
+
+@settings(max_examples=200, deadline=None)
+@given(override=st.sampled_from(sorted(OVERRIDES)).flatmap(lambda flag: st.tuples(st.just(flag), OVERRIDES[flag][0])))
+def test_flag_and_config_line_give_the_same_setting(override):
+    flag, text = override
+    from_flag = read_setting(lambda: _load_effective_config(argparse.Namespace(**{flag[2:]: text})))
+    from_file = read_setting(lambda: parse_config(f"{FLAG_KEYS[flag]} = {text}\n"))
+    assert from_flag == from_file, (flag, text)

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -33,7 +33,6 @@ from compredict.pipeline import (
     METRICS_HEADER,
     PipelineError,
     bundle_from_dict,
-    bundle_to_dict,
     export_results,
     load_all_trials,
     load_bundle,
@@ -418,10 +417,10 @@ def test_bundle_json_round_trip(tmp_path):
     out_dir = tmp_path / "out"
     export_results(bundle, out_dir)
     reloaded = load_bundle(out_dir / "bundle.json")
-    assert bundle_to_dict(reloaded) == bundle_to_dict(bundle)
+    assert asdict(reloaded) == asdict(bundle)
     assert reloaded.metric_rows == bundle.metric_rows
     assert reloaded.stat_rows == bundle.stat_rows
-    assert bundle_from_dict(json.loads(json.dumps(bundle_to_dict(bundle)))) == bundle
+    assert bundle_from_dict(json.loads(json.dumps(asdict(bundle)))) == bundle
 
 
 def test_thread_count_does_not_change_outputs(tmp_path):
@@ -437,6 +436,19 @@ def test_thread_count_does_not_change_outputs(tmp_path):
         a = open(dir_a / name, "rb").read()
         b = open(dir_b / name, "rb").read()
         assert a == b, f"{name} differs between thread counts"
+
+
+def test_cli_profile_names_are_case_insensitive(tmp_path):
+    manifest_path = _small_dataset(tmp_path)
+    outputs = []
+    for names in ("zero,const,cubic", "Zero,Const,Cubic"):
+        out = tmp_path / names
+        assert main(["run", "--manifest", str(manifest_path), "--out", str(out), "--profiles", names]) == 0
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    lower, mixed = outputs
+    assert mixed == lower
+    for name in ("fits.csv", "levels.csv", "tests.csv"):
+        assert lower[name].count(b"\n") > 1, f"{name} holds only its header"
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +607,7 @@ def test_cli_predict_rows_match_sweep(tmp_path, capsys):
         ("s01", "zero", "abc", 0.1, 0.2, 0.5, 0.4),
         ("s01", "zero", 125.0, 0.1, "", 0.5, 0.4),
         ("s01", "zero", 125.0, 0.1, 0.2, 0.5),
+        ("s01", "ballistic", 125.0, 0.1, 0.2, 0.5, 0.4),
     ],
 )
 def test_cli_analyze_rejects_malformed_metrics_row_naming_file_and_line(tmp_path, capsys, bad_row):
@@ -627,6 +640,8 @@ def _set_cell(path, lineno, column, text):
         ("manifest_root", ("trials", 5)),
         ("config", "filter_cutoff_hz = 600\n"),
         ("config", "filter_padlen = 100000\n"),
+        ("manifest_copy", None),
+        ("manifest_copy", {"start_end": 60, "return_begin": 100}),
     ],
     ids=[
         "nan-in-com",
@@ -641,6 +656,8 @@ def _set_cell(path, lineno, column, text):
         "non-list-trials",
         "cutoff-above-grf-nyquist",
         "padlen-beyond-grf-length",
+        "repeated-trial-key",
+        "trial-key-repeating-a-phase-split-half",
     ],
 )
 def test_cli_malformed_input_exits_1_naming_the_file(tmp_path, capsys, file_key, change):
@@ -652,6 +669,13 @@ def test_cli_malformed_input_exits_1_naming_the_file(tmp_path, capsys, file_key,
         config.write_text(change)
         args += ["--config", str(config)]
         where = os.path.join(os.path.dirname(manifest_path), raw["trials"][0]["grf_file"])
+    elif file_key == "manifest_copy":  # a second entry giving a trial key of the first, split or not
+        first = dict(raw["trials"][0], phase_split=change)
+        activity = first["activity_id"] + ("" if change is None else "_return")
+        raw["trials"] = [first, {**first, "phase_split": None, "activity_id": activity}]
+        open(manifest_path, "w").write(json.dumps(raw))
+        key = f"{first['subject_id']}/{activity}/{first['repeat_index']}"
+        where = f"{manifest_path}: manifest trial 1: trial key {key} repeats manifest trial 0"
     elif file_key.startswith("manifest"):
         key, value = change
         if file_key == "manifest":
@@ -690,7 +714,12 @@ def test_cli_header_only_file_prints_one_error_line(tmp_path, capsys, file_key):
         ("--horizons", "125,9e99"),
         ("--stride", "two"),
         ("--profiles", ","),
+        ("--profiles", "zero,zero"),
+        ("--profiles", "zero,Zero"),
+        ("--horizons", "125,125"),
+        ("--format", "xml"),
         # config-file settings, written as "key = value"
+        ("horizons_ms", "125,"),
         ("filter_order", "0"),
         ("filter_cutoff_hz", "-1"),
         ("gravity", "nan"),

@@ -41,6 +41,8 @@ def test_series_validation():
     with pytest.raises(ValueError):
         ForceSeries(sample_rate=0.0, samples=np.zeros((10, 3)))
     with pytest.raises(ValueError):
+        ForceSeries(sample_rate=float("nan"), samples=np.zeros((10, 3)))
+    with pytest.raises(ValueError):
         ForceSeries(sample_rate=FS, samples=np.zeros((10, 2)))
     with pytest.raises(ValueError):
         ForceSeries(sample_rate=FS, samples=np.zeros((10, 3)), contact_intervals=((5, 3),))
@@ -129,6 +131,8 @@ def test_filter_rejects_cutoff_at_nyquist():
         butterworth_lowpass(series, FilterSpec(order=5, cutoff_hz=500.0))
     with pytest.raises(ValueError):
         FilterSpec(order=0, cutoff_hz=20.0)
+    with pytest.raises(ValueError):
+        FilterSpec(order=5, cutoff_hz=float("nan"))
 
 
 def test_downsample_identity_and_phase():
@@ -184,6 +188,13 @@ def test_detect_contact_ignores_short_spikes():
     samples[100:200, 1] = 500.0
     series = ForceSeries(sample_rate=FS, samples=samples)
     assert detect_contact(series, rise_threshold=20.0, hold_samples=5) == [(100, 199)]
+
+
+@pytest.mark.parametrize("threshold", [0.0, -5.0, float("nan")])
+def test_detect_contact_rejects_a_threshold_that_is_not_positive(threshold):
+    series = ForceSeries(sample_rate=FS, samples=np.zeros((10, 3)))
+    with pytest.raises(ValueError):
+        detect_contact(series, rise_threshold=threshold)
 
 
 def test_lowpassed_tone_survives_downsampling_without_artifacts():
