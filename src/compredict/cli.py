@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import replace
@@ -121,12 +122,15 @@ def _load_effective_config(args) -> RunConfig:
 
 
 def _cmd_synth(args) -> int:
-    items = protocol_items(
-        n_subjects=args.subjects,
-        n_activities=args.activities,
-        n_repeats=args.repeats,
-        dt=args.dt,
-    )
+    for flag in ("subjects", "activities", "repeats"):
+        if getattr(args, flag) < 1:
+            raise InputError(f"--{flag}: must be >= 1, got {getattr(args, flag)}")
+    if not 0 < args.dt < math.inf:
+        raise InputError(f"--dt: must be positive and finite, got {args.dt}")
+    try:
+        items = protocol_items(args.subjects, args.activities, args.repeats, args.dt)
+    except ValueError as exc:  # a trial duration that is not a whole number of samples
+        raise InputError(f"--dt: {exc}") from None
     manifest_path = write_dataset(args.out, items)
     print(f"wrote {len(items)} trials and {manifest_path}")
     return 0
@@ -222,6 +226,7 @@ def _cmd_run(args) -> int:
 
 def _read_metrics_csv(path: str) -> list[MetricSummary]:
     rows = []
+    first_lines = {}  # (subject_id, profile, horizon_ms) -> the line that first gave it
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -249,6 +254,13 @@ def _read_metrics_csv(path: str) -> list[MetricSummary]:
                         f"{path}:{reader.line_num}: malformed row {cells!r}; expected "
                         f"{','.join(METRICS_HEADER)} with a known profile and numeric metric values"
                     ) from None
+                key = (rows[-1].subject_id, rows[-1].profile, rows[-1].horizon_ms)
+                if key in first_lines:
+                    raise InputError(
+                        f"{path}:{reader.line_num}: {cells!r} repeats the subject, profile and horizon "
+                        f"of line {first_lines[key]}"
+                    )
+                first_lines[key] = reader.line_num
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return rows

@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import STANDARD_GRAVITY, grf_to_acceleration
 from .prediction import Trial
 from .profiles import HorizonSpec, ProfileKind
-from .signal import FilterSpec, ForceSeries, detect_contact, preprocess
+from .signal import check_contact_intervals, detect_contact, preprocess
 
 
 class InputError(Exception):
@@ -127,9 +127,6 @@ class RunConfig:
     def horizon_specs(self) -> list[HorizonSpec]:
         return [HorizonSpec.from_duration(t, self.dt) for t in self.horizons_ms]
 
-    def filter_spec(self) -> FilterSpec:
-        return FilterSpec(order=self.filter_order, cutoff_hz=self.filter_cutoff_hz)
-
     def to_dict(self) -> dict:
         """Echo of every result-affecting setting.
 
@@ -210,13 +207,16 @@ _AXES = {"x": 0, "y": 1, "z": 2}
 
 
 def _parse_axis_map(spec) -> tuple[tuple[int, float], ...]:
-    """Validate a signed permutation like ["x", "z", "-y"].
+    """Validate a signed permutation like ["x", "z", "-y"]; a ValueError
+    says what is wrong with it.
 
     Entry i names the source axis (and sign) that becomes output axis i of
     the X / Y-up / Z convention.
     """
+    if not isinstance(spec, list):
+        raise ValueError(f"axis_map must be a list of 3 axis names, got {spec!r}")
     if len(spec) != 3:
-        raise ManifestError(f"axis_map must have 3 entries, got {spec!r}")
+        raise ValueError(f"axis_map must have 3 entries, got {spec!r}")
     mapping = []
     used = set()
     for entry in spec:
@@ -226,9 +226,9 @@ def _parse_axis_map(spec) -> tuple[tuple[int, float], ...]:
             sign = -1.0 if text[0] == "-" else 1.0
             text = text[1:]
         if text not in _AXES:
-            raise ManifestError(f"axis_map entry {entry!r} is not one of x, y, z")
+            raise ValueError(f"axis_map entry {entry!r} is not one of x, y, z")
         if text in used:
-            raise ManifestError(f"axis_map uses source axis {text!r} twice")
+            raise ValueError(f"axis_map uses source axis {text!r} twice")
         used.add(text)
         mapping.append((_AXES[text], sign))
     return tuple(mapping)
@@ -253,7 +253,7 @@ class ManifestEntry:
     com_file: str
     grf_file: str
     contact_intervals: tuple | None = None  # GRF-rate (start, end) pairs
-    axis_map: tuple = ("x", "y", "z")
+    axis_map: tuple = ((0, 1.0), (1, 1.0), (2, 1.0))  # (source axis, sign) of each output axis
     phase_split: tuple | None = None  # (start_end, return_begin), CoM-rate indices
 
     def trial_activities(self) -> tuple[str, ...]:
@@ -323,9 +323,10 @@ def load_manifest(path: str) -> list[ManifestEntry]:
         is_static = item.get("is_static", False)
         if not isinstance(is_static, bool):
             raise bad(i, f"is_static must be true or false, got {is_static!r}")
-        axis_map = item.get("axis_map", ["x", "y", "z"])
-        if not isinstance(axis_map, list):
-            raise bad(i, f"axis_map must be a list of 3 axis names, got {axis_map!r}")
+        try:
+            axis_map = _parse_axis_map(item.get("axis_map", ["x", "y", "z"]))
+        except ValueError as exc:
+            raise bad(i, str(exc)) from None
         entry = ManifestEntry(
             subject_id=str(item["subject_id"]),
             activity_id=str(item["activity_id"]),
@@ -335,7 +336,7 @@ def load_manifest(path: str) -> list[ManifestEntry]:
             com_file=com_file,
             grf_file=grf_file,
             contact_intervals=intervals,
-            axis_map=tuple(axis_map),
+            axis_map=axis_map,
             phase_split=split,
         )
         for activity_id in entry.trial_activities():
@@ -533,42 +534,37 @@ def load_trial(entry: ManifestEntry, config: RunConfig = DEFAULTS):
         )
     factor = int(round(factor))
 
-    mapping = _parse_axis_map(entry.axis_map)
-    positions = _apply_axis_map(mapping, positions)
-    velocities = _apply_axis_map(mapping, velocities)
-    forces = _apply_axis_map(mapping, forces)
+    positions = _apply_axis_map(entry.axis_map, positions)
+    velocities = _apply_axis_map(entry.axis_map, velocities)
+    forces = _apply_axis_map(entry.axis_map, forces)
 
-    if entry.contact_intervals is not None:
-        intervals = entry.contact_intervals
-    else:
-        intervals = tuple(
-            detect_contact(
-                ForceSeries(sample_rate=grf_rate, samples=forces),
-                rise_threshold=config.contact_threshold_n,
-                hold_samples=config.contact_hold_samples,
-            )
-        )
+    intervals = entry.contact_intervals
+    if intervals is None:
+        intervals = detect_contact(forces, config.contact_threshold_n, config.contact_hold_samples)
         notes.append(
             f"{entry.subject_id}/{entry.activity_id}/{entry.repeat_index}: "
             f"contact intervals auto-detected ({len(intervals)} found)"
         )
     try:
-        series = ForceSeries(sample_rate=grf_rate, samples=forces, contact_intervals=intervals)
+        check_contact_intervals(intervals, len(forces))
     except ValueError as exc:
         raise ManifestError(f"{entry.grf_file}: bad contact intervals: {exc}") from exc
 
     try:
-        processed = preprocess(
-            series,
-            spec=config.filter_spec(),
+        forces = preprocess(
+            forces,
+            grf_rate,
+            intervals,
+            downsample_factor=factor,
+            order=config.filter_order,
+            cutoff_hz=config.filter_cutoff_hz,
             zero_phase=config.filter_zero_phase,
             padlen=config.filter_padlen or None,
-            downsample_factor=factor,
             apply_filter=config.filter_enabled,
         )
     except ValueError as exc:  # a cutoff at or above this file's Nyquist, or padlen beyond its length
         raise SchemaError(f"{entry.grf_file}: cannot filter: {exc}") from exc
-    accel = grf_to_acceleration(processed.samples, entry.mass, g=config.gravity)
+    accel = grf_to_acceleration(forces, entry.mass, g=config.gravity)
 
     n_com, n_acc = len(positions), len(accel)
     if abs(n_com - n_acc) > 1:

@@ -1,10 +1,13 @@
-"""Ground reaction force preprocessing.
+"""Ground reaction force preprocessing on plain (n, 3) arrays of newtons.
 
 Raw force-plate data is cleaned in three steps, in order: samples outside
 the labeled contact intervals are clamped to zero (plate noise and
 crosstalk while nothing touches the plate), each axis is lowpass filtered
-(5th-order Butterworth at 20 Hz by default), and the series is downsampled
-to the marker rate.
+(5th-order Butterworth at 20 Hz by default), and every factor-th sample is
+kept to reach the marker rate. Unlabeled data gets its contact intervals
+from the edges of the mask of samples whose vertical force is above a
+threshold. The chain's steps take and return arrays; the sample rate,
+intervals and filter design are plain arguments.
 
 The filter runs as cascaded second-order sections for numerical stability
 at low normalized cutoffs. Zero-phase (forward-backward) filtering with
@@ -19,82 +22,43 @@ use and commands that never filter (synth, analyze, report) skip it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 VERTICAL_AXIS = 1  # Y is up
 
 
-@dataclass(frozen=True)
-class ForceSeries:
-    """3D force samples (newtons) at a fixed rate, with contact intervals.
-
-    contact_intervals are inclusive (start, end) sample-index pairs at this
-    series' rate; they must be sorted, non-overlapping, and in bounds.
-    """
-
-    sample_rate: float
-    samples: np.ndarray
-    contact_intervals: tuple = ()
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[1] != 3:
-            raise ValueError(f"samples must be (n, 3), got {samples.shape}")
-        object.__setattr__(self, "samples", samples)
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        intervals = tuple((int(a), int(b)) for a, b in self.contact_intervals)
-        last_end = -1
-        for start, end in intervals:
-            if start > end:
-                raise ValueError(f"interval ({start}, {end}) is reversed")
-            if start <= last_end:
-                raise ValueError("contact intervals must be sorted and non-overlapping")
-            if start < 0 or end >= len(samples):
-                raise ValueError(
-                    f"interval ({start}, {end}) outside series of {len(samples)} samples"
-                )
-            last_end = end
-        object.__setattr__(self, "contact_intervals", intervals)
-
-    def __len__(self) -> int:
-        return len(self.samples)
+def _as_forces(samples) -> np.ndarray:
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != 3:
+        raise ValueError(f"samples must be (n, 3), got {samples.shape}")
+    return samples
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Lowpass Butterworth design: order and cutoff frequency."""
-
-    order: int = 5
-    cutoff_hz: float = 20.0
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if not self.cutoff_hz > 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff_hz}")
-
-    def validate_for(self, sample_rate: float) -> None:
-        if self.cutoff_hz >= sample_rate / 2.0:
-            raise ValueError(
-                f"cutoff {self.cutoff_hz} Hz is at or above Nyquist "
-                f"({sample_rate / 2.0} Hz)"
-            )
-
-    def default_padlen(self) -> int:
-        return 3 * (2 * self.order + 1)
+def check_contact_intervals(intervals, n_samples: int) -> tuple:
+    """The intervals as a tuple of integer (start, end) pairs, checked to be
+    inclusive sample-index pairs that are sorted, non-overlapping and inside
+    a series of n_samples samples."""
+    intervals = tuple((int(a), int(b)) for a, b in intervals)
+    last_end = -1
+    for start, end in intervals:
+        if start > end:
+            raise ValueError(f"interval ({start}, {end}) is reversed")
+        if start < 0 or end >= n_samples:
+            raise ValueError(f"interval ({start}, {end}) outside series of {n_samples} samples")
+        if start <= last_end:
+            raise ValueError("contact intervals must be sorted and non-overlapping")
+        last_end = end
+    return intervals
 
 
-def clamp_noncontact(series: ForceSeries) -> ForceSeries:
+def clamp_noncontact(samples: np.ndarray, intervals) -> np.ndarray:
     """Zero every sample outside the contact intervals; contact samples are
     passed through untouched. No intervals means no contact anywhere."""
-    keep = np.zeros(len(series), dtype=bool)
-    for start, end in series.contact_intervals:
+    keep = np.zeros(len(samples), dtype=bool)
+    for start, end in check_contact_intervals(intervals, len(samples)):
         keep[start : end + 1] = True
-    clamped = np.where(keep[:, None], series.samples, 0.0)
-    return replace(series, samples=clamped)
+    return np.where(keep[:, None], samples, 0.0)
 
 
 @functools.lru_cache(maxsize=32, typed=True)
@@ -105,95 +69,67 @@ def _butter_sos(order: int, cutoff_hz: float, sample_rate: float) -> np.ndarray:
 
 
 def butterworth_lowpass(
-    series: ForceSeries,
-    spec: FilterSpec = FilterSpec(),
-    zero_phase: bool = True,
-    padlen: int | None = None,
-) -> ForceSeries:
+    samples: np.ndarray, sample_rate: float, order: int = 5, cutoff_hz: float = 20.0,
+    zero_phase: bool = True, padlen: int | None = None,
+) -> np.ndarray:
     """Lowpass each axis independently through second-order sections.
 
     zero_phase applies the filter forward and backward over an odd-reflected
     extension of the signal (padlen samples per side, default
     3*(2*order+1)), cancelling the phase; otherwise a single causal pass is
-    used.
+    used. The cutoff must lie below the Nyquist frequency, sample_rate / 2.
     """
+    samples = _as_forces(samples)
+    if not sample_rate > 0:
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if not cutoff_hz > 0:
+        raise ValueError(f"cutoff must be positive, got {cutoff_hz}")
+    if cutoff_hz >= sample_rate / 2.0:
+        raise ValueError(f"cutoff {cutoff_hz} Hz is at or above Nyquist ({sample_rate / 2.0} Hz)")
     from scipy.signal import sosfilt, sosfiltfilt
 
-    spec.validate_for(series.sample_rate)
     # each call gets its own copy of the shared design
-    sos = _butter_sos(spec.order, spec.cutoff_hz, series.sample_rate).copy()
+    sos = _butter_sos(order, cutoff_hz, sample_rate).copy()
     if zero_phase:
         if padlen is None:
-            padlen = spec.default_padlen()
-        filtered = sosfiltfilt(sos, series.samples, axis=0, padtype="odd", padlen=padlen)
+            padlen = 3 * (2 * order + 1)
+        filtered = sosfiltfilt(sos, samples, axis=0, padtype="odd", padlen=padlen)
     else:
-        filtered = sosfilt(sos, series.samples, axis=0)
-    return replace(series, samples=np.ascontiguousarray(filtered))
+        filtered = sosfilt(sos, samples, axis=0)
+    return np.ascontiguousarray(filtered)
 
 
-def downsample(series: ForceSeries, factor: int) -> ForceSeries:
-    """Keep every factor-th sample starting from the first.
-
-    The series must already be band-limited below the new Nyquist; contact
-    intervals are mapped to the surviving indices (and dropped if none of
-    their samples survive).
-    """
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    if factor == 1:
-        return series
-    kept = series.samples[::factor]
-    intervals = []
-    for start, end in series.contact_intervals:
-        new_start = (start + factor - 1) // factor  # first kept index >= start
-        new_end = end // factor  # last kept index <= end
-        if new_start <= new_end:
-            intervals.append((new_start, new_end))
-    return ForceSeries(
-        sample_rate=series.sample_rate / factor,
-        samples=kept.copy(),
-        contact_intervals=tuple(intervals),
-    )
-
-
-def detect_contact(
-    series: ForceSeries, rise_threshold: float, hold_samples: int = 5
-) -> list[tuple[int, int]]:
+def detect_contact(samples: np.ndarray, rise_threshold: float, hold_samples: int = 5) -> list[tuple[int, int]]:
     """Intervals where vertical force stays above the threshold.
 
     A run must last at least hold_samples to count (brief noise spikes are
-    ignored). This is a convenience for unlabeled data; labeled intervals
-    from a manifest always take precedence.
+    ignored). Runs are read off the rising and falling edges of the
+    above-threshold mask. This is a convenience for unlabeled data; labeled
+    intervals from a manifest always take precedence.
     """
     if not rise_threshold > 0:
         raise ValueError(f"rise_threshold must be positive, got {rise_threshold}")
     if hold_samples < 1:
         raise ValueError(f"hold_samples must be >= 1, got {hold_samples}")
-    above = series.samples[:, VERTICAL_AXIS] > rise_threshold
-    intervals: list[tuple[int, int]] = []
-    start = None
-    for i, flag in enumerate(above):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if i - start >= hold_samples:
-                intervals.append((start, i - 1))
-            start = None
-    if start is not None and len(above) - start >= hold_samples:
-        intervals.append((start, len(above) - 1))
-    return intervals
+    above = _as_forces(samples)[:, VERTICAL_AXIS] > rise_threshold
+    edges = np.diff(above.astype(np.int8), prepend=0, append=0)
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    held = stops - starts >= hold_samples
+    return [(int(a), int(b) - 1) for a, b in zip(starts[held], stops[held])]
 
 
 def preprocess(
-    series: ForceSeries,
-    spec: FilterSpec = FilterSpec(),
-    zero_phase: bool = True,
-    padlen: int | None = None,
-    downsample_factor: int = 1,
-    apply_filter: bool = True,
-) -> ForceSeries:
-    """Full chain: clamp -> lowpass -> downsample."""
-    out = clamp_noncontact(series)
+    samples: np.ndarray, sample_rate: float, intervals, downsample_factor: int = 1, order: int = 5,
+    cutoff_hz: float = 20.0, zero_phase: bool = True, padlen: int | None = None, apply_filter: bool = True,
+) -> np.ndarray:
+    """Full chain: clamp to the contact intervals -> lowpass -> keep every
+    downsample_factor-th sample starting from the first. The filter must
+    band-limit the forces below the new Nyquist frequency."""
+    if downsample_factor < 1:
+        raise ValueError(f"factor must be >= 1, got {downsample_factor}")
+    out = clamp_noncontact(_as_forces(samples), intervals)
     if apply_filter:
-        out = butterworth_lowpass(out, spec, zero_phase=zero_phase, padlen=padlen)
-    return downsample(out, downsample_factor)
+        out = butterworth_lowpass(out, sample_rate, order, cutoff_hz, zero_phase=zero_phase, padlen=padlen)
+    return out[::downsample_factor]

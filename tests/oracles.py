@@ -132,3 +132,22 @@ def mp_weighted_rss(ts, ys, ws, coeffs):
         fit = sum(mp.mpf(c) * mp.mpf(t) ** j for j, c in enumerate(coeffs))
         total += mp.mpf(w) * (mp.mpf(y) - fit) ** 2
     return total
+
+
+def detect_contact_by_loop(vertical, rise_threshold, hold_samples):
+    """Inclusive (start, end) index pairs of the runs of vertical force above
+    the threshold that last at least hold_samples samples, one sample at a
+    time."""
+    intervals = []
+    start = None
+    for i, value in enumerate(vertical):
+        above = value > rise_threshold
+        if above and start is None:
+            start = i
+        elif not above and start is not None:
+            if i - start >= hold_samples:
+                intervals.append((start, i - 1))
+            start = None
+    if start is not None and len(vertical) - start >= hold_samples:
+        intervals.append((start, len(vertical) - 1))
+    return intervals

@@ -29,7 +29,7 @@ from compredict.metrics import (
 from compredict.pipeline import run_pipeline
 from compredict.prediction import sweep_errors
 from compredict.profiles import HorizonSpec, ProfileKind
-from compredict.signal import ForceSeries, butterworth_lowpass
+from compredict.signal import butterworth_lowpass
 from compredict.synth import SyntheticSpec, make_trial, sign_reversal_spec
 
 from oracles import analytic_error, expected_ae, expected_me, mp_f_sf, mp_t_cdf
@@ -154,19 +154,17 @@ def test_criterion_06_butterworth_frequency_response():
         def gain(freq):
             samples = np.zeros((t.size, 3))
             samples[:, 0] = np.sin(2.0 * np.pi * freq * t)
-            series = ForceSeries(sample_rate=fs, samples=samples)
-            filtered = butterworth_lowpass(series, zero_phase=False)
+            filtered = butterworth_lowpass(samples, fs, zero_phase=False)
             window = slice(t.size // 2, t.size // 2 + int(4 * fs))
             probe = np.exp(-2j * np.pi * freq * t[window])
-            out = 2.0 * np.abs(np.mean(filtered.samples[window, 0] * probe))
+            out = 2.0 * np.abs(np.mean(filtered[window, 0] * probe))
             ref = 2.0 * np.abs(np.mean(samples[window, 0] * probe))
             return out / ref
 
         g_cut = gain(20.0)
         assert abs(g_cut - 1.0 / np.sqrt(2.0)) <= 0.01 / np.sqrt(2.0)
         assert gain(200.0) < 1e-4
-        constant = ForceSeries(sample_rate=fs, samples=np.full((8000, 3), 1.0))
-        dc_tail = butterworth_lowpass(constant, zero_phase=False).samples[-1, 0]
+        dc_tail = butterworth_lowpass(np.full((8000, 3), 1.0), fs, zero_phase=False)[-1, 0]
         assert abs(dc_tail - 1.0) <= 1e-9
 
 

@@ -1,24 +1,62 @@
 """The traced benchmark run wraps compredict functions by name where their
 callers bind them (`perfbench/spans.py`); a renamed or removed name must
-fail here rather than break the traced run."""
+fail here rather than break the traced run, and so must a changed
+signature that the wrappers' span callbacks read."""
 
+import json
 import os
 import subprocess
 import sys
 
+from compredict.io import load_manifest, read_grf_csv, write_dataset
+from compredict.synth import protocol_items
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_benchmark_span_hooks_install():
+def perfbench_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
     )
+    return env
+
+
+def test_benchmark_span_hooks_install():
     result = subprocess.run(
         [sys.executable, "-c", "import spans; spans.install(spans.Recorder())"],
         capture_output=True,
         text=True,
-        env=env,
+        env=perfbench_env(),
         cwd=ROOT,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_traced_preprocess_sees_every_grf_sample(tmp_path):
+    # without contact_intervals in the manifest, loading also runs detect_contact
+    manifest = write_dataset(str(tmp_path / "data"), protocol_items(1, 2, 1))
+    with open(manifest) as fh:
+        raw = json.load(fh)
+    for trial in raw["trials"]:
+        del trial["contact_intervals"]
+    with open(manifest, "w") as fh:
+        json.dump(raw, fh)
+    grf_rows = sum(len(read_grf_csv(entry.grf_file)[1]) for entry in load_manifest(manifest))
+
+    spans_path = tmp_path / "spans.json"
+    command = ["preprocess", "--manifest", manifest, "--out", str(tmp_path / "accel")]
+    result = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "traced_cli.py"), str(spans_path), *command],
+        capture_output=True,
+        text=True,
+        env=perfbench_env(),
+        cwd=ROOT,
+    )
+    assert result.returncode == 0, result.stderr
+    with open(spans_path) as fh:
+        spans = json.load(fh)["spans"]
+    preprocessed = [s for s in spans if s["name"] == "signal.preprocess"]
+    assert len(preprocessed) == 2
+    assert sum(s["samples"] for s in preprocessed) == grf_rows
+    assert sum(s["name"] == "signal.detect_contact" for s in spans) == 2

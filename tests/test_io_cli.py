@@ -233,9 +233,8 @@ def test_manifest_checks_files_and_axis_map(tmp_path):
     raw = json.loads(open(manifest_path).read())
     raw["trials"][0]["axis_map"] = ["x", "x", "z"]
     path.write_text(json.dumps(raw))
-    entries = load_manifest(path)
     with pytest.raises(ManifestError, match="twice"):
-        load_trial(entries[0], NO_FILTER)
+        load_manifest(path)
 
 
 def test_axis_map_signed_permutation(tmp_path):
@@ -608,6 +607,9 @@ def test_cli_predict_rows_match_sweep(tmp_path, capsys):
         ("s01", "zero", 125.0, 0.1, "", 0.5, 0.4),
         ("s01", "zero", 125.0, 0.1, 0.2, 0.5),
         ("s01", "ballistic", 125.0, 0.1, 0.2, 0.5, 0.4),
+        # the subject, profile and horizon of the first row again
+        ("s00", "zero", 125.0, 0.1, 0.2, 0.5, 0.4),
+        ("s00", "Zero", "125", 0.3, 0.4, 0.5, 0.4),
     ],
 )
 def test_cli_analyze_rejects_malformed_metrics_row_naming_file_and_line(tmp_path, capsys, bad_row):
@@ -635,6 +637,8 @@ def _set_cell(path, lineno, column, text):
         ("manifest", ("repeat_index", "x")),
         ("manifest", ("is_static", "no")),
         ("manifest", ("axis_map", 5)),
+        ("manifest", ("axis_map", ["x", "q", "z"])),
+        ("manifest", ("axis_map", ["x", "x", "z"])),
         ("manifest", ("com_file", 5)),
         ("manifest", ("mass_kg", float("nan"))),
         ("manifest_root", ("trials", 5)),
@@ -651,6 +655,8 @@ def _set_cell(path, lineno, column, text):
         "non-integer-repeat",
         "string-is-static",
         "non-list-axis-map",
+        "unknown-axis-in-axis-map",
+        "repeated-axis-in-axis-map",
         "non-string-com-file",
         "nan-mass",
         "non-list-trials",
@@ -727,11 +733,21 @@ def test_cli_header_only_file_prints_one_error_line(tmp_path, capsys, file_key):
         ("bonferroni_m", "-2"),
         ("contact_hold_samples", "0"),
         ("contact_threshold_n", "-5"),
+        # synth flags
+        ("--dt", "0"),
+        ("--dt", "nan"),
+        ("--dt", "inf"),
+        ("--dt", "0.0051"),
+        ("--subjects", "-1"),
+        ("--activities", "0"),
+        ("--repeats", "0"),
     ],
 )
 def test_cli_malformed_override_exits_1_naming_the_setting(tmp_path, capsys, flag, text):
     _, manifest_path = _write_single_trial_dataset(tmp_path)
     args = ["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out")]
+    if flag in ("--dt", "--subjects", "--activities", "--repeats"):
+        args = ["synth", "--out", str(tmp_path / "synth"), "--subjects=1", "--activities=1", "--repeats=1"]
     if flag.startswith("--"):
         args.append(f"{flag}={text}")
     else:
@@ -741,7 +757,7 @@ def test_cli_malformed_override_exits_1_naming_the_setting(tmp_path, capsys, fla
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert flag.lstrip("-") in err
+    assert flag in err
 
 
 @pytest.mark.parametrize("text", ['{"version": 1', "{}", '{"version": 1, "config": {}, "metric_rows": 5}'])
