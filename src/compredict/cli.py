@@ -29,11 +29,12 @@ from .io import (
     ConfigError,
     InputError,
     RunConfig,
+    format_row,
     load_config,
     load_manifest,
     load_trial,
     parse_value,
-    timed_rows,
+    timed_lines,
     write_dataset,
     write_table,
 )
@@ -74,10 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic validation dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--subjects", type=int, default=10)
-    p.add_argument("--activities", type=int, default=14)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--dt", type=float, default=0.005)
+    p.add_argument("--subjects", default="10")
+    p.add_argument("--activities", default="14")
+    p.add_argument("--repeats", default="3")
+    p.add_argument("--dt", default="0.005")
 
     add_common(sub.add_parser("preprocess", help="run the GRF chain only"))
     add_common(sub.add_parser("predict", help="write per-horizon sweep summaries"))
@@ -122,13 +123,19 @@ def _load_effective_config(args) -> RunConfig:
 
 
 def _cmd_synth(args) -> int:
-    for flag in ("subjects", "activities", "repeats"):
-        if getattr(args, flag) < 1:
-            raise InputError(f"--{flag}: must be >= 1, got {getattr(args, flag)}")
-    if not 0 < args.dt < math.inf:
-        raise InputError(f"--dt: must be positive and finite, got {args.dt}")
+    def read(flag, kind, valid, rule):
+        try:
+            value = kind(getattr(args, flag))
+        except ValueError:
+            value = math.nan  # fails both checks
+        if not valid(value):
+            raise InputError(f"--{flag}: must be {rule}, got {getattr(args, flag)!r}")
+        return value
+
+    counts = [read(flag, int, lambda n: n >= 1, "an integer >= 1") for flag in ("subjects", "activities", "repeats")]
+    dt = read("dt", float, lambda t: 0 < t < math.inf, "a positive finite number")
     try:
-        items = protocol_items(args.subjects, args.activities, args.repeats, args.dt)
+        items = protocol_items(*counts, dt)
     except ValueError as exc:  # a trial duration that is not a whole number of samples
         raise InputError(f"--dt: {exc}") from None
     manifest_path = write_dataset(args.out, items)
@@ -148,7 +155,7 @@ def _cmd_preprocess(args) -> int:
                 args.out,
                 f"{trial.subject_id}_{trial.activity_id}_{trial.repeat_index}_accel.csv",
             )
-            write_table(path, ["time_s", "ax", "ay", "az"], timed_rows(trial.dt, trial.accel_inputs))
+            write_table(path, ["time_s", "ax", "ay", "az"], timed_lines(trial.dt, trial.accel_inputs))
             count += 1
     print(f"wrote {count} acceleration files to {args.out}")
     return 0
@@ -175,25 +182,17 @@ def _cmd_predict(args) -> int:
     path = os.path.join(args.out, "horizons.csv")
     swept, shares = sweep_trials(config, trials)
 
-    def rows():
+    def lines():
+        # each (trial, profile, horizon) formats its shared cells once
         for i, trial in enumerate(trials):
             for profile in config.profiles:
                 for t_ms in config.horizons_ms:
+                    prefix = format_row((trial.subject_id, trial.activity_id, trial.repeat_index, profile, t_ms))
                     means, peaks, scores = (v[shares[t_ms][i]].tolist() for v in swept[profile][t_ms])
-                    for row, (mean, peak, score) in enumerate(zip(means, peaks, scores)):
-                        yield (
-                            trial.subject_id,
-                            trial.activity_id,
-                            trial.repeat_index,
-                            profile,
-                            t_ms,
-                            row * config.stride,
-                            mean,
-                            peak,
-                            score,
-                        )
+                    starts = range(0, len(means) * config.stride, config.stride)
+                    yield from map(prefix.__add__, map(",%d,%r,%r,%d".__mod__, zip(starts, means, peaks, scores)))
 
-    write_table(path, HORIZONS_HEADER, rows())
+    write_table(path, HORIZONS_HEADER, lines())
     print(f"wrote {path}")
     return 0
 

@@ -484,17 +484,30 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_table(path: str, header, rows) -> None:
-    """Write a header line and one comma-joined line of cells per row."""
+def format_row(cells) -> str:
+    """One CSV line of mixed cells, each formatted by `_format_cell`."""
+    return ",".join(map(_format_cell, cells))
+
+
+def float_lines(array) -> list[str]:
+    """The CSV lines of a 2-D float array, one per row: each cell is its repr,
+    as `_format_cell` writes it, formatted in bulk with no Python call per cell."""
+    array = np.asarray(array, dtype=float)
+    template = ",".join(["%s"] * array.shape[1])
+    cells = map(float.__repr__, array.ravel().tolist())
+    return list(map(template.__mod__, zip(*[cells] * array.shape[1])))
+
+
+def write_table(path: str, header, lines) -> None:
+    """Write a header line, then each already formatted line."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in rows)
+        fh.writelines(line + "\n" for line in lines)
 
 
-def timed_rows(period: float, *blocks) -> list:
-    """Rows of a sampled table: time i * period, then each (n, k) block's row i."""
-    n = len(blocks[0])
-    return np.column_stack([np.arange(n) * period, *blocks]).tolist()
+def timed_lines(period: float, *blocks) -> list[str]:
+    """Lines of a sampled table: time i * period, then each (n, k) block's row i."""
+    return float_lines(np.column_stack([np.arange(len(blocks[0])) * period, *blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -626,21 +639,22 @@ def write_dataset(out_dir: str, items, gravity: float = STANDARD_GRAVITY, grf_fa
         write_table(
             os.path.join(out_dir, com_rel),
             COM_HEADER,
-            timed_rows(trial.dt, trial.positions, trial.velocities),
+            timed_lines(trial.dt, trial.positions, trial.velocities),
         )
 
         forces = trial.mass * trial.accel_inputs.copy()
         forces[:, 1] += trial.mass * gravity
         # hold each force over a window centered on its sample instant, so the
         # kept index 5i recovers sample i exactly and lowpass smoothing sees a
-        # phase-aligned staircase
+        # phase-aligned staircase; each distinct force row is formatted once
         n_fast = grf_factor * len(forces)
         src = np.clip((np.arange(n_fast) + grf_factor // 2) // grf_factor, 0, len(forces) - 1)
-        forces_fast = forces[src]
+        held = map(float_lines(forces).__getitem__, src.tolist())
         # the period is the reciprocal of the written rate, which is not always
         # dt / grf_factor to the last bit
         period = 1.0 / (grf_factor / trial.dt)
-        write_table(os.path.join(out_dir, grf_rel), GRF_HEADER, timed_rows(period, forces_fast))
+        times = map(float.__repr__, (np.arange(n_fast) * period).tolist())
+        write_table(os.path.join(out_dir, grf_rel), GRF_HEADER, map("%s,%s".__mod__, zip(times, held)))
 
         manifest["trials"].append(
             {
@@ -651,7 +665,7 @@ def write_dataset(out_dir: str, items, gravity: float = STANDARD_GRAVITY, grf_fa
                 "mass_kg": trial.mass,
                 "com_file": com_rel,
                 "grf_file": grf_rel,
-                "contact_intervals": [[0, len(forces_fast) - 1]],
+                "contact_intervals": [[0, n_fast - 1]],
                 "axis_map": ["x", "y", "z"],
             }
         )

@@ -29,7 +29,7 @@ from .analysis import (
     welch_anova,
     welch_t_test,
 )
-from .io import InputError, RunConfig, load_trial, write_table
+from .io import InputError, RunConfig, format_row, load_trial, write_table
 from .metrics import MetricSummary, summarize
 from .prediction import SweepLayout, Trial, TrialTooShortError, sweep_session
 from .prediction import sweep_errors  # noqa: F401  perfbench/spans.py wraps this name here
@@ -418,7 +418,7 @@ def export_table(bundle: ResultBundle, out_dir: str, name: str) -> str:
     """Write one of the TABLES from the bundle into out_dir; returns its path."""
     header, rows = TABLES[name]
     path = os.path.join(out_dir, name)
-    write_table(path, header, rows(bundle))
+    write_table(path, header, map(format_row, rows(bundle)))
     return path
 
 

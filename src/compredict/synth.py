@@ -106,16 +106,13 @@ def make_trial(
     activity_id: str = "synthetic",
     repeat_index: int = 0,
     is_static: bool = False,
-    continuous_truth: bool = False,
 ) -> Trial:
     """Generate a trial whose reference trajectory is model-consistent.
 
     The stored acceleration inputs are exactly the ZOH inputs used to build
     the reference (midpoint samples of the continuous acceleration), so the
     oracle profile reproduces the reference bit for bit. Identical arguments
-    give identical trials. With continuous_truth the reference is instead
-    integrated at dt/100 and decimated, leaving a deliberate O(dt^2)
-    mismatch for studying discretization effects.
+    give identical trials.
     """
     n = spec.n_samples
     dt = spec.dt
@@ -138,23 +135,11 @@ def make_trial(
 
     positions = np.empty((n, 3))
     velocities = np.empty((n, 3))
-    if continuous_truth:
-        substeps = 100
-        fine_dt = dt / substeps
-        fine_times = np.arange((n - 1) * substeps) * fine_dt
-        fine_accel = _continuous_accel(spec, fine_times + 0.5 * fine_dt)
-        p, v = p0.copy(), v0.copy()
-        positions[0], velocities[0] = p, v
-        for i in range(n - 1):
-            for j in range(substeps):
-                p, v = zoh_update(p, v, fine_accel[i * substeps + j], fine_dt)
-            positions[i + 1], velocities[i + 1] = p, v
-    else:
-        p, v = p0.copy(), v0.copy()
-        positions[0], velocities[0] = p, v
-        for i in range(n - 1):
-            p, v = zoh_update(p, v, inputs[i], dt)
-            positions[i + 1], velocities[i + 1] = p, v
+    p, v = p0.copy(), v0.copy()
+    positions[0], velocities[0] = p, v
+    for i in range(n - 1):
+        p, v = zoh_update(p, v, inputs[i], dt)
+        positions[i + 1], velocities[i + 1] = p, v
 
     if spec.noise_amplitude > 0.0:
         rng = np.random.default_rng(seed)

@@ -5,7 +5,9 @@ mpmath arbitrary precision) and must not import from compredict, so that
 test comparisons are genuine dual-route checks.
 """
 
+import json
 import math
+import os
 
 import mpmath as mp
 
@@ -151,3 +153,52 @@ def detect_contact_by_loop(vertical, rise_threshold, hold_samples):
     if start is not None and len(vertical) - start >= hold_samples:
         intervals.append((start, len(vertical) - 1))
     return intervals
+
+
+def _write_cells(path, header, rows):
+    """A CSV file of float rows, one repr per cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(cell)) for cell in row) + "\n")
+
+
+def reference_write_dataset(out_dir, items, gravity, grf_factor):
+    """The synthetic dataset writer as a per-cell loop: every GRF row is
+    built at the written rate, holding force sample i over the grf_factor
+    rows centred on its instant, and every cell is formatted on its own.
+    items are (subject_id, activity_id, repeat_index, is_static, trial)."""
+    manifest = {"trials": []}
+    for subject_id, activity_id, repeat_index, is_static, trial in items:
+        os.makedirs(os.path.join(out_dir, subject_id), exist_ok=True)
+        com_rel = os.path.join(subject_id, f"{activity_id}_{repeat_index}_com.csv")
+        grf_rel = os.path.join(subject_id, f"{activity_id}_{repeat_index}_grf.csv")
+        states = zip(trial.positions.tolist(), trial.velocities.tolist())
+        com_rows = [[i * trial.dt] + p + v for i, (p, v) in enumerate(states)]
+        _write_cells(os.path.join(out_dir, com_rel), "time_s,px,py,pz,vx,vy,vz", com_rows)
+
+        forces = [[trial.mass * a for a in row] for row in trial.accel_inputs.tolist()]
+        for row in forces:
+            row[1] += trial.mass * gravity
+        n = len(forces)
+        forces_fast = [forces[min((i + grf_factor // 2) // grf_factor, n - 1)] for i in range(grf_factor * n)]
+        period = 1.0 / (grf_factor / trial.dt)
+        grf_rows = [[i * period] + row for i, row in enumerate(forces_fast)]
+        _write_cells(os.path.join(out_dir, grf_rel), "time_s,fx,fy,fz", grf_rows)
+
+        manifest["trials"].append(
+            {
+                "subject_id": subject_id,
+                "activity_id": activity_id,
+                "repeat_index": repeat_index,
+                "is_static": is_static,
+                "mass_kg": trial.mass,
+                "com_file": com_rel,
+                "grf_file": grf_rel,
+                "contact_intervals": [[0, len(forces_fast) - 1]],
+                "axis_map": ["x", "y", "z"],
+            }
+        )
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")

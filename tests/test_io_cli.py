@@ -20,12 +20,13 @@ from compredict.io import (
     RunConfig,
     SchemaError,
     TimestampError,
+    format_row,
     load_manifest,
     load_trial,
     parse_config,
     read_com_csv,
     read_grf_csv,
-    timed_rows,
+    timed_lines,
     write_dataset,
     write_table,
 )
@@ -119,10 +120,13 @@ def test_write_table_cell_format(tmp_path):
     write_table(
         path,
         ["a", "b", "c", "d", "e", "f"],
-        [
-            (None, True, False, np.float64(0.1), 3, "x"),
-            (0.1 + 0.2, None, None, 1e-300, np.int64(7), ""),
-        ],
+        map(
+            format_row,
+            [
+                (None, True, False, np.float64(0.1), 3, "x"),
+                (0.1 + 0.2, None, None, 1e-300, np.int64(7), ""),
+            ],
+        ),
     )
     assert path.read_text() == "a,b,c,d,e,f\n,true,false,0.1,3,x\n0.30000000000000004,,,1e-300,7,\n"
 
@@ -132,7 +136,7 @@ def test_com_csv_round_trip_exact(tmp_path):
     positions = rng.normal(size=(40, 3))
     velocities = rng.normal(size=(40, 3))
     path = tmp_path / "com.csv"
-    write_table(path, COM_HEADER, timed_rows(0.005, positions, velocities))
+    write_table(path, COM_HEADER, timed_lines(0.005, positions, velocities))
     dt, pos, vel = read_com_csv(path)
     assert dt == pytest.approx(0.005, rel=1e-12)
     assert_array_equal(pos, positions)
@@ -143,7 +147,7 @@ def test_grf_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(1)
     forces = rng.normal(size=(200, 3)) * 400.0
     path = tmp_path / "grf.csv"
-    write_table(path, GRF_HEADER, timed_rows(1.0 / 1000.0, forces))
+    write_table(path, GRF_HEADER, timed_lines(1.0 / 1000.0, forces))
     rate, out = read_grf_csv(path)
     assert rate == pytest.approx(1000.0, rel=1e-9)
     assert_array_equal(out, forces)
@@ -254,7 +258,7 @@ def test_load_trial_tolerates_one_sample_mismatch(tmp_path):
     entry = load_manifest(manifest_path)[0]
     # drop the last 5 force samples: one fewer sample after downsampling
     rate, forces = read_grf_csv(entry.grf_file)
-    write_table(entry.grf_file, GRF_HEADER, timed_rows(1.0 / rate, forces[:-5]))
+    write_table(entry.grf_file, GRF_HEADER, timed_lines(1.0 / rate, forces[:-5]))
     entry = replace(entry, contact_intervals=((0, len(forces) - 6),))
     (loaded,), _ = load_trial(entry, NO_FILTER)
     assert loaded.n_samples == trial.n_samples - 1
@@ -264,7 +268,7 @@ def test_load_trial_rejects_larger_mismatch(tmp_path):
     trial, manifest_path = _write_single_trial_dataset(tmp_path)
     entry = load_manifest(manifest_path)[0]
     rate, forces = read_grf_csv(entry.grf_file)
-    write_table(entry.grf_file, GRF_HEADER, timed_rows(1.0 / rate, forces[:-15]))
+    write_table(entry.grf_file, GRF_HEADER, timed_lines(1.0 / rate, forces[:-15]))
     entry = replace(entry, contact_intervals=((0, len(forces) - 16),))
     with pytest.raises(LengthMismatchError):
         load_trial(entry, NO_FILTER)
@@ -282,7 +286,7 @@ def test_velocity_fallback_estimates_and_flags(tmp_path):
     entry = load_manifest(manifest_path)[0]
     # rewrite the CoM file without velocity columns
     dt, positions, _ = read_com_csv(entry.com_file)
-    write_table(entry.com_file, COM_HEADER_NO_VEL, timed_rows(dt, positions))
+    write_table(entry.com_file, COM_HEADER_NO_VEL, timed_lines(dt, positions))
     (loaded,), notes = load_trial(entry, NO_FILTER)
     assert any("central differences" in n for n in notes)
     assert_allclose(loaded.velocities[1:-1], trial.velocities[1:-1], atol=2e-2)
@@ -614,7 +618,7 @@ def test_cli_predict_rows_match_sweep(tmp_path, capsys):
 )
 def test_cli_analyze_rejects_malformed_metrics_row_naming_file_and_line(tmp_path, capsys, bad_row):
     path = tmp_path / "metrics.csv"
-    write_table(path, METRICS_HEADER, [("s00", "zero", 125.0, 0.1, 0.2, 0.5, 0.4), bad_row])
+    write_table(path, METRICS_HEADER, map(format_row, [("s00", "zero", 125.0, 0.1, 0.2, 0.5, 0.4), bad_row]))
     assert main(["analyze", "--metrics-csv", str(path), "--out", str(tmp_path / "stats")]) == 1
     assert f"{path}:3:" in capsys.readouterr().err
 
@@ -741,6 +745,10 @@ def test_cli_header_only_file_prints_one_error_line(tmp_path, capsys, file_key):
         ("--subjects", "-1"),
         ("--activities", "0"),
         ("--repeats", "0"),
+        ("--subjects", "abc"),
+        ("--activities", "1.5"),
+        ("--repeats", ""),
+        ("--dt", "1e"),
     ],
 )
 def test_cli_malformed_override_exits_1_naming_the_setting(tmp_path, capsys, flag, text):

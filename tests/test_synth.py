@@ -155,18 +155,6 @@ def test_piecewise_schedule_realized():
     assert_array_equal(trial.accel_inputs[-1], np.array([0.0, -1.0, 0.5]))
 
 
-def test_continuous_truth_mode_leaves_small_mismatch():
-    spec = SyntheticSpec(kind="sinusoid", duration=1.0, dt=DT, amplitude=1.0)
-    exact = make_trial(spec)
-    cont = make_trial(spec, continuous_truth=True)
-    gap = np.max(np.abs(exact.positions - cont.positions))
-    assert 0.0 < gap < 1e-4
-    # the oracle is no longer exact against a continuous-truth reference
-    hspec = HorizonSpec.from_duration(125, DT)
-    worst = np.max(sweep_errors(cont, hspec, ProfileKind.ORACLE)[0])
-    assert 0.0 < worst < 1e-4
-
-
 def test_horizon_count_nearly_constant_when_trial_is_long():
     # with n >> horizon samples the number of horizon starts barely changes
     spec = SyntheticSpec(kind="constant_acceleration", duration=51.2, dt=DT, accel=0.3)
