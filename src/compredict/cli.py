@@ -161,17 +161,9 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-HORIZONS_HEADER = [
-    "subject_id",
-    "activity_id",
-    "repeat_index",
-    "profile",
-    "horizon_ms",
-    "start_index",
-    "mean_error_m",
-    "max_error_m",
-    "direction_score",
-]
+HORIZONS_HEADER = (
+    "subject_id,activity_id,repeat_index,profile,horizon_ms,start_index,mean_error_m,max_error_m,direction_score"
+).split(",")
 
 
 def _cmd_predict(args) -> int:
@@ -180,17 +172,18 @@ def _cmd_predict(args) -> int:
     trials, _ = load_all_trials(entries, config)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "horizons.csv")
-    swept, shares = sweep_trials(config, trials)
 
     def lines():
-        # each (trial, profile, horizon) formats its shared cells once
-        for i, trial in enumerate(trials):
-            for profile in config.profiles:
-                for t_ms in config.horizons_ms:
+        # each trial's rows as soon as it is swept; each (trial, profile,
+        # horizon) formats its shared cells once
+        for i, vectors in sweep_trials(config, trials):
+            trial = trials[i]
+            for p, profile in enumerate(config.profiles):
+                for t_ms, (means, peaks, scores) in zip(config.horizons_ms, vectors):
                     prefix = format_row((trial.subject_id, trial.activity_id, trial.repeat_index, profile, t_ms))
-                    means, peaks, scores = (v[shares[t_ms][i]].tolist() for v in swept[profile][t_ms])
-                    starts = range(0, len(means) * config.stride, config.stride)
-                    yield from map(prefix.__add__, map(",%d,%r,%r,%d".__mod__, zip(starts, means, peaks, scores)))
+                    starts = range(0, means.shape[1] * config.stride, config.stride)
+                    rows = zip(starts, means[p].tolist(), peaks[p].tolist(), scores[p].tolist())
+                    yield from map(prefix.__add__, map(",%d,%r,%r,%d".__mod__, rows))
 
     write_table(path, HORIZONS_HEADER, lines())
     print(f"wrote {path}")

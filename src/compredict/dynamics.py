@@ -10,7 +10,7 @@ instead of going through a matrix exponential:
 
 `zoh_update` is that update; the synthetic reference trajectories are built
 with it. Horizon sweeps evaluate the same dynamics in closed form instead
-(see `prediction._Predictor`).
+(see `prediction._Sweep`).
 
 Axis convention: X and Z horizontal, Y vertical (against gravity).
 """
@@ -44,7 +44,7 @@ def zoh_update(positions, velocities, accelerations, dt: float):
 
     `synth.make_trial` builds every synthetic reference trajectory by
     repeating this update. Horizon sweeps do not call it: they evaluate the
-    same dynamics in closed form (see `prediction._Predictor`), which agrees
+    same dynamics in closed form (see `prediction._Sweep`), which agrees
     with repeated updates to rounding error rather than bit for bit.
     """
     new_p = positions + dt * velocities + (0.5 * dt * dt) * accelerations

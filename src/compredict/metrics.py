@@ -1,6 +1,6 @@
-"""Hierarchical per-subject metrics over per-horizon values.
+"""Hierarchical per-subject metrics over per-trial values.
 
-Four metrics summarize a subject's horizons for one profile and horizon
+Four metrics summarize a subject's trials for one profile and horizon
 length:
 
   average_error       mean error, averaged sample -> horizon -> repeat ->
@@ -14,58 +14,68 @@ length:
                       per-(activity, repeat) mean over horizons, then the
                       minimum over repeats and activities
 
-Inputs are grouped as {activity_id: {repeat_index: 1-D per-horizon values}}:
-each horizon's mean error for the average metrics, its max error for
-max_error, and its 0/1 score for the direction metrics. The sample level is
-reduced by the sweep (`prediction.sweep_session`, or `errors.mean(axis=1)`
-and `errors.max(axis=1)` of a `sweep_errors` matrix), so no error matrix
-reaches this module.
+Inputs are grouped as {activity_id: {repeat_index: value}}, one value per
+trial: a `Tally` of its per-horizon mean errors or 0/1 scores, or its
+largest per-horizon max error. The pipeline reduces each trial's per-start
+vectors to these as soon as the sweep hands them over, so no per-start
+vector reaches this module. A tally's mean is the `np.mean` of its values
+bit for bit (numpy's mean is the same pairwise sum over the count).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-Grouped = Mapping[str, Mapping[int, np.ndarray]]
+
+class Tally(NamedTuple):
+    """One trial's per-horizon values as their `np.sum` and count."""
+
+    total: float
+    n: int
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.n
+
+
+Grouped = Mapping[str, Mapping[int, Tally]]
 
 
 class AggregationError(ValueError):
     """A grouping level required by a metric is empty."""
 
 
-def _groups(grouped: Grouped, what: str) -> list[list[np.ndarray]]:
-    """Per activity, the per-repeat value arrays, both in sorted key order;
-    an empty level raises AggregationError naming it."""
+def _trials(grouped: Mapping, what: str) -> list[list]:
+    """Per activity, the per-repeat values, both in sorted key order; an
+    empty level raises AggregationError naming it."""
     if not grouped:
         raise AggregationError(f"no activities to aggregate for {what}")
-    groups = []
-    for activity, repeats in sorted(grouped.items()):
+    for activity, repeats in grouped.items():
         if not repeats:
             raise AggregationError(f"activity {activity!r} has no repeats ({what})")
-        for repeat, horizons in repeats.items():
-            if len(horizons) == 0:
-                raise AggregationError(
-                    f"activity {activity!r} repeat {repeat} has no horizons ({what})"
-                )
-        groups.append([np.asarray(h, dtype=float) for _, h in sorted(repeats.items())])
-    return groups
+        empty = [r for r, v in repeats.items() if isinstance(v, Tally) and v.n == 0]
+        if empty:
+            raise AggregationError(f"activity {activity!r} repeat {empty[0]} has no horizons ({what})")
+    return [[v for _, v in sorted(repeats.items())] for _, repeats in sorted(grouped.items())]
 
 
 def _mean_of_means(grouped: Grouped, what: str) -> float:
-    """Mean over activities of the mean over repeats of the mean over
-    horizons, so every level weighs equally."""
+    """Mean over activities of the mean over repeats of each trial's mean
+    over horizons, so every level weighs equally."""
     activity_means = [
-        float(np.mean([float(np.mean(v)) for v in repeats])) for repeats in _groups(grouped, what)
+        float(np.mean([tally.mean for tally in repeats])) for repeats in _trials(grouped, what)
     ]
     return float(np.mean(activity_means))
 
 
 def _pooled_mean(grouped: Grouped, what: str) -> float:
     """Grand mean over every horizon, ignoring the hierarchy."""
-    return float(np.mean(np.concatenate([v for repeats in _groups(grouped, what) for v in repeats])))
+    tallies = [tally for repeats in _trials(grouped, what) for tally in repeats]
+    return math.fsum(t.total for t in tallies) / sum(t.n for t in tallies)
 
 
 def average_error(grouped_means: Grouped) -> float:
@@ -73,9 +83,9 @@ def average_error(grouped_means: Grouped) -> float:
     return _mean_of_means(grouped_means, "average error")
 
 
-def max_error(grouped_maxima: Grouped) -> float:
-    """Largest per-horizon max error anywhere in the hierarchy (meters)."""
-    return max(float(np.max(v)) for repeats in _groups(grouped_maxima, "max error") for v in repeats)
+def max_error(grouped_maxima: Mapping[str, Mapping[int, float]]) -> float:
+    """Largest per-trial max error anywhere in the hierarchy (meters)."""
+    return max(float(v) for repeats in _trials(grouped_maxima, "max error") for v in repeats)
 
 
 def average_direction_accuracy(grouped_scores: Grouped) -> float:
@@ -86,8 +96,7 @@ def average_direction_accuracy(grouped_scores: Grouped) -> float:
 
 def min_direction_accuracy(grouped_scores: Grouped) -> float:
     """Worst per-(activity, repeat) mean direction score."""
-    groups = _groups(grouped_scores, "min direction accuracy")
-    return min(float(np.mean(v)) for repeats in groups for v in repeats)
+    return min(t.mean for repeats in _trials(grouped_scores, "min direction accuracy") for t in repeats)
 
 
 def pooled_average_error(grouped_means: Grouped) -> float:
@@ -121,12 +130,12 @@ def summarize(
     profile: str,
     horizon_ms: float,
     grouped_means: Grouped,
-    grouped_maxima: Grouped,
+    grouped_maxima: Mapping[str, Mapping[int, float]],
     grouped_scores: Grouped,
     aggregation: str = "hierarchical",
 ) -> MetricSummary:
-    """Reduce one subject's grouped per-horizon mean errors, max errors and
-    direction scores to a MetricSummary.
+    """Reduce one subject's per-trial tallies of mean errors, per-trial max
+    errors and per-trial tallies of direction scores to a MetricSummary.
 
     grouped_scores must already exclude static activities; passing an empty
     mapping yields ada = mda = None (subject had only static activities for

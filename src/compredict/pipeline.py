@@ -1,20 +1,21 @@
 """End-to-end orchestration: trials -> sweeps -> metrics -> statistics.
 
-`sweep_trials` lays all trials out once (`prediction.SweepLayout`) and each
-profile sweeps the whole session in one `sweep_session` call, which keeps
-only the per-start mean error, max error and score of every horizon; both
-`run_pipeline` and the CLI's `predict` read those vectors. Profiles may
-run on a thread pool, but every reduction and every output row is produced
-in a fixed sorted order, so a run's outputs are byte-identical regardless
-of thread count. Trials too short for a horizon are skipped with a reason
-instead of aborting the run.
+`sweep_trials` lays all trials out once (`prediction.SweepLayout`) and
+sweeps the whole session block by block, every profile and horizon per
+block (`prediction.sweep_session`). It hands each trial's per-start mean
+error, max error and score over as soon as the trial is swept:
+`run_pipeline` reduces them at once to per-trial scalars, and the CLI's
+`predict` writes the trial's rows. Blocks may run on a thread pool, but
+trials come back in order and every output row is produced in a fixed
+sorted order, so a run's outputs are byte-identical regardless of thread
+count. Trials too short for a horizon are skipped with a reason instead of
+aborting the run.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from .analysis import (
     welch_t_test,
 )
 from .io import InputError, RunConfig, format_row, load_trial, write_table
-from .metrics import MetricSummary, summarize
+from .metrics import MetricSummary, Tally, summarize
 from .prediction import SweepLayout, Trial, TrialTooShortError, sweep_session
 from .prediction import sweep_errors  # noqa: F401  perfbench/spans.py wraps this name here
 from .profiles import ProfileKind
@@ -126,36 +127,18 @@ def load_all_trials(entries, config: RunConfig):
 def sweep_trials(config: RunConfig, trials):
     """Sweep every trial with every configured profile and horizon.
 
-    Returns (swept, shares). swept[profile][t_ms] holds the per-start
-    (means, maxima, scores) vectors of `sweep_session`, trial after trial;
-    shares[t_ms][i] is the slice of them that belongs to trials[i], empty
-    when that trial is shorter than the horizon.
+    Returns the `sweep_session` iterator over (i, vectors): trials[i]'s
+    per-start (means, maxima, scores) of each horizon, in the configured
+    order, each one row per configured profile. Trials come one at a time,
+    in order, and are dropped once the caller lets go of them.
     """
-    specs = dict(zip(config.horizons_ms, config.horizon_specs()))
-
-    # one layout of the whole session, read by every profile's sweep, with no
-    # room for horizons longer than every trial; a sweep keeps only each
-    # start's mean error, max error and score per horizon
+    specs = config.horizon_specs()
+    # one layout of the whole session, with no room for horizons longer than
+    # every trial
     longest = max((trial.n_samples for trial in trials), default=0)
-    n_max = max((s.n_samples for s in specs.values() if s.n_samples <= longest), default=0)
+    n_max = max((s.n_samples for s in specs if s.n_samples <= longest), default=0)
     layout = SweepLayout(trials, float(config.dt), n_max, config.stride)
-
-    def sweep(profile):
-        return dict(zip(specs, sweep_session(layout, specs.values(), profile)))
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            swept = dict(zip(config.profiles, pool.map(sweep, config.profiles)))
-    else:
-        # a lone pool worker would allocate the sweep's work arrays in its own
-        # malloc arena instead of reusing what loading freed, raising peak RSS
-        swept = dict(zip(config.profiles, map(sweep, config.profiles)))
-    shares = {}
-    for t_ms, spec in specs.items():
-        counts = layout.starts(spec.n_samples)
-        ends = np.cumsum(counts).tolist()
-        shares[t_ms] = [slice(end - count, end) for end, count in zip(ends, counts.tolist())]
-    return swept, shares
+    return sweep_session(layout, specs, config.profiles, config.threads)
 
 
 def run_pipeline(config: RunConfig, trials) -> ResultBundle:
@@ -164,45 +147,45 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
         raise PipelineError("no trials to process")
     bundle = ResultBundle(version=__version__, config=config.to_dict())
     specs = config.horizon_specs()
-    swept, shares = sweep_trials(config, trials)
+
+    # each trial reduced as soon as it is swept: per horizon, None when the
+    # trial is too short, else its start count and each profile's sum of
+    # means (a row's sum is the np.sum of that row bit for bit), max and sum
+    # of scores
+    reduced = [None] * len(trials)
+    for i, vectors in sweep_trials(config, trials):
+        reduced[i] = [
+            (m.shape[1], m.sum(axis=1).tolist(), x.max(axis=1).tolist(), s.sum(axis=1).tolist()) if m.size else None
+            for m, x, s in vectors
+        ]
+        del vectors  # before the next trial is swept
 
     # fixed-order reduction to per-subject metric rows
     subjects = sorted({t.subject_id for t in trials})
     skip_seen = set()
     for subject in subjects:
         subject_idx = [i for i, t in enumerate(trials) if t.subject_id == subject]
-        for profile in config.profiles:
-            for t_ms, spec in zip(config.horizons_ms, specs):
-                grouped_means: dict = {}
-                grouped_maxima: dict = {}
-                grouped_scores: dict = {}
+        for p, profile in enumerate(config.profiles):
+            for j, (t_ms, spec) in enumerate(zip(config.horizons_ms, specs)):
+                means, maxima, scores = {}, {}, {}
                 for idx in subject_idx:
                     trial = trials[idx]
-                    share = shares[t_ms][idx]
-                    if share.start == share.stop:
+                    if reduced[idx][j] is None:
                         skip_key = (subject, trial.activity_id, trial.repeat_index, t_ms)
                         if skip_key not in skip_seen:
                             skip_seen.add(skip_key)
                             reason = TrialTooShortError.for_horizon(trial, spec)
                             bundle.skip_rows.append(SkipRow(*skip_key, reason=str(reason)))
                         continue
-                    means, maxima, scores = (v[share] for v in swept[profile][t_ms])
-                    grouped_means.setdefault(trial.activity_id, {})[trial.repeat_index] = means
-                    grouped_maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = maxima
+                    n, totals, peaks, hits = reduced[idx][j]
+                    means.setdefault(trial.activity_id, {})[trial.repeat_index] = Tally(totals[p], n)
+                    maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = peaks[p]
                     if not trial.is_static:
-                        grouped_scores.setdefault(trial.activity_id, {})[trial.repeat_index] = scores
-                if not grouped_means:
+                        scores.setdefault(trial.activity_id, {})[trial.repeat_index] = Tally(hits[p], n)
+                if not means:
                     continue  # every trial of this subject was too short for t_ms
                 bundle.metric_rows.append(
-                    summarize(
-                        subject,
-                        profile,
-                        t_ms,
-                        grouped_means,
-                        grouped_maxima,
-                        grouped_scores,
-                        aggregation=config.aggregation,
-                    )
+                    summarize(subject, profile, t_ms, means, maxima, scores, aggregation=config.aggregation)
                 )
 
     fit_rows, level_rows, stat_rows, stat_notes = compute_statistics(bundle.metric_rows, config)

@@ -14,22 +14,21 @@ time times initial velocity, plus the input response from `_input_kernel`
 This path does not step through `dynamics.zoh_update`, so it matches stepped
 propagation to rounding error only.
 
-One kernel, `_error_blocks`, evaluates every sweep. `SweepLayout` lays trials
-back to back, component-major, so the lags of a block of starts are strided
-window views of contiguous rows: no gather and no per-start copy. Every
-element is the same expression whatever the block, so a sweep is
-bit-identical to evaluating each start on its own. Zero, const and oracle
-errors at (start, lag) do not depend on the horizon length, so one pass over
-the longest horizon serves every horizon; the cubic kernel changes with the
-horizon, so it takes one pass per horizon.
-
-Two entry points share the kernel: `sweep_errors` returns one trial's (h, n)
-error matrix and (h,) scores, and `sweep_session` returns only each start's
-mean error, max error and score for a whole session.
+One kernel, `_Sweep`, evaluates every sweep, a block of starts at a time
+for every profile and horizon. `SweepLayout` lays trials back to back,
+component-major, so the lags of a block of starts are strided window views
+of contiguous rows: no gather and no per-start copy. Every element is the
+same expression whatever the block, so a sweep is bit-identical to
+evaluating each start on its own. `sweep_errors` returns one trial's (h, n)
+error matrix and (h,) scores; `sweep_session` hands a session over trial by
+trial, with each start's mean error, max error and score.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,162 +139,197 @@ class SweepLayout:
         self.rows = int(padded.sum()) // stride
         width = int(padded.sum()) + n_max
         self.positions, self.velocities, self.accel = (np.zeros((3, width)) for _ in range(3))
-        left = np.zeros(width, dtype=int)  # samples from each column to its trial's end
         for trial, offset, n in zip(trials, self.offsets, self.lengths):
             self.positions[:, offset : offset + n] = trial.positions.T
             self.velocities[:, offset : offset + n] = trial.velocities.T
             self.accel[:, offset : offset + n] = trial.accel_inputs.T
-            left[offset : offset + n] = np.arange(n, 0, -1)
-        self.remaining = left[: self.rows * stride : stride]
 
     def starts(self, n: int) -> np.ndarray:
         """Number of horizon starts of n samples in each trial."""
         return np.maximum((self.lengths - n) // self.stride + 1, 0)
 
-    def oracle_sums(self):
-        """Per-trial prefix sums of the inputs, laid out like `accel`.
 
-        At trial sample j: s1 = sum of u[m] and s2 = sum of m * u[m] over
-        m < j, and half = j - 1/2; all three are 0 on padding.
-        """
-        s1, s2 = np.zeros_like(self.accel), np.zeros_like(self.accel)
-        half = np.zeros(self.accel.shape[1])
-        for offset, n in zip(self.offsets, self.lengths):
-            u = self.accel[:, offset : offset + n - 1]
-            m = np.arange(n)
-            np.cumsum(u, axis=1, out=s1[:, offset + 1 : offset + n])
-            np.cumsum(u * m[:-1], axis=1, out=s2[:, offset + 1 : offset + n])
-            half[offset : offset + n] = m - 0.5
-        return s1, s2, half
+class _Sweep:
+    """Every profile at every horizon of a layout, a block of start rows at a time.
 
-
-def _scores(ref, pred) -> np.ndarray:
-    """1 where pred has the sign of ref along ref's largest axis; ref and
-    pred are (3, b) displacements, and argmax ties resolve X, Y, Z."""
-    axis = np.argmax(np.abs(ref), axis=0)
-    cols = np.arange(ref.shape[1])
-    return (np.sign(pred[axis, cols]) == np.sign(ref[axis, cols])).astype(np.int8)
-
-
-class _Predictor:
-    """One profile's closed-form predictions at a layout's start rows.
-
-    `predict(c, rows)` returns component c of the predicted positions at
-    lags 0..n_cols-1 of the start rows in the slice `rows` (at most
-    BLOCK_STARTS of them), as a (rows, n_cols) work array that the next call
-    overwrites. Each element is (P0 + (k*dt)*V0) + response[k]; the zero
-    profile adds no response, which gives the same values as adding its
-    zero kernel.
+    A pass is one profile over the first n columns of each row's window. Zero,
+    const and oracle errors at (start, lag) do not depend on the horizon, so
+    one pass over the longest horizon serves all; the cubic kernel changes
+    with the horizon, so it takes one pass per horizon. Threads share a
+    sweep, each with its own `work()` arrays.
     """
 
-    def __init__(self, layout: SweepLayout, kind: ProfileKind, n_cols: int):
-        self.kind = ProfileKind(kind)
-        step = layout.stride
+    def __init__(self, layout: SweepLayout, kinds, ns):
+        kinds = [ProfileKind(kind) for kind in kinds]
+        self.ns, self.rows, self.n_kinds = list(ns), layout.rows, len(kinds)
+        n_cols, step, dt = max(ns), layout.stride, layout.dt
         self.windows = sliding_window_view(layout.positions, n_cols, axis=1)[:, ::step]
         self.v0s, self.a0s = layout.velocities[:, ::step], layout.accel[:, ::step]
-        self.lags_dt = np.arange(n_cols) * layout.dt
-        self.kernel = None
-        if self.kind is ProfileKind.CONST:
-            self.kernel = _input_kernel(n_cols, layout.dt, np.ones(n_cols))
-        elif self.kind is ProfileKind.CUBIC:
-            self.kernel = _input_kernel(n_cols, layout.dt, cubic_decay(n_cols))
-        elif self.kind is ProfileKind.ORACLE:
-            # sum_i (k-i-1/2) u[s+i-1] = (s+k-1/2) * du1 - du2, with du the
-            # prefix sums' differences between trial samples s+k and s
-            s1, s2, half = layout.oracle_sums()
-            self.w1 = sliding_window_view(s1, n_cols, axis=1)[:, ::step]
-            self.w2 = sliding_window_view(s2, n_cols, axis=1)[:, ::step]
-            self.wh = sliding_window_view(half, n_cols)[::step]
-            self.dt2 = layout.dt * layout.dt
-        self._work = np.empty((3, BLOCK_STARTS, n_cols))
-
-    def predict(self, c: int, rows: slice) -> np.ndarray:
-        pred, tmp, tmp2 = self._work[:, : rows.stop - rows.start]
-        np.multiply(self.lags_dt, self.v0s[c, rows, None], out=pred)
-        pred += self.windows[c, rows, :1]
-        if self.kernel is not None:
-            pred += np.multiply(self.kernel, self.a0s[c, rows, None], out=tmp)
-        elif self.kind is ProfileKind.ORACLE:
-            w1, w2 = self.w1[c, rows], self.w2[c, rows]
-            response = np.subtract(w1, w1[:, :1], out=tmp)
-            response *= self.wh[rows]
-            response -= np.subtract(w2, w2[:, :1], out=tmp2)
-            response *= self.dt2
-            pred += response
-        return pred
-
-
-def _error_blocks(layout: SweepLayout, kind: ProfileKind, n_cols: int, horizons):
-    """Evaluate one profile at every row of the layout, BLOCK_STARTS rows at a time.
-
-    Yields (first row, errors, scores) per block: errors[i, k] is the error
-    at lag k < n_cols of start row first + i, and scores[j] holds every
-    row's direction score for a horizon of horizons[j] <= n_cols samples.
-    The errors block is a work array that the next block overwrites. The
-    squared components are summed as (d0^2 + d1^2) + d2^2, the order of
-    `np.sum(..., axis=-1)` over three components.
-    """
-    predictor = _Predictor(layout, kind, n_cols)
-    windows = predictor.windows
-    work = np.empty((BLOCK_STARTS, n_cols))
-    disp = np.empty((len(horizons), 3, BLOCK_STARTS))
-    for first in range(0, layout.rows, BLOCK_STARTS):
-        rows = slice(first, min(first + BLOCK_STARTS, layout.rows))
-        b = rows.stop - first
-        errors = work[:b]
-        for c in range(3):
-            pred = predictor.predict(c, rows)
-            for j, n in enumerate(horizons):
-                np.subtract(pred[:, n - 1], pred[:, 0], out=disp[j, c, :b])
-            pred -= windows[c, rows]
-            if c == 0:
-                np.multiply(pred, pred, out=errors)
+        self.lags_dt = np.arange(n_cols) * dt
+        every = list(range(len(ns)))
+        self.passes = []  # (profile index, columns, input kernel or profile, horizon indices)
+        for p, kind in enumerate(kinds):
+            if kind is ProfileKind.CUBIC:
+                self.passes += [(p, n, _input_kernel(n, dt, cubic_decay(n)), [j]) for j, n in enumerate(ns)]
+            elif kind is ProfileKind.CONST:
+                self.passes.append((p, n_cols, _input_kernel(n_cols, dt, np.ones(n_cols)), every))
             else:
-                pred *= pred
-                errors += pred
-        np.sqrt(errors, out=errors)
-        errors[:, 0] = 0.0  # initial state is handed over exactly
-        ends = windows[:, rows]
-        scores = [
-            _scores(ends[:, :, n - 1] - ends[:, :, 0], disp[j, :, :b]) for j, n in enumerate(horizons)
-        ]
-        yield first, errors, scores
+                self.passes.append((p, n_cols, kind, every))
+        self.oracle = ProfileKind.ORACLE in kinds
+        if self.oracle:
+            # per-trial prefix sums of the inputs, laid out like `accel`: at
+            # trial sample j, s1 = sum of u[m] and s2 = sum of m * u[m] over
+            # m < j, and half = j - 1/2, all 0 on padding. Then
+            # sum_i (k-i-1/2) u[s+i-1] = (s+k-1/2) * du1 - du2, with du the
+            # sums' differences between trial samples s+k and s.
+            s1, s2, half = np.zeros_like(layout.accel), np.zeros_like(layout.accel), np.zeros(layout.accel.shape[1])
+            for offset, n in zip(layout.offsets, layout.lengths):
+                u, m = layout.accel[:, offset : offset + n - 1], np.arange(n)
+                np.cumsum(u, axis=1, out=s1[:, offset + 1 : offset + n])
+                np.cumsum(u * m[:-1], axis=1, out=s2[:, offset + 1 : offset + n])
+                half[offset : offset + n] = m - 0.5
+            self.w1, self.w2, self.wh = (sliding_window_view(a, n_cols, axis=-1)[..., ::step, :] for a in (s1, s2, half))
+            self.dt2 = dt * dt
+
+    def work(self) -> np.ndarray:
+        """One thread's work arrays, each (block rows, longest horizon): the
+        base positions of the three components, the prediction, the errors
+        and, with the oracle, its response."""
+        return np.empty((5 + self.oracle, min(BLOCK_STARTS, self.rows), self.windows.shape[-1]))
+
+    def _base(self, rows, base):
+        """P0 + (k*dt)*V0 at the start rows in the slice `rows`, into the
+        (3, rows, columns) array base."""
+        for c in range(3):
+            np.multiply(self.lags_dt, self.v0s[c, rows, None], out=base[c])
+            base[c] += self.windows[c, rows, :1]
+
+    def _predict(self, response, c, rows, base, out, tmp):
+        """Component c of one pass's predicted positions at the start rows in
+        the slice `rows`: the base plus the response to the profile's inputs,
+        into out. The zero profile adds none and returns the base itself."""
+        if response is ProfileKind.ZERO:
+            return base
+        if response is ProfileKind.ORACLE:
+            w1, w2 = self.w1[c, rows], self.w2[c, rows]
+            np.subtract(w1, w1[:, :1], out=out)
+            out *= self.wh[rows]
+            out -= np.subtract(w2, w2[:, :1], out=tmp)
+            out *= self.dt2
+        else:
+            np.multiply(response, self.a0s[c, rows, None], out=out)
+        out += base
+        return out
+
+    def _passes(self, rows, work):
+        """Yield (profile index, horizon indices, errors, scores) for each pass
+        at the start rows in the slice `rows`: errors[i, k] is the error at
+        lag k of row rows.start + i (a work array the next pass overwrites),
+        scores[m] the 0/1 direction scores at horizon indices[m]. Squared
+        components are summed as (d0^2 + d1^2) + d2^2, as `np.sum` does.
+        """
+        b = rows.stop - rows.start
+        base, pred, errors = work[:3, :b], work[3, :b], work[4, :b]
+        tmp = work[5, :b] if self.oracle else None
+        self._base(rows, base)
+        windows, cols = self.windows[:, rows], np.arange(b)
+        # a score compares signs along the reference's largest axis; argmax
+        # ties resolve X, Y, Z
+        refs = [windows[:, :, n - 1] - windows[:, :, 0] for n in self.ns]
+        axes = [np.argmax(np.abs(ref), axis=0) for ref in refs]
+        signs = [np.sign(ref[axis, cols]) for ref, axis in zip(refs, axes)]
+        for p, n, response, js in self.passes:
+            # a pass over fewer columns works in the leading b * n elements
+            # of the prediction and error arrays, so that they stay contiguous
+            out, err = (a.reshape(-1)[: b * n].reshape(b, n) for a in (pred, errors))
+            disp = np.empty((len(js), 3, b))
+            for c in range(3):
+                pred_c = self._predict(response, c, rows, base[c, :, :n], out, tmp)
+                for m, j in enumerate(js):
+                    np.subtract(pred_c[:, self.ns[j] - 1], pred_c[:, 0], out=disp[m, c])
+                dev = np.subtract(pred_c, windows[c, :, :n], out=out)
+                if c == 0:
+                    np.multiply(dev, dev, out=err)
+                else:
+                    dev *= dev
+                    err += dev
+            np.sqrt(err, out=err)
+            err[:, 0] = 0.0  # initial state is handed over exactly
+            yield p, js, err, [np.sign(disp[m][axes[j], cols]) == signs[j] for m, j in enumerate(js)]
+
+    def block(self, first: int, work):
+        """(means, maxima, scores) of every profile and horizon at the block
+        of start rows from `first`, each (profiles, horizons, rows)."""
+        rows = slice(first, min(first + BLOCK_STARTS, self.rows))
+        shape = (self.n_kinds, len(self.ns), rows.stop - first)
+        means, maxima, scores = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int8)
+        for p, js, errors, pass_scores in self._passes(rows, work):
+            for j, score in zip(js, pass_scores):
+                np.mean(errors[:, : self.ns[j]], axis=1, out=means[p, j])
+                np.max(errors[:, : self.ns[j]], axis=1, out=maxima[p, j])
+                scores[p, j] = score
+        return means, maxima, scores
 
 
-def sweep_session(layout: SweepLayout, specs, kind: ProfileKind):
-    """Every start of every trial for each horizon spec: a list, in spec
-    order, of (mean errors, max errors, int8 scores) vectors.
+def _swept_blocks(sweep: _Sweep, threads: int):
+    """`sweep.block` of every block in layout order, on up to `threads`
+    threads, four blocks per thread at a time. A batch is swept whole before
+    any of it is handed on: a slow consumer holds the threads back instead
+    of piling up results, and never runs while they do, so neither waits
+    for the GIL held by the other."""
+    firsts = range(0, sweep.rows, BLOCK_STARTS)
+    workers = min(threads, len(firsts))
+    spare, local = [sweep.work() for _ in range(max(workers, 1))], threading.local()
 
-    Each vector runs trial after trial in start order; `layout.starts(n)`
-    gives each trial's share. A mean is the row mean of that start's error
-    series, the same reduction as `errors.mean(axis=1)` of its trial's
-    `sweep_errors` matrix.
+    def block(first):  # each thread takes one set of the caller's work arrays
+        if not hasattr(local, "work"):
+            local.work = spare.pop()
+        return sweep.block(first, local.work)
+
+    if workers <= 1:
+        # a lone pool worker would allocate the sweep's work arrays in its own
+        # malloc arena instead of reusing what loading freed, raising peak RSS
+        yield from map(block, firsts)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for i in range(0, len(firsts), 4 * workers):
+            yield from list(pool.map(block, firsts[i : i + 4 * workers]))
+
+
+def sweep_session(layout: SweepLayout, specs, kinds, threads: int = 1):
+    """Yield (trial index, vectors) for every trial in layout order, as soon
+    as its last block of starts is swept on up to `threads` threads.
+
+    vectors[j] holds the (means, maxima, int8 scores) of specs[j], each
+    (len(kinds), layout.starts(n)[trial]): none for a trial shorter than the
+    spec. A mean is the row mean of that start's error series, as
+    `errors.mean(axis=1)` of the trial's `sweep_errors` matrix. Nothing here
+    keeps a trial's vectors once they are handed over.
     """
-    kind = ProfileKind(kind)
-    ns = [spec.n_samples for spec in specs]
-    totals = [int(layout.starts(n).sum()) for n in ns]
-    out = [(np.empty(h), np.empty(h), np.empty(h, dtype=np.int8)) for h in totals]
-    # kernel passes as (columns, indices into ns) over the horizons that fit
-    # some trial, so a longer horizon costs nothing; the cubic kernel changes with n
-    live = [j for j, total in enumerate(totals) if total]
-    if kind is ProfileKind.CUBIC:
-        passes = [(ns[j], [j]) for j in live]
+    counts = [layout.starts(spec.n_samples).tolist() for spec in specs]
+    live = [j for j, c in enumerate(counts) if any(c)]  # a longer horizon costs nothing
+    n_trials = len(layout.lengths)
+    if live:
+        blocks = _swept_blocks(_Sweep(layout, kinds, [specs[j].n_samples for j in live]), threads)
     else:
-        passes = [(max(ns[j] for j in live), live)] if live else []
-    for n_cols, indices in passes:
-        keep = [layout.remaining >= ns[j] for j in indices]
-        filled = [0] * len(indices)
-        for first, errors, scores in _error_blocks(layout, kind, n_cols, [ns[j] for j in indices]):
-            for i, j in enumerate(indices):
-                rows = keep[i][first : first + len(errors)]
-                lo, hi = filled[i], filled[i] + int(np.count_nonzero(rows))
-                block = errors[:, : ns[j]]
-                means, maxima, kept_scores = out[j]
-                means[lo:hi] = block.mean(axis=1)[rows]
-                maxima[lo:hi] = block.max(axis=1)[rows]
-                kept_scores[lo:hi] = scores[i][rows]
-                filled[i] = hi
-    return out
+        blocks = itertools.repeat(None)
+    starts = (layout.offsets // layout.stride).tolist()  # each trial's first row
+    ends = starts[1:] + [layout.rows]
+    t, vectors = 0, None
+    for first, block in zip(range(0, layout.rows, BLOCK_STARTS), blocks):
+        stop = min(first + BLOCK_STARTS, layout.rows)
+        while t < n_trials and starts[t] < stop:
+            if vectors is None:  # trial t's vectors, filled block by block
+                vectors = [tuple(np.empty((len(kinds), c[t]), d) for d in (float, float, np.int8)) for c in counts]
+            for k, j in enumerate(live):
+                lo, hi = max(first, starts[t]), min(stop, starts[t] + counts[j][t])
+                if lo < hi:
+                    for out, values in zip(vectors[j], block):
+                        out[:, lo - starts[t] : hi - starts[t]] = values[:, k, lo - first : hi - first]
+            if ends[t] > stop:
+                break  # the trial runs on into the next block
+            yield t, vectors
+            t, vectors = t + 1, None
 
 
 def sweep_errors(trial: Trial, spec: HorizonSpec, kind: ProfileKind, stride: int = 1):
@@ -310,11 +344,11 @@ def sweep_errors(trial: Trial, spec: HorizonSpec, kind: ProfileKind, stride: int
     if trial.n_samples < n:
         raise TrialTooShortError.for_horizon(trial, spec)
     h = int(layout.starts(n)[0])
+    sweep = _Sweep(layout, [kind], [n])
+    work = sweep.work()
     errors, scores = np.empty((h, n)), np.empty(h, dtype=np.int8)
-    for first, block, (block_scores,) in _error_blocks(layout, kind, n, [n]):
-        if first >= h:
-            break
-        rows = slice(first, min(first + len(block), h))
-        errors[rows] = block[: rows.stop - first]
-        scores[rows] = block_scores[: rows.stop - first]
+    for first in range(0, h, BLOCK_STARTS):
+        rows = slice(first, min(first + BLOCK_STARTS, h))
+        for _, _, block, (block_scores,) in sweep._passes(rows, work):
+            errors[rows], scores[rows] = block, block_scores
     return errors, scores

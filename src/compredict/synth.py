@@ -210,50 +210,26 @@ def protocol_items(
                 duration = 0.8 + 0.1 * salt
                 if is_static:
                     spec = SyntheticSpec(
-                        kind="sinusoid",
-                        duration=duration,
-                        dt=dt,
-                        mass=mass,
-                        amplitude=0.05 + 0.01 * salt,
-                        frequency_hz=0.8 + 0.1 * r,
+                        kind="sinusoid", duration=duration, dt=dt, mass=mass,
+                        amplitude=0.05 + 0.01 * salt, frequency_hz=0.8 + 0.1 * r,
+                    )
+                elif a % 3 == 0:
+                    accel = np.array([0.6 + 0.1 * salt, -0.2 + 0.05 * r, 0.3 - 0.05 * salt])
+                    spec = SyntheticSpec(
+                        kind="constant_acceleration", duration=duration, dt=dt, mass=mass, accel=accel
+                    )
+                elif a % 3 == 1:
+                    spec = SyntheticSpec(
+                        kind="sinusoid", duration=duration, dt=dt, mass=mass,
+                        amplitude=0.8 + 0.1 * salt, frequency_hz=0.5 + 0.25 * r,
                     )
                 else:
-                    style = a % 3
-                    if style == 0:
-                        accel = np.array(
-                            [0.6 + 0.1 * salt, -0.2 + 0.05 * r, 0.3 - 0.05 * salt]
-                        )
-                        spec = SyntheticSpec(
-                            kind="constant_acceleration",
-                            duration=duration,
-                            dt=dt,
-                            mass=mass,
-                            accel=accel,
-                        )
-                    elif style == 1:
-                        spec = SyntheticSpec(
-                            kind="sinusoid",
-                            duration=duration,
-                            dt=dt,
-                            mass=mass,
-                            amplitude=0.8 + 0.1 * salt,
-                            frequency_hz=0.5 + 0.25 * r,
-                        )
-                    else:
-                        duration = 1.2 + 0.1 * salt
-                        spec = sign_reversal_spec(
-                            accel_mag=0.9 + 0.1 * salt,
-                            t_flip=0.4 + 0.05 * r,
-                            duration=duration,
-                            dt=dt,
-                            mass=mass,
-                        )
+                    spec = sign_reversal_spec(
+                        accel_mag=0.9 + 0.1 * salt, t_flip=0.4 + 0.05 * r,
+                        duration=1.2 + 0.1 * salt, dt=dt, mass=mass,
+                    )
                 trial = make_trial(
-                    spec,
-                    subject_id=subject_id,
-                    activity_id=activity_id,
-                    repeat_index=r,
-                    is_static=is_static,
+                    spec, subject_id=subject_id, activity_id=activity_id, repeat_index=r, is_static=is_static
                 )
                 items.append((subject_id, activity_id, r, is_static, trial))
     return items

@@ -95,6 +95,101 @@ def direction_score(reference, predicted):
     return int(sign(pred[axis]) == sign(ref[axis]))
 
 
+def _nested_mean(grouped):
+    """Mean over activities of the mean over repeats of the mean of each
+    trial's values, keys in sorted order; grouped is {activity: {repeat:
+    values}}."""
+    activity_means = []
+    for activity in sorted(grouped):
+        repeat_means = []
+        for repeat in sorted(grouped[activity]):
+            values = grouped[activity][repeat]
+            repeat_means.append(sum(values) / len(values))
+        activity_means.append(sum(repeat_means) / len(repeat_means))
+    return sum(activity_means) / len(activity_means)
+
+
+def _pooled_mean(grouped):
+    """Mean of every value, ignoring the hierarchy."""
+    values = []
+    for repeats in grouped.values():
+        for trial_values in repeats.values():
+            values.extend(trial_values)
+    return sum(values) / len(values)
+
+
+def _start_outcomes(trial, kind, n, dt, stride):
+    """(mean error, max error, direction score) of each horizon of n samples
+    in a trial, stepping the profile's accelerations one sample at a time."""
+    positions = trial.positions.tolist()
+    velocities = trial.velocities.tolist()
+    accels = trial.accel_inputs.tolist()
+    outcomes = []
+    for start in range(0, len(positions) - n + 1, stride):
+        profile = generate_profile(kind, accels[start], n, accels[start : start + n])
+        axes = []
+        for axis in range(3):
+            inputs = [row[axis] for row in profile[: n - 1]]
+            axes.append(brute_force_trajectory(positions[start][axis], velocities[start][axis], inputs, dt)[0])
+        predicted = [[axes[0][k], axes[1][k], axes[2][k]] for k in range(n)]
+        reference = positions[start : start + n]
+        errors = []
+        for p, r in zip(predicted, reference):
+            errors.append(math.sqrt((p[0] - r[0]) ** 2 + (p[1] - r[1]) ** 2 + (p[2] - r[2]) ** 2))
+        outcomes.append((sum(errors) / n, max(errors), direction_score(reference, predicted)))
+    return outcomes
+
+
+def reference_metric_rows(trials, config):
+    """A run's metric rows and skip rows, from per-start stepping and plain
+    loops.
+
+    trials carry subject_id, activity_id, repeat_index, is_static and (n, 3)
+    positions, velocities and accel_inputs; config carries dt, stride,
+    profiles, horizons_ms and aggregation. Subjects go in sorted order,
+    then profiles and horizons in config order. A trial shorter than a
+    horizon is skipped once per (subject, activity, repeat, horizon), with
+    the pipeline's reason; static trials give no direction scores. Returns
+    (rows, skips): rows are (subject, profile, horizon_ms, ae, me, ada, mda)
+    with ada and mda None when every trial is static, and skips are
+    (subject, activity, repeat, horizon_ms, reason).
+    """
+    rows, skips, seen = [], [], set()
+    for subject in sorted({trial.subject_id for trial in trials}):
+        own = [trial for trial in trials if trial.subject_id == subject]
+        for profile in config.profiles:
+            for t_ms in config.horizons_ms:
+                n = round(t_ms / 1000.0 / config.dt) + 1
+                means, maxima, scores = {}, {}, {}
+                for trial in own:
+                    key = (subject, trial.activity_id, trial.repeat_index)
+                    length = len(trial.positions)
+                    if length < n:
+                        if key + (t_ms,) not in seen:
+                            seen.add(key + (t_ms,))
+                            reason = (
+                                f"trial {key!r} has {length} samples, shorter than one "
+                                f"{t_ms:g} ms horizon ({n} samples)"
+                            )
+                            skips.append(key + (t_ms, reason))
+                        continue
+                    outcomes = _start_outcomes(trial, profile, n, config.dt, config.stride)
+                    means.setdefault(trial.activity_id, {})[trial.repeat_index] = [o[0] for o in outcomes]
+                    maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = [o[1] for o in outcomes]
+                    if not trial.is_static:
+                        scores.setdefault(trial.activity_id, {})[trial.repeat_index] = [o[2] for o in outcomes]
+                if not means:
+                    continue
+                mean = _pooled_mean if config.aggregation == "pooled" else _nested_mean
+                me = max(max(values) for repeats in maxima.values() for values in repeats.values())
+                ada = mda = None
+                if scores:
+                    ada = mean(scores)
+                    mda = min(sum(v) / len(v) for repeats in scores.values() for v in repeats.values())
+                rows.append((subject, profile, t_ms, mean(means), me, ada, mda))
+    return rows, skips
+
+
 def mp_t_cdf(x, df):
     x, df = mp.mpf(x), mp.mpf(df)
     tail = mp.betainc(df / 2, mp.mpf(1) / 2, x2=df / (df + x * x), regularized=True)

@@ -21,6 +21,7 @@ import pytest
 from compredict.analysis import bonferroni, cohens_d, f_sf, t_ppf, t_sf_two_sided, welch_t_test
 from compredict.io import RunConfig
 from compredict.metrics import (
+    Tally,
     average_direction_accuracy,
     average_error,
     max_error,
@@ -36,6 +37,11 @@ from oracles import analytic_error, expected_ae, expected_me, mp_f_sf, mp_t_cdf
 
 DT = 0.005
 HORIZONS_MS = (125, 250, 375, 500, 625)
+
+
+def tally(values):
+    """A trial's per-horizon values as the metrics take them."""
+    return Tally(float(np.sum(values)), len(values))
 
 
 @contextmanager
@@ -212,9 +218,9 @@ def test_criterion_08_metric_invariants_on_randomized_bundles():
                     n_h = int(rng.integers(1, 5))
                     n_s = int(rng.integers(1, 7))
                     errors = np.abs(rng.normal(size=(n_h, n_s)))
-                    grouped_means[name][r] = errors.mean(axis=1)
-                    grouped_maxima[name][r] = errors.max(axis=1)
-                    grouped_scores[name][r] = rng.integers(0, 2, size=n_h)
+                    grouped_means[name][r] = tally(errors.mean(axis=1))
+                    grouped_maxima[name][r] = float(errors.max())
+                    grouped_scores[name][r] = tally(rng.integers(0, 2, size=n_h))
             ae = average_error(grouped_means)
             me = max_error(grouped_maxima)
             ada = average_direction_accuracy(grouped_scores)

@@ -3,6 +3,7 @@ import pytest
 
 from compredict.metrics import (
     AggregationError,
+    Tally,
     average_direction_accuracy,
     average_error,
     max_error,
@@ -17,21 +18,31 @@ from compredict.synth import SyntheticSpec, make_trial
 from oracles import expected_me
 
 
-def _per_horizon(grouped_series, reduce):
-    """{activity: {repeat: [per-sample error series]}} reduced to one value
-    per horizon, the form the metrics take."""
+def tally(values):
+    """A trial's per-horizon values as the metrics take them."""
+    return Tally(float(np.sum(values)), len(values))
+
+
+def _means(grouped_series):
+    """{activity: {repeat: [per-sample error series]}} reduced to what the
+    metrics take: per trial, a tally of its per-horizon mean errors."""
     return {
-        activity: {r: np.array([reduce(s) for s in series]) for r, series in repeats.items()}
+        activity: {r: tally([np.mean(s) for s in series]) for r, series in repeats.items()}
         for activity, repeats in grouped_series.items()
     }
 
 
-def _means(grouped_series):
-    return _per_horizon(grouped_series, np.mean)
-
-
 def _maxima(grouped_series):
-    return _per_horizon(grouped_series, np.max)
+    """The same series reduced to each trial's max error."""
+    return {
+        activity: {r: max(float(np.max(s)) for s in series) for r, series in repeats.items()}
+        for activity, repeats in grouped_series.items()
+    }
+
+
+def _tallies(grouped_scores):
+    """{activity: {repeat: per-horizon scores}} as per-trial tallies."""
+    return {activity: {r: tally(v) for r, v in repeats.items()} for activity, repeats in grouped_scores.items()}
 
 
 def test_average_error_single_horizon():
@@ -66,7 +77,7 @@ def test_max_error_matches_constant_discrepancy_closed_form():
     trial = make_trial(SyntheticSpec(kind="constant_acceleration", accel=1.0, duration=0.8, dt=0.005))
     hspec = HorizonSpec.from_duration(125, 0.005)
     errors, _ = sweep_errors(trial, hspec, ProfileKind.ZERO)
-    grouped = {"synthetic": {0: errors.max(axis=1)}}
+    grouped = {"synthetic": {0: float(errors.max())}}
     # 0.5 * 25^2 * 0.005^2 * 1.0
     assert max_error(grouped) == pytest.approx(expected_me(26, 0.005, 1.0), rel=1e-12)
     assert max_error(grouped) == pytest.approx(7.8125e-3, rel=1e-12)
@@ -85,11 +96,11 @@ def test_direction_accuracy_mean_of_means():
             2: [1, 1, 1, 0],          # mean 0.75
         }
     }
-    assert average_direction_accuracy(grouped) == pytest.approx(0.75)
+    assert average_direction_accuracy(_tallies(grouped)) == pytest.approx(0.75)
 
 
 def test_direction_accuracy_all_correct():
-    grouped = {"a": {0: [1, 1]}, "b": {0: [1, 1, 1]}}
+    grouped = _tallies({"a": {0: [1, 1]}, "b": {0: [1, 1, 1]}})
     assert average_direction_accuracy(grouped) == 1.0
     assert min_direction_accuracy(grouped) == 1.0
 
@@ -97,10 +108,10 @@ def test_direction_accuracy_all_correct():
 def test_min_direction_accuracy_examples():
     grouped = {"a": {0: [1, 1], 1: [1, 0, 1, 0, 1, 0, 1, 0, 1, 1], 2: [1, 0, 0, 0, 1]}}
     # repeat means 1.0, 0.6, 0.4
-    assert min_direction_accuracy(grouped) == pytest.approx(0.4)
+    assert min_direction_accuracy(_tallies(grouped)) == pytest.approx(0.4)
     grouped = {"a": {0: [1], 1: [1]}, "b": {0: [1, 1, 0, 1, 0], 1: [1, 1, 0, 0, 1]}}
     # repeat means 1.0, 1.0, 0.6, 0.6
-    assert min_direction_accuracy(grouped) == pytest.approx(0.6)
+    assert min_direction_accuracy(_tallies(grouped)) == pytest.approx(0.6)
 
 
 def test_empty_groups_raise_named_level():
@@ -109,7 +120,7 @@ def test_empty_groups_raise_named_level():
     with pytest.raises(AggregationError, match="walk"):
         average_error({"walk": {}})
     with pytest.raises(AggregationError, match="repeat 1"):
-        average_error({"walk": {1: []}})
+        average_error({"walk": {1: tally([])}})
     with pytest.raises(AggregationError):
         average_direction_accuracy({})
 
@@ -136,8 +147,8 @@ def test_metric_orderings_on_random_bundles():
         grouped_errors, grouped_scores = _random_grouped(rng)
         ae = average_error(_means(grouped_errors))
         me = max_error(_maxima(grouped_errors))
-        ada = average_direction_accuracy(grouped_scores)
-        mda = min_direction_accuracy(grouped_scores)
+        ada = average_direction_accuracy(_tallies(grouped_scores))
+        mda = min_direction_accuracy(_tallies(grouped_scores))
         assert 0.0 <= ae <= me
         assert 0.0 <= mda <= ada <= 1.0
 
@@ -146,6 +157,7 @@ def test_metrics_invariant_under_relabeling():
     rng = np.random.default_rng(7)
     grouped_errors, grouped_scores = _random_grouped(rng)
     renamed_errors = {f"renamed_{k}": v for k, v in grouped_errors.items()}
+    grouped_scores = _tallies(grouped_scores)
     renamed_scores = {f"renamed_{k}": v for k, v in grouped_scores.items()}
     assert average_error(_means(grouped_errors)) == average_error(_means(renamed_errors))
     assert max_error(_maxima(grouped_errors)) == max_error(_maxima(renamed_errors))
@@ -160,7 +172,7 @@ def test_metrics_invariant_under_relabeling():
 
 def test_summarize_builds_metric_row():
     grouped_errors = {"a": {0: [np.array([0.0, 2e-3])]}}
-    grouped_scores = {"a": {0: [1, 0]}}
+    grouped_scores = _tallies({"a": {0: [1, 0]}})
     row = summarize(
         "s01", "zero", 125.0, _means(grouped_errors), _maxima(grouped_errors), grouped_scores
     )
@@ -224,8 +236,9 @@ def test_summarize_from_per_horizon_values_equals_per_sample_definition():
             activity_ae.append(float(np.mean(repeat_ae)))
             activity_ada.append(float(np.mean(this_ada)))
 
-        means = {a: {r: m.mean(axis=1) for r, m in reps.items()} for a, reps in matrices.items()}
-        maxima = {a: {r: m.max(axis=1) for r, m in reps.items()} for a, reps in matrices.items()}
+        means = {a: {r: tally(m.mean(axis=1)) for r, m in reps.items()} for a, reps in matrices.items()}
+        maxima = {a: {r: float(m.max()) for r, m in reps.items()} for a, reps in matrices.items()}
+        scores = _tallies(scores)
         row = summarize("s01", "zero", 125.0, means, maxima, scores)
         assert row.ae == float(np.mean(activity_ae))
         assert row.me == worst

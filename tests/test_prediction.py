@@ -7,13 +7,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from compredict import prediction
 from compredict.io import DEFAULTS
-from compredict.metrics import summarize
+from compredict.metrics import Tally, summarize
 from compredict.pipeline import SkipRow, run_pipeline
 from compredict.prediction import (
     SweepLayout,
     Trial,
     TrialTooShortError,
-    _Predictor,
+    _Sweep,
     sweep_errors,
     sweep_session,
 )
@@ -25,11 +25,20 @@ from oracles import brute_force_trajectory, direction_score, generate_profile
 DT = 0.005
 
 
+def tally(values):
+    """A trial's per-horizon values as the metrics take them."""
+    return Tally(float(np.sum(values)), len(values))
+
+
 def predicted_positions(trial, spec, kind, rows):
     """The sweep kernel's (len(rows), n, 3) predicted positions for the
     start rows in the slice `rows` of a one-trial, stride-1 layout."""
-    predictor = _Predictor(SweepLayout([trial], trial.dt, spec.n_samples), kind, spec.n_samples)
-    return np.stack([predictor.predict(c, rows).copy() for c in range(3)], axis=-1)
+    sweep = _Sweep(SweepLayout([trial], trial.dt, spec.n_samples), [kind], [spec.n_samples])
+    ((_, n, response, _),) = sweep.passes
+    b = rows.stop - rows.start
+    base, (out, tmp) = np.empty((3, b, n)), np.empty((2, b, n))
+    sweep._base(rows, base)
+    return np.stack([sweep._predict(response, c, rows, base[c], out, tmp).copy() for c in range(3)], axis=-1)
 
 
 def coasting_trial(n=200, v0=(0.4, -0.2, 0.1)):
@@ -366,21 +375,23 @@ def test_session_sweep_equals_per_trial_sweeps_bitwise(monkeypatch, stride, bloc
     trials = ragged_session()
     specs = [HorizonSpec.from_duration(t, DT) for t in (125, 250, 375)]
     layout = SweepLayout(trials, DT, max(s.n_samples for s in specs), stride)
-    for kind in ProfileKind:
-        vectors = sweep_session(layout, specs, kind)
+    kinds = list(ProfileKind)
+    handed = list(sweep_session(layout, specs, kinds))
+    assert [i for i, _ in handed] == list(range(len(trials)))
+    for i, vectors in sweep_session(layout, specs, kinds, threads=3):
+        for ours, theirs in zip(vectors, handed[i][1]):
+            for a, b in zip(ours, theirs):
+                assert_array_equal(a, b)
+    for trial, (_, vectors) in zip(trials, handed):
         for spec, (means, maxima, scores) in zip(specs, vectors):
-            counts = layout.starts(spec.n_samples)
-            first = np.cumsum(counts) - counts
-            for trial, lo, count in zip(trials, first, counts):
-                rows = slice(lo, lo + count)
-                if trial.n_samples < spec.n_samples:
-                    assert count == 0
-                    continue
+            if trial.n_samples < spec.n_samples:
+                assert means.shape == maxima.shape == scores.shape == (len(kinds), 0)
+                continue
+            for p, kind in enumerate(kinds):
                 errors, expected_scores = sweep_errors(trial, spec, kind, stride=stride)
-                assert_array_equal(means[rows], errors.mean(axis=1))
-                assert_array_equal(maxima[rows], errors.max(axis=1))
-                assert_array_equal(scores[rows], expected_scores)
-            assert lo + count == len(means)
+                assert_array_equal(means[p], errors.mean(axis=1))
+                assert_array_equal(maxima[p], errors.max(axis=1))
+                assert_array_equal(scores[p], expected_scores)
 
 
 @pytest.mark.parametrize("stride", [1, 3])
@@ -390,6 +401,7 @@ def test_pipeline_batched_reduction_equals_per_trial_sweeps(monkeypatch, stride,
     trials = ragged_session()
     config = replace(DEFAULTS, horizons_ms=(125.0, 250.0, 375.0), stride=stride)
     bundle = run_pipeline(config, trials)
+    assert run_pipeline(replace(config, threads=3), trials) == bundle
 
     # the per-(trial, profile, horizon) reduction, one sweep_errors call each
     expected_rows, expected_skips, seen = [], [], set()
@@ -406,10 +418,10 @@ def test_pipeline_batched_reduction_equals_per_trial_sweeps(monkeypatch, stride,
                             seen.add(key)
                             expected_skips.append(SkipRow(*key, reason=str(exc)))
                         continue
-                    means.setdefault(trial.activity_id, {})[trial.repeat_index] = errors.mean(axis=1)
-                    maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = errors.max(axis=1)
+                    means.setdefault(trial.activity_id, {})[trial.repeat_index] = tally(errors.mean(axis=1))
+                    maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = float(errors.max())
                     if not trial.is_static:
-                        scores.setdefault(trial.activity_id, {})[trial.repeat_index] = trial_scores
+                        scores.setdefault(trial.activity_id, {})[trial.repeat_index] = tally(trial_scores)
                 if means:
                     expected_rows.append(
                         summarize(subject, kind.value, t_ms, means, maxima, scores, config.aggregation)
@@ -437,3 +449,33 @@ def test_horizon_longer_than_every_trial_takes_no_memory():
     assert bundle.metric_rows == expected.metric_rows
     assert [r for r in bundle.skip_rows if r.horizon_ms != 60000.0] == expected.skip_rows
     assert sum(r.horizon_ms == 60000.0 for r in bundle.skip_rows) == len(trials)
+
+
+def test_run_memory_beyond_layout_does_not_grow_with_trial_length():
+    # Beyond the layout's arrays (with the oracle's prefix sums) and the one
+    # trial whose per-start vectors are being handed over, run_pipeline's
+    # tracemalloc peak is the same for two 30 s trials as for two 2 min ones
+    rng = np.random.default_rng(5)
+    config = replace(DEFAULTS, threads=1)
+    n_max = max(spec.n_samples for spec in config.horizon_specs())
+
+    def extra(seconds):
+        n = int(round(seconds / DT)) + 1
+        trials = [
+            Trial(f"s{s}", "walk", 0, False, 70.0, DT, *(rng.normal(size=(n, 3)) for _ in range(3)))
+            for s in range(2)
+        ]
+        tracemalloc.start()
+        try:
+            run_pipeline(config, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layout = SweepLayout(trials, DT, n_max)
+        # positions, velocities, inputs and the oracle's two prefix sums, and its half-sample column
+        held = 5 * layout.accel.nbytes + layout.accel.nbytes // 3
+        starts = sum(int(layout.starts(spec.n_samples)[0]) for spec in config.horizon_specs())
+        handed = starts * len(config.profiles) * (8 + 8 + 1)  # means, maxima, int8 scores
+        return peak - held - handed
+
+    assert extra(120) <= extra(30) + 2**20
