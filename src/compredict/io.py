@@ -630,17 +630,24 @@ def write_dataset(out_dir: str, items, gravity: float = STANDARD_GRAVITY, grf_fa
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"trials": []}
+    time_cells = {}  # sample period -> "repr(i * period)," for i below the longest file's length so far
+
+    def timed(period, lines):
+        """Each line behind its time cell: time i is the same float in every
+        file at this period, so each distinct cell is formatted only once."""
+        cells = time_cells.setdefault(period, [])
+        if len(cells) < len(lines):  # i * period does not depend on where arange starts
+            cells += map("%r,".__mod__, (np.arange(len(cells), len(lines)) * period).tolist())
+        return map(str.__add__, cells, lines)
+
     for subject_id, activity_id, repeat_index, is_static, trial in items:
         subject_dir = os.path.join(out_dir, subject_id)
         os.makedirs(subject_dir, exist_ok=True)
         stem = f"{activity_id}_{repeat_index}"
         com_rel = os.path.join(subject_id, f"{stem}_com.csv")
         grf_rel = os.path.join(subject_id, f"{stem}_grf.csv")
-        write_table(
-            os.path.join(out_dir, com_rel),
-            COM_HEADER,
-            timed_lines(trial.dt, trial.positions, trial.velocities),
-        )
+        com_lines = float_lines(np.column_stack([trial.positions, trial.velocities]))
+        write_table(os.path.join(out_dir, com_rel), COM_HEADER, timed(trial.dt, com_lines))
 
         forces = trial.mass * trial.accel_inputs.copy()
         forces[:, 1] += trial.mass * gravity
@@ -649,12 +656,11 @@ def write_dataset(out_dir: str, items, gravity: float = STANDARD_GRAVITY, grf_fa
         # phase-aligned staircase; each distinct force row is formatted once
         n_fast = grf_factor * len(forces)
         src = np.clip((np.arange(n_fast) + grf_factor // 2) // grf_factor, 0, len(forces) - 1)
-        held = map(float_lines(forces).__getitem__, src.tolist())
+        held = list(map(float_lines(forces).__getitem__, src.tolist()))
         # the period is the reciprocal of the written rate, which is not always
         # dt / grf_factor to the last bit
         period = 1.0 / (grf_factor / trial.dt)
-        times = map(float.__repr__, (np.arange(n_fast) * period).tolist())
-        write_table(os.path.join(out_dir, grf_rel), GRF_HEADER, map("%s,%s".__mod__, zip(times, held)))
+        write_table(os.path.join(out_dir, grf_rel), GRF_HEADER, timed(period, held))
 
         manifest["trials"].append(
             {

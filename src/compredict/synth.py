@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import zoh_update
+from .dynamics import zoh_trajectory
 from .prediction import Trial
 
 KINDS = ("constant_acceleration", "sinusoid", "piecewise_constant")
@@ -62,20 +62,25 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}; expected one of {KINDS}")
-        if self.dt <= 0 or self.duration <= 0:
-            raise ValueError("duration and dt must be positive")
+        limits = {  # field -> (whether its value is valid, what it must be)
+            "dt": (0 < self.dt < np.inf, "positive and finite"),
+            "duration": (0 < self.duration < np.inf, "positive and finite"),
+            "mass": (0 < self.mass < np.inf, "positive and finite"),
+            "noise_amplitude": (0 <= self.noise_amplitude < np.inf, "non-negative and finite"),
+        }
+        for name, (valid, rule) in limits.items():
+            if not valid:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         steps = self.duration / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(
                 f"duration {self.duration} s is not a whole number of {self.dt} s samples"
             )
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
         if self.kind == "piecewise_constant":
             if not self.segments:
                 raise ValueError("piecewise_constant needs at least one segment")
             for seg in self.segments:
-                if len(seg) != 2 or seg[0] <= 0:
+                if len(seg) != 2 or not seg[0] > 0:
                     raise ValueError(f"segments must be (duration_s, accel) pairs, got {seg!r}")
 
     @property
@@ -111,8 +116,10 @@ def make_trial(
 
     The stored acceleration inputs are exactly the ZOH inputs used to build
     the reference (midpoint samples of the continuous acceleration), so the
-    oracle profile reproduces the reference bit for bit. Identical arguments
-    give identical trials.
+    oracle profile reproduces the reference bit for bit. The reference is
+    propagated by `dynamics.zoh_trajectory`, which equals repeated
+    `zoh_update` calls bit for bit. Identical arguments give identical
+    trials.
     """
     n = spec.n_samples
     dt = spec.dt
@@ -133,13 +140,7 @@ def make_trial(
     else:
         v0 = np.zeros(3)
 
-    positions = np.empty((n, 3))
-    velocities = np.empty((n, 3))
-    p, v = p0.copy(), v0.copy()
-    positions[0], velocities[0] = p, v
-    for i in range(n - 1):
-        p, v = zoh_update(p, v, inputs[i], dt)
-        positions[i + 1], velocities[i + 1] = p, v
+    positions, velocities = zoh_trajectory(p0, v0, inputs[:-1], dt)
 
     if spec.noise_amplitude > 0.0:
         rng = np.random.default_rng(seed)

@@ -43,11 +43,11 @@ def test_float_lines_equal_format_row_line_for_line(array):
     assert lines == [format_row(row) for row in array.tolist()]
 
 
-def _items(n_samples):
-    """Trials whose force rows all differ, so a hold off by one sample shows."""
-    dt = 0.005
+def _items(shapes):
+    """Trials of the given (samples, dt) whose force rows all differ, so a
+    hold off by one sample shows."""
     items = []
-    for i, n in enumerate(n_samples):
+    for i, (n, dt) in enumerate(shapes):
         spec = SyntheticSpec(
             kind="sinusoid", duration=(n - 1) * dt, dt=dt, mass=61.5 + i, amplitude=1.3, noise_amplitude=0.4
         )
@@ -68,8 +68,12 @@ def _tree(root):
 
 @pytest.mark.parametrize("grf_factor", [1, 2, 5])
 def test_write_dataset_bytes_equal_per_cell_reference(tmp_path, grf_factor):
-    # 2- and 3-sample trials put most held rows in the clipped end window
-    items = _items([2, 3, 2, 17])
+    # 2- and 3-sample trials put most held rows in the clipped end window.
+    # Two sample periods are interleaved, and at each one the trials grow and
+    # then shrink, so time cells shared under the wrong period, or a stale or
+    # too short run of them, change the bytes; at grf_factor 1 a GRF file has
+    # its CoM file's period.
+    items = _items([(2, 0.005), (3, 0.004), (3, 0.005), (17, 0.004), (17, 0.005), (2, 0.004), (9, 0.005), (5, 0.004)])
     write_dataset(str(tmp_path / "fast"), items, gravity=9.80665, grf_factor=grf_factor)
     reference_write_dataset(str(tmp_path / "ref"), items, gravity=9.80665, grf_factor=grf_factor)
     fast, ref = _tree(tmp_path / "fast"), _tree(tmp_path / "ref")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from compredict.dynamics import grf_to_acceleration, zoh_update
+from compredict.dynamics import grf_to_acceleration, zoh_trajectory, zoh_update
 from compredict.profiles import HorizonSpec
 from compredict.synth import SyntheticSpec, make_trial
 
@@ -170,6 +172,24 @@ def test_propagate_matches_brute_force_and_convolution_sum():
         )
         assert_array_equal(trial.positions[:, axis], ps)
         assert_array_equal(trial.velocities[:, axis], vs)
+
+
+def spread(rng, shape):
+    """Values whose magnitudes lie up to 18 decades apart, so that adding
+    the same terms in another order rounds differently."""
+    return rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-9, 10, shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 500), dt=st.floats(1e-4, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_trajectory_scan_equals_repeated_updates_bitwise(n, dt, seed):
+    rng = np.random.default_rng(seed)
+    p0, v0, inputs = spread(rng, 3), spread(rng, 3), spread(rng, (n - 1, 3))
+    positions, velocities = zoh_trajectory(p0, v0, inputs, dt)
+    expected = run_updates(p0, v0, inputs, dt)
+    # compared as bit patterns, so a signed zero must match too
+    assert_array_equal(positions.view(np.int64), expected[0].view(np.int64))
+    assert_array_equal(velocities.view(np.int64), expected[1].view(np.int64))
 
 
 def test_powers_of_a_stay_nilpotent_structured():

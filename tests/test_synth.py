@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -57,7 +59,19 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(kind="piecewise_constant", duration=1.0, dt=DT, segments=((-0.5, 1.0),))
     with pytest.raises(ValueError):
+        SyntheticSpec(kind="piecewise_constant", duration=1.0, dt=DT, segments=((math.nan, 1.0),))
+    with pytest.raises(ValueError):
         sign_reversal_spec(1.0, t_flip=3.0, duration=2.5)
+    # each bad field is named; nan and inf must not slip past a `<= 0` test or overflow in round()
+    bad_fields = [
+        ("noise_amplitude", math.nan), ("noise_amplitude", -1.0), ("noise_amplitude", math.inf),
+        ("duration", math.inf), ("duration", math.nan), ("duration", 0.0),
+        ("dt", math.nan), ("dt", math.inf), ("dt", -DT),
+        ("mass", math.nan), ("mass", math.inf), ("mass", 0.0),
+    ]
+    for name, value in bad_fields:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SyntheticSpec(kind="sinusoid", **{"duration": 1.0, "dt": DT, name: value})
 
 
 # ---------------------------------------------------------------------------
