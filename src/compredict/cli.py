@@ -32,12 +32,12 @@ from .io import (
     format_row,
     load_config,
     load_manifest,
-    load_trial,
     parse_value,
     timed_lines,
     write_dataset,
     write_table,
 )
+from .io import load_trial  # noqa: F401  perfbench/spans.py wraps this name here
 from .metrics import MetricSummary
 from .pipeline import (
     METRICS_HEADER,
@@ -47,6 +47,7 @@ from .pipeline import (
     export_table,
     load_all_trials,
     load_bundle,
+    loaded_entries,
     run_pipeline,
     sweep_trials,
 )
@@ -70,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profiles", help="comma-separated profile names")
         p.add_argument("--horizons", help="comma-separated horizon lengths in ms")
         p.add_argument("--stride", help="samples between horizon starts")
-        p.add_argument("--threads", help="worker threads")
+        p.add_argument("--threads", help="workers: sweep threads, and processes that load trials")
         p.add_argument("--format", help="output format: csv or json")
 
     p = sub.add_parser("synth", help="generate a synthetic validation dataset")
@@ -148,8 +149,7 @@ def _cmd_preprocess(args) -> int:
     entries = load_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
     count = 0
-    for entry in entries:
-        trials, _ = load_trial(entry, config)
+    for trials, _ in loaded_entries(entries, config):
         for trial in trials:
             path = os.path.join(
                 args.out,

@@ -1,5 +1,9 @@
 """End-to-end orchestration: trials -> sweeps -> metrics -> statistics.
 
+`loaded_entries` loads the manifest's entries in order, on forked worker
+processes when the run has two or more workers, so `scipy.signal` is
+imported only by them and the process that sweeps the session stays small.
+
 `sweep_trials` lays all trials out once (`prediction.SweepLayout`) and
 sweeps the whole session block by block, every profile and horizon per
 block (`prediction.sweep_session`). It hands each trial's per-start mean
@@ -14,6 +18,7 @@ aborting the run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -113,12 +118,47 @@ class ResultBundle:
     notes: list = field(default_factory=list)
 
 
+def _load_entry(entry, config: RunConfig):
+    # the pool pickles this function by name; it looks `load_trial` up when
+    # called, so a worker runs the `load_trial` this module held at the fork
+    return load_trial(entry, config)
+
+
+def loaded_entries(entries, config: RunConfig):
+    """Each manifest entry's (trials, notes) from `load_trial`, in order.
+
+    With two or more workers (`config.threads`, capped at the entry count
+    and the CPU count) and the fork start method, entries load on a pool of
+    forked processes: parsing and the GRF chain, and with it the
+    `scipy.signal` import, stay out of the caller. Otherwise they load in
+    the caller. Either way the first failing entry's error is raised, and
+    no worker outlives the iterator.
+    """
+    workers = min(config.threads, len(entries), os.cpu_count() or 1)
+    if workers >= 2:
+        # imported here, so a run that loads in the caller never pays for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # fork, not spawn: loading runs before any sweep thread starts, and
+            # a forked worker starts with the caller's imports instead of
+            # redoing them
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                yield from pool.map(_load_entry, entries, itertools.repeat(config))
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+            return
+    for entry in entries:
+        yield load_trial(entry, config)
+
+
 def load_all_trials(entries, config: RunConfig):
     """Load every manifest entry; returns (trials, notes)."""
     trials: list[Trial] = []
     notes: list[str] = []
-    for entry in entries:
-        built, entry_notes = load_trial(entry, config)
+    for built, entry_notes in loaded_entries(entries, config):
         trials.extend(built)
         notes.extend(entry_notes)
     return trials, notes

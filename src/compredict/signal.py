@@ -16,7 +16,10 @@ the marker-derived kinematics; note the two passes square the magnitude
 response, so single-pass mode is what matches the nominal -3 dB cutoff.
 A filter design is computed once per (order, cutoff, rate) and reused.
 `scipy.signal` takes about a second to import, so it is imported on first
-use and commands that never filter (synth, analyze, report) skip it.
+use and commands that never filter (synth, analyze, report) skip it. With
+two or more workers, trials load on forked processes
+(`pipeline.loaded_entries`), so only those import it and the process that
+sweeps never does.
 """
 
 from __future__ import annotations

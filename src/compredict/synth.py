@@ -62,16 +62,20 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}; expected one of {KINDS}")
-        limits = {  # field -> (whether its value is valid, what it must be)
-            "dt": (0 < self.dt < np.inf, "positive and finite"),
-            "duration": (0 < self.duration < np.inf, "positive and finite"),
-            "mass": (0 < self.mass < np.inf, "positive and finite"),
-            "noise_amplitude": (0 <= self.noise_amplitude < np.inf, "non-negative and finite"),
+        # a zero dt fails its own limit before the sample count is read
+        steps = self.duration / self.dt if self.dt else np.inf
+        limits = {  # field -> (its value, whether it is valid, what it must be)
+            "dt": (self.dt, 0 < self.dt < np.inf, "positive and finite"),
+            "duration": (self.duration, 0 < self.duration < np.inf, "positive and finite"),
+            "duration / dt": (steps, steps < np.inf, "a finite sample count"),
+            "mass": (self.mass, 0 < self.mass < np.inf, "positive and finite"),
+            "noise_amplitude": (self.noise_amplitude, 0 <= self.noise_amplitude < np.inf, "non-negative and finite"),
+            "amplitude": (self.amplitude, abs(self.amplitude) < np.inf, "finite"),
+            "frequency_hz": (self.frequency_hz, abs(self.frequency_hz) < np.inf, "finite"),
         }
-        for name, (valid, rule) in limits.items():
+        for name, (value, valid, rule) in limits.items():
             if not valid:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        steps = self.duration / self.dt
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(
                 f"duration {self.duration} s is not a whole number of {self.dt} s samples"

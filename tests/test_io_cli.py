@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from compredict import pipeline
 from compredict.cli import HORIZONS_HEADER, main
 from compredict.io import (
     COM_HEADER,
@@ -441,6 +444,123 @@ def test_thread_count_does_not_change_outputs(tmp_path):
         assert a == b, f"{name} differs between thread counts"
 
 
+def _lab_session(tmp_path):
+    """A small session as a lab hands it over: CoM files without velocity
+    columns, no contact labels, a signed axis map, and every third entry
+    split into start and return phases."""
+    manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=3, n_repeats=2)
+    with open(manifest_path) as fh:
+        raw = json.load(fh)
+    for i, entry in enumerate(raw["trials"]):
+        path = os.path.join(os.path.dirname(manifest_path), entry["com_file"])
+        dt, positions, _ = read_com_csv(path)
+        write_table(path, COM_HEADER_NO_VEL, timed_lines(dt, positions))
+        del entry["contact_intervals"]
+        entry["axis_map"] = ["-z", "y", "x"]
+        if i % 3 == 0:
+            entry["phase_split"] = {"start_end": 60, "return_begin": 100}
+    with open(manifest_path, "w") as fh:
+        json.dump(raw, fh)
+    return manifest_path
+
+
+def test_loading_is_identical_at_any_thread_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # so 3 threads means 3 loading processes
+    entries = load_manifest(_lab_session(tmp_path))
+    loads = []
+    for threads in (1, 2, 3):
+        loads.append(load_all_trials(entries, replace(DEFAULTS, threads=threads)))
+        assert multiprocessing.active_children() == []
+    (serial, serial_notes), *others = loads
+    assert len(serial) == 16  # 12 entries, 4 of them split
+    assert sum("central differences" in n for n in serial_notes) == 12
+    assert sum("auto-detected" in n for n in serial_notes) == 12
+    for trials, notes in others:
+        assert notes == serial_notes
+        assert [t.key() for t in trials] == [t.key() for t in serial]
+        for a, b in zip(serial, trials):
+            assert (a.is_static, a.mass, a.dt) == (b.is_static, b.mass, b.dt)
+            for name in ("positions", "velocities", "accel_inputs"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_loading_workers_are_capped_by_entries_and_cpus(tmp_path, monkeypatch):
+    entries = load_manifest(_small_dataset(tmp_path, n_subjects=1, n_activities=3, n_repeats=1))
+    pools = []
+
+    def pool(workers, **kwargs):
+        pools.append(workers)
+        return real_pool(workers, **kwargs)
+
+    real_pool = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    serial, _ = load_all_trials(entries, DEFAULTS)
+    for cpus, threads, start_methods, workers in [
+        (1, 2, None, None),  # one CPU: load in the caller
+        (None, 2, None, None),  # an unknown CPU count counts as one
+        (2, 1, None, None),
+        (3, 8, None, 3),  # capped by the CPU count
+        (8, 8, None, 3),  # capped by the entry count
+        (2, 2, ["spawn"], None),  # no fork: load in the caller
+    ]:
+        pools.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if start_methods is not None:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: start_methods)
+        trials, _ = load_all_trials(entries, replace(DEFAULTS, threads=threads))
+        assert pools == ([] if workers is None else [workers])
+        assert [t.accel_inputs.tobytes() for t in trials] == [t.accel_inputs.tobytes() for t in serial]
+        assert multiprocessing.active_children() == []
+
+
+def test_malformed_grf_row_in_a_middle_entry_exits_1_at_any_thread_count(tmp_path, capsys):
+    manifest_path = _small_dataset(tmp_path, n_subjects=1, n_activities=5, n_repeats=1)
+    path = load_manifest(manifest_path)[2].grf_file
+    _set_cell(path, 9, 3, "x")
+    errors = []
+    for threads in ("1", "2", "8"):
+        args = ["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out"), "--threads", threads]
+        assert main(args) == 1
+        errors.append(capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+    assert f"{path}:9:" in errors[0]
+    assert errors == [errors[0]] * 3
+
+
+def test_loading_fault_exits_2_and_leaves_no_worker(tmp_path, capsys, monkeypatch):
+    manifest_path = _small_dataset(tmp_path, n_subjects=1, n_activities=5, n_repeats=1)
+    middle = load_manifest(manifest_path)[2]
+    load_trial = pipeline.load_trial
+
+    def faulty(entry, config):
+        if entry == middle:
+            raise RuntimeError("fault in the middle entry")
+        return load_trial(entry, config)
+
+    monkeypatch.setattr(pipeline, "load_trial", faulty)  # what forked workers run too
+    for threads in ("1", "2"):
+        args = ["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out")]
+        assert main(args + ["--threads", threads]) == 2
+        assert capsys.readouterr().err == "pipeline error: fault in the middle entry\n"
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="with one CPU, trials load in the caller")
+@pytest.mark.parametrize("command", ["run", "preprocess"])
+def test_threaded_command_never_imports_scipy_signal(tmp_path, command):
+    manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=2, n_repeats=1)
+    script = (
+        "import sys\n"
+        "from compredict.cli import main\n"
+        f"code = main([{command!r}, '--manifest', {str(manifest_path)!r}, '--out', {str(tmp_path / 'out')!r}, '--threads', '2'])\n"
+        "print(code, 'scipy.signal' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-2:] == ["0", "False"]
+
+
 def test_cli_profile_names_are_case_insensitive(tmp_path):
     manifest_path = _small_dataset(tmp_path)
     outputs = []
@@ -562,6 +682,18 @@ def test_cli_preprocess_files_hold_exact_accelerations(tmp_path, capsys):
         table = [[float(cell) for cell in line.split(",")] for line in lines]
         assert [row[0] for row in table] == [i * trial.dt for i in range(trial.n_samples)]
         assert_array_equal(np.array([row[1:] for row in table]), trial.accel_inputs)
+
+
+def test_cli_preprocess_writes_the_same_files_at_any_thread_count(tmp_path, capsys):
+    manifest_path = _lab_session(tmp_path)
+    trees = []
+    for threads in ("1", "2", "4"):
+        out = tmp_path / f"pre{threads}"
+        assert main(["preprocess", "--manifest", str(manifest_path), "--out", str(out), "--threads", threads]) == 0
+        assert multiprocessing.active_children() == []
+        trees.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(trees[0]) == 16
+    assert trees == [trees[0]] * 3
 
 
 def test_cli_predict_rows_match_sweep(tmp_path, capsys):

@@ -68,10 +68,15 @@ def test_spec_validation():
         ("duration", math.inf), ("duration", math.nan), ("duration", 0.0),
         ("dt", math.nan), ("dt", math.inf), ("dt", -DT),
         ("mass", math.nan), ("mass", math.inf), ("mass", 0.0),
+        ("amplitude", math.nan), ("amplitude", math.inf), ("amplitude", -math.inf),
+        ("frequency_hz", math.nan), ("frequency_hz", math.inf),
     ]
     for name, value in bad_fields:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             SyntheticSpec(kind="sinusoid", **{"duration": 1.0, "dt": DT, name: value})
+    # finite duration and dt whose sample count is not finite
+    with pytest.raises(ValueError, match=r"^duration / dt must be"):
+        SyntheticSpec(kind="sinusoid", duration=1e300, dt=1e-300)
 
 
 # ---------------------------------------------------------------------------
