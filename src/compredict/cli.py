@@ -49,8 +49,8 @@ from .pipeline import (
     load_bundle,
     loaded_entries,
     run_pipeline,
-    sweep_trials,
 )
+from .prediction import sweep_session
 from .profiles import ProfileKind
 from .synth import protocol_items
 
@@ -176,7 +176,8 @@ def _cmd_predict(args) -> int:
     def lines():
         # each trial's rows as soon as it is swept; each (trial, profile,
         # horizon) formats its shared cells once
-        for i, vectors in sweep_trials(config, trials):
+        session = sweep_session(trials, config.horizon_specs(), config.profiles, config.stride, config.threads)
+        for i, vectors in session:
             trial = trials[i]
             for p, profile in enumerate(config.profiles):
                 for t_ms, (means, peaks, scores) in zip(config.horizons_ms, vectors):
@@ -216,6 +217,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _read_metrics_csv(path: str) -> list[MetricSummary]:
     rows = []
     first_lines = {}  # (subject_id, profile, horizon_ms) -> the line that first gave it
@@ -234,17 +242,17 @@ def _read_metrics_csv(path: str) -> list[MetricSummary]:
                         MetricSummary(
                             subject_id=subject_id,
                             profile=ProfileKind.parse(profile).value,
-                            horizon_ms=float(horizon_ms),
-                            ae=float(ae),
-                            me=float(me),
-                            ada=float(ada) if ada else None,
-                            mda=float(mda) if mda else None,
+                            horizon_ms=_finite(horizon_ms),
+                            ae=_finite(ae),
+                            me=_finite(me),
+                            ada=_finite(ada) if ada else None,
+                            mda=_finite(mda) if mda else None,
                         )
                     )
                 except ValueError:
                     raise InputError(
                         f"{path}:{reader.line_num}: malformed row {cells!r}; expected "
-                        f"{','.join(METRICS_HEADER)} with a known profile and numeric metric values"
+                        f"{','.join(METRICS_HEADER)} with a known profile and finite numeric values"
                     ) from None
                 key = (rows[-1].subject_id, rows[-1].profile, rows[-1].horizon_ms)
                 if key in first_lines:

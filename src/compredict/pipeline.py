@@ -4,16 +4,17 @@
 processes when the run has two or more workers, so `scipy.signal` is
 imported only by them and the process that sweeps the session stays small.
 
-`sweep_trials` lays all trials out once (`prediction.SweepLayout`) and
-sweeps the whole session block by block, every profile and horizon per
-block (`prediction.sweep_session`). It hands each trial's per-start mean
-error, max error and score over as soon as the trial is swept:
-`run_pipeline` reduces them at once to per-trial scalars, and the CLI's
-`predict` writes the trial's rows. Blocks may run on a thread pool, but
-trials come back in order and every output row is produced in a fixed
-sorted order, so a run's outputs are byte-identical regardless of thread
-count. Trials too short for a horizon are skipped with a reason instead of
-aborting the run.
+`run_pipeline` sweeps the whole session at once with every profile and
+horizon (`prediction.sweep_session`), which hands each trial's per-start
+mean error, max error and score over as soon as the trial is swept. Each
+trial is reduced at once into its (subject, profile, horizon) groups of
+per-trial values, and each group into one metric row (`summarize`).
+`compute_statistics` groups the metric rows' values by (metric, profile,
+horizon) once and runs the trend fits and the per-horizon tests on them.
+Blocks may run on a thread pool, but trials come back in order and every
+output row is produced in a fixed sorted order, so a run's outputs are
+byte-identical regardless of thread count. Trials too short for a horizon
+are skipped with a reason instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from collections import defaultdict
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .analysis import (
 )
 from .io import InputError, RunConfig, format_row, load_trial, write_table
 from .metrics import MetricSummary, Tally, summarize
-from .prediction import SweepLayout, Trial, TrialTooShortError, sweep_session
+from .prediction import Trial, TrialTooShortError, sweep_session
 from .prediction import sweep_errors  # noqa: F401  perfbench/spans.py wraps this name here
 from .profiles import ProfileKind
 
@@ -164,23 +166,6 @@ def load_all_trials(entries, config: RunConfig):
     return trials, notes
 
 
-def sweep_trials(config: RunConfig, trials):
-    """Sweep every trial with every configured profile and horizon.
-
-    Returns the `sweep_session` iterator over (i, vectors): trials[i]'s
-    per-start (means, maxima, scores) of each horizon, in the configured
-    order, each one row per configured profile. Trials come one at a time,
-    in order, and are dropped once the caller lets go of them.
-    """
-    specs = config.horizon_specs()
-    # one layout of the whole session, with no room for horizons longer than
-    # every trial
-    longest = max((trial.n_samples for trial in trials), default=0)
-    n_max = max((s.n_samples for s in specs if s.n_samples <= longest), default=0)
-    layout = SweepLayout(trials, float(config.dt), n_max, config.stride)
-    return sweep_session(layout, specs, config.profiles, config.threads)
-
-
 def run_pipeline(config: RunConfig, trials) -> ResultBundle:
     """Compute metric rows and the statistics layer for a set of trials."""
     if not trials:
@@ -188,45 +173,39 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
     bundle = ResultBundle(version=__version__, config=config.to_dict())
     specs = config.horizon_specs()
 
-    # each trial reduced as soon as it is swept: per horizon, None when the
-    # trial is too short, else its start count and each profile's sum of
-    # means (a row's sum is the np.sum of that row bit for bit), max and sum
-    # of scores
-    reduced = [None] * len(trials)
-    for i, vectors in sweep_trials(config, trials):
-        reduced[i] = [
-            (m.shape[1], m.sum(axis=1).tolist(), x.max(axis=1).tolist(), s.sum(axis=1).tolist()) if m.size else None
-            for m, x, s in vectors
+    # (subject, profile index, horizon index) -> each trial's Tally of mean
+    # errors, max error and Tally of scores, each as {activity: {repeat: value}}
+    groups = {}
+    for i, vectors in sweep_session(trials, specs, config.profiles, config.stride, config.threads):
+        trial = trials[i]
+        # per horizon the trial fits, its start count and each profile's sum
+        # of means (a row's sum is the np.sum of that row bit for bit), max
+        # and sum of scores
+        sums = [
+            (j, m.shape[1], m.sum(axis=1).tolist(), x.max(axis=1).tolist(), s.sum(axis=1).tolist())
+            for j, (m, x, s) in enumerate(vectors)
+            if m.size
         ]
         del vectors  # before the next trial is swept
+        for j, n, totals, peaks, hits in sums:
+            for p in range(len(config.profiles)):
+                means, maxima, scores = groups.setdefault((trial.subject_id, p, j), ({}, {}, {}))
+                means.setdefault(trial.activity_id, {})[trial.repeat_index] = Tally(totals[p], n)
+                maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = peaks[p]
+                if not trial.is_static:
+                    scores.setdefault(trial.activity_id, {})[trial.repeat_index] = Tally(hits[p], n)
 
-    # fixed-order reduction to per-subject metric rows
-    subjects = sorted({t.subject_id for t in trials})
-    skip_seen = set()
-    for subject in subjects:
-        subject_idx = [i for i, t in enumerate(trials) if t.subject_id == subject]
-        for p, profile in enumerate(config.profiles):
-            for j, (t_ms, spec) in enumerate(zip(config.horizons_ms, specs)):
-                means, maxima, scores = {}, {}, {}
-                for idx in subject_idx:
-                    trial = trials[idx]
-                    if reduced[idx][j] is None:
-                        skip_key = (subject, trial.activity_id, trial.repeat_index, t_ms)
-                        if skip_key not in skip_seen:
-                            skip_seen.add(skip_key)
-                            reason = TrialTooShortError.for_horizon(trial, spec)
-                            bundle.skip_rows.append(SkipRow(*skip_key, reason=str(reason)))
-                        continue
-                    n, totals, peaks, hits = reduced[idx][j]
-                    means.setdefault(trial.activity_id, {})[trial.repeat_index] = Tally(totals[p], n)
-                    maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = peaks[p]
-                    if not trial.is_static:
-                        scores.setdefault(trial.activity_id, {})[trial.repeat_index] = Tally(hits[p], n)
-                if not means:
-                    continue  # every trial of this subject was too short for t_ms
-                bundle.metric_rows.append(
-                    summarize(subject, profile, t_ms, means, maxima, scores, aggregation=config.aggregation)
-                )
+    # fixed-order per-subject metric rows; a subject none of whose trials
+    # fits a horizon has no row for it
+    for (subject, p, j), grouped in sorted(groups.items()):
+        profile, t_ms = config.profiles[p], config.horizons_ms[j]
+        bundle.metric_rows.append(summarize(subject, profile, t_ms, *grouped, aggregation=config.aggregation))
+    for subject in sorted({t.subject_id for t in trials}):
+        for t_ms, spec in zip(config.horizons_ms, specs):
+            for trial in trials:
+                if trial.subject_id == subject and trial.n_samples < spec.n_samples:
+                    reason = str(TrialTooShortError.for_horizon(trial, spec))
+                    bundle.skip_rows.append(SkipRow(subject, trial.activity_id, trial.repeat_index, t_ms, reason))
 
     fit_rows, level_rows, stat_rows, stat_notes = compute_statistics(bundle.metric_rows, config)
     bundle.fit_rows.extend(fit_rows)
@@ -234,16 +213,6 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
     bundle.stat_rows.extend(stat_rows)
     bundle.notes.extend(stat_notes)
     return bundle
-
-
-def _metric_values(metric_rows, metric: str, profile: str, t_ms: float) -> list[float]:
-    values = []
-    for row in sorted(metric_rows, key=lambda r: r.subject_id):
-        if row.profile == profile and row.horizon_ms == t_ms:
-            value = getattr(row, metric)
-            if value is not None:
-                values.append(value)
-    return values
 
 
 def compute_statistics(metric_rows, config: RunConfig):
@@ -259,11 +228,19 @@ def compute_statistics(metric_rows, config: RunConfig):
         notes.append("insufficient subjects for inference (n < 2); statistics skipped")
         return fit_rows, level_rows, stat_rows, notes
 
+    # (metric, profile, horizon) -> its values, in subject order
+    grouped = defaultdict(list)
+    for row in sorted(metric_rows, key=lambda r: r.subject_id):
+        for metric in METRIC_NAMES:
+            value = getattr(row, metric)
+            if value is not None:
+                grouped[metric, row.profile, row.horizon_ms].append(value)
+
     for metric in METRIC_NAMES:
         for profile in config.profiles:
             levels = []
             for t_ms in config.horizons_ms:
-                values = _metric_values(metric_rows, metric, profile, t_ms)
+                values = grouped[metric, profile, t_ms]
                 if len(values) >= 2:
                     levels.append((t_ms, values))
                     low, high = confidence_interval(values)
@@ -309,7 +286,7 @@ def compute_statistics(metric_rows, config: RunConfig):
 
     for metric in METRIC_NAMES:
         for t_ms in config.horizons_ms:
-            groups = {p: _metric_values(metric_rows, metric, p, t_ms) for p in config.profiles}
+            groups = {p: grouped[metric, p, t_ms] for p in config.profiles}
             usable = {p: v for p, v in groups.items() if len(v) >= 2}
             if len(usable) < 2:
                 continue
@@ -335,10 +312,7 @@ def compute_statistics(metric_rows, config: RunConfig):
                 continue  # post-hoc tests only after a significant main effect
             for family in (plain_pairs, oracle_pairs):
                 pairs = [(a, b) for a, b in family if a in usable and b in usable]
-                if not pairs:
-                    continue
-                m = config.bonferroni_m if config.bonferroni_m > 0 else len(pairs)
-                raw, rows = [], []
+                rows = []
                 for a, b in pairs:
                     try:
                         test = welch_t_test(usable[a], usable[b])
@@ -347,9 +321,7 @@ def compute_statistics(metric_rows, config: RunConfig):
                         rows.append(
                             StatRow(metric, t_ms, f"{a}-{b}", None, None, None, None, note=str(exc))
                         )
-                        raw.append(None)
                         continue
-                    raw.append(test.p_value)
                     rows.append(
                         StatRow(
                             metric,
@@ -362,12 +334,12 @@ def compute_statistics(metric_rows, config: RunConfig):
                             effect_size=effect,
                         )
                     )
-                adjusted = bonferroni([p for p in raw if p is not None], max(m, len([p for p in raw if p is not None])))
-                adj_iter = iter(adjusted)
-                for row, p in zip(rows, raw):
-                    stat_rows.append(
-                        row if p is None else replace(row, adjusted_p=next(adj_iter))
-                    )
+                # the family's size, raised to the number of pairs tested
+                m = max(config.bonferroni_m or len(pairs), sum(row.p_value is not None for row in rows))
+                for row in rows:
+                    if row.p_value is not None:
+                        row = replace(row, adjusted_p=bonferroni([row.p_value], m)[0])
+                    stat_rows.append(row)
     return fit_rows, level_rows, stat_rows, notes
 
 
@@ -391,20 +363,13 @@ def _test_row(metric: str, comparison: str, test) -> StatRow:
 METRICS_HEADER = ["subject_id", "profile", "horizon_ms", "ae_m", "me_m", "ada", "mda"]
 
 
-# file name -> (header, bundle -> rows), in export order
+# file name -> (header, bundle -> rows), in export order; a table whose
+# columns are its rows' fields in order takes each row's fields as they are
 TABLES = {
-    "metrics.csv": (
-        METRICS_HEADER,
-        lambda b: [
-            (r.subject_id, r.profile, r.horizon_ms, r.ae, r.me, r.ada, r.mda) for r in b.metric_rows
-        ],
-    ),
+    "metrics.csv": (METRICS_HEADER, lambda b: map(astuple, b.metric_rows)),
     "tests.csv": (
         ["metric", "horizon_ms", "comparison", "statistic", "df1", "df2", "p_value", "adjusted_p", "cohens_d", "note"],
-        lambda b: [
-            (r.metric, r.horizon_ms, r.comparison, r.statistic, r.df1, r.df2, r.p_value, r.adjusted_p, r.effect_size, r.note)
-            for r in b.stat_rows
-        ],
+        lambda b: map(astuple, b.stat_rows),
     ),
     "fits.csv": (
         ["metric", "profile", "degree", "selected", "c0", "c1", "c2", "c3", "r_squared", "degenerate"],
@@ -423,9 +388,7 @@ TABLES = {
     ),
     "levels.csv": (
         ["metric", "profile", "horizon_ms", "mean", "ci_low", "ci_high", "n"],
-        lambda b: [
-            (r.metric, r.profile, r.horizon_ms, r.mean, r.ci_low, r.ci_high, r.n) for r in b.level_rows
-        ],
+        lambda b: map(astuple, b.level_rows),
     ),
     "skips.csv": (
         ["subject_id", "activity_id", "repeat_index", "horizon_ms", "reason"],

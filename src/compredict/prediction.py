@@ -20,8 +20,8 @@ component-major, so the lags of a block of starts are strided window views
 of contiguous rows: no gather and no per-start copy. Every element is the
 same expression whatever the block, so a sweep is bit-identical to
 evaluating each start on its own. `sweep_errors` returns one trial's (h, n)
-error matrix and (h,) scores; `sweep_session` hands a session over trial by
-trial, with each start's mean error, max error and score.
+error matrix and (h,) scores; `sweep_session` lays a session out and hands
+it over trial by trial, with each start's mean error, max error and score.
 """
 
 from __future__ import annotations
@@ -296,21 +296,31 @@ def _swept_blocks(sweep: _Sweep, threads: int):
             yield from list(pool.map(block, firsts[i : i + 4 * workers]))
 
 
-def sweep_session(layout: SweepLayout, specs, kinds, threads: int = 1):
-    """Yield (trial index, vectors) for every trial in layout order, as soon
-    as its last block of starts is swept on up to `threads` threads.
+def sweep_session(trials, specs, kinds, stride: int = 1, threads: int = 1):
+    """Sweep every trial with every profile in `kinds` at every horizon in
+    `specs`, starts `stride` samples apart, and yield (trial index, vectors)
+    in trial order, as soon as the trial's last block of starts is swept on
+    up to `threads` threads.
 
+    The trials are laid out once (`SweepLayout`), with room only for the
+    horizons that fit the longest trial: a longer horizon costs nothing.
     vectors[j] holds the (means, maxima, int8 scores) of specs[j], each
-    (len(kinds), layout.starts(n)[trial]): none for a trial shorter than the
-    spec. A mean is the row mean of that start's error series, as
-    `errors.mean(axis=1)` of the trial's `sweep_errors` matrix. Nothing here
-    keeps a trial's vectors once they are handed over.
+    (len(kinds), starts): none for a trial shorter than the spec. A mean is
+    the row mean of that start's error series, as `errors.mean(axis=1)` of
+    the trial's `sweep_errors` matrix. Nothing here keeps a trial's vectors
+    once they are handed over.
     """
+    dts = {spec.dt for spec in specs}
+    if len(dts) != 1:
+        raise ValueError(f"a session sweep needs horizons of one sample period, got {sorted(dts)}")
+    longest = max((trial.n_samples for trial in trials), default=0)
+    live = [j for j, spec in enumerate(specs) if spec.n_samples <= longest]
+    ns = [specs[j].n_samples for j in live]
+    layout = SweepLayout(trials, dts.pop(), max(ns, default=0), stride)
     counts = [layout.starts(spec.n_samples).tolist() for spec in specs]
-    live = [j for j, c in enumerate(counts) if any(c)]  # a longer horizon costs nothing
     n_trials = len(layout.lengths)
     if live:
-        blocks = _swept_blocks(_Sweep(layout, kinds, [specs[j].n_samples for j in live]), threads)
+        blocks = _swept_blocks(_Sweep(layout, kinds, ns), threads)
     else:
         blocks = itertools.repeat(None)
     starts = (layout.offsets // layout.stride).tolist()  # each trial's first row

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ def test_dataset_round_trip_with_filter_is_close_for_smooth_input(tmp_path):
 
 def test_manifest_requires_mass(tmp_path):
     _, manifest_path = _write_single_trial_dataset(tmp_path)
-    raw = json.loads(open(manifest_path).read())
+    raw = json.loads(Path(manifest_path).read_text())
     del raw["trials"][0]["mass_kg"]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(raw))
@@ -230,14 +231,14 @@ def test_manifest_requires_mass(tmp_path):
 
 def test_manifest_checks_files_and_axis_map(tmp_path):
     _, manifest_path = _write_single_trial_dataset(tmp_path)
-    raw = json.loads(open(manifest_path).read())
+    raw = json.loads(Path(manifest_path).read_text())
     raw["trials"][0]["com_file"] = "missing.csv"
     path = tmp_path / "data" / "broken.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(ManifestError, match="not found"):
         load_manifest(path)
 
-    raw = json.loads(open(manifest_path).read())
+    raw = json.loads(Path(manifest_path).read_text())
     raw["trials"][0]["axis_map"] = ["x", "x", "z"]
     path.write_text(json.dumps(raw))
     with pytest.raises(ManifestError, match="twice"):
@@ -246,7 +247,7 @@ def test_manifest_checks_files_and_axis_map(tmp_path):
 
 def test_axis_map_signed_permutation(tmp_path):
     trial, manifest_path = _write_single_trial_dataset(tmp_path)
-    raw = json.loads(open(manifest_path).read())
+    raw = json.loads(Path(manifest_path).read_text())
     raw["trials"][0]["axis_map"] = ["y", "-x", "z"]
     path = tmp_path / "data" / "mapped.json"
     path.write_text(json.dumps(raw))
@@ -299,7 +300,7 @@ def test_velocity_fallback_estimates_and_flags(tmp_path):
 
 def test_phase_split_yields_two_trials(tmp_path):
     trial, manifest_path = _write_single_trial_dataset(tmp_path)
-    raw = json.loads(open(manifest_path).read())
+    raw = json.loads(Path(manifest_path).read_text())
     raw["trials"][0]["phase_split"] = {"start_end": 60, "return_begin": 100}
     path = tmp_path / "data" / "split.json"
     path.write_text(json.dumps(raw))
@@ -320,7 +321,7 @@ def test_phase_split_yields_two_trials(tmp_path):
 
 def test_contact_detection_note_when_intervals_missing(tmp_path):
     _, manifest_path = _write_single_trial_dataset(tmp_path)
-    raw = json.loads(open(manifest_path).read())
+    raw = json.loads(Path(manifest_path).read_text())
     del raw["trials"][0]["contact_intervals"]
     path = tmp_path / "data" / "auto.json"
     path.write_text(json.dumps(raw))
@@ -409,7 +410,7 @@ def test_metrics_csv_header_and_ci_ordering(tmp_path):
     bundle = run_pipeline(config, trials)
     out_dir = tmp_path / "out"
     export_results(bundle, out_dir)
-    header = open(out_dir / "metrics.csv").readline().strip()
+    header = (out_dir / "metrics.csv").read_text().splitlines()[0]
     assert header == "subject_id,profile,horizon_ms,ae_m,me_m,ada,mda"
     for row in bundle.level_rows:
         assert row.ci_low <= row.mean <= row.ci_high
@@ -439,8 +440,8 @@ def test_thread_count_does_not_change_outputs(tmp_path):
     export_results(run_pipeline(serial, trials_a), dir_a)
     export_results(run_pipeline(threaded, trials_b), dir_b)
     for name in sorted(os.listdir(dir_a)):
-        a = open(dir_a / name, "rb").read()
-        b = open(dir_b / name, "rb").read()
+        a = (dir_a / name).read_bytes()
+        b = (dir_b / name).read_bytes()
         assert a == b, f"{name} differs between thread counts"
 
 
@@ -607,9 +608,7 @@ def test_cli_synth_run_report_round_trip(tmp_path):
     )
     assert report.returncode == 0, report.stderr
     for name in ("metrics.csv", "tests.csv", "fits.csv", "levels.csv", "skips.csv"):
-        assert open(tmp_path / "replay" / name, "rb").read() == open(
-            tmp_path / "results" / name, "rb"
-        ).read()
+        assert (tmp_path / "replay" / name).read_bytes() == (tmp_path / "results" / name).read_bytes()
 
 
 def test_cli_json_format_writes_bundle_only(tmp_path):
@@ -658,7 +657,7 @@ def test_cli_preprocess_and_predict(tmp_path):
         "--profiles", "zero",
     )
     assert predict.returncode == 0, predict.stderr
-    lines = open(tmp_path / "pred" / "horizons.csv").read().splitlines()
+    lines = (tmp_path / "pred" / "horizons.csv").read_text().splitlines()
     assert lines[0].startswith("subject_id,activity_id")
     assert len(lines) > 100
 
@@ -746,6 +745,9 @@ def test_cli_predict_rows_match_sweep(tmp_path, capsys):
         # the subject, profile and horizon of the first row again
         ("s00", "zero", 125.0, 0.1, 0.2, 0.5, 0.4),
         ("s00", "Zero", "125", 0.3, 0.4, 0.5, 0.4),
+        ("s01", "zero", 125.0, float("nan"), 0.2, 0.5, 0.4),
+        ("s01", "zero", 125.0, 0.1, float("inf"), 0.5, 0.4),
+        ("s01", "zero", 125.0, 0.1, 0.2, 0.5, float("-inf")),
     ],
 )
 def test_cli_analyze_rejects_malformed_metrics_row_naming_file_and_line(tmp_path, capsys, bad_row):
@@ -756,11 +758,11 @@ def test_cli_analyze_rejects_malformed_metrics_row_naming_file_and_line(tmp_path
 
 
 def _set_cell(path, lineno, column, text):
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     cells = lines[lineno - 1].split(",")
     cells[column] = text
     lines[lineno - 1] = ",".join(cells)
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize(
@@ -804,7 +806,7 @@ def _set_cell(path, lineno, column, text):
 )
 def test_cli_malformed_input_exits_1_naming_the_file(tmp_path, capsys, file_key, change):
     _, manifest_path = _write_single_trial_dataset(tmp_path)
-    raw = json.loads(open(manifest_path).read())
+    raw = json.loads(Path(manifest_path).read_text())
     args = ["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out")]
     if file_key == "config":  # a filter setting that this trial's GRF file cannot take
         config = tmp_path / "run.cfg"
@@ -815,7 +817,7 @@ def test_cli_malformed_input_exits_1_naming_the_file(tmp_path, capsys, file_key,
         first = dict(raw["trials"][0], phase_split=change)
         activity = first["activity_id"] + ("" if change is None else "_return")
         raw["trials"] = [first, {**first, "phase_split": None, "activity_id": activity}]
-        open(manifest_path, "w").write(json.dumps(raw))
+        Path(manifest_path).write_text(json.dumps(raw))
         key = f"{first['subject_id']}/{activity}/{first['repeat_index']}"
         where = f"{manifest_path}: manifest trial 1: trial key {key} repeats manifest trial 0"
     elif file_key.startswith("manifest"):
@@ -826,7 +828,7 @@ def test_cli_malformed_input_exits_1_naming_the_file(tmp_path, capsys, file_key,
         else:
             raw[key] = value
             where = str(manifest_path)
-        open(manifest_path, "w").write(json.dumps(raw))
+        Path(manifest_path).write_text(json.dumps(raw))
     else:
         _, lineno, column, text = change
         path = os.path.join(os.path.dirname(manifest_path), raw["trials"][0][file_key])
@@ -839,10 +841,10 @@ def test_cli_malformed_input_exits_1_naming_the_file(tmp_path, capsys, file_key,
 @pytest.mark.parametrize("file_key", ["com_file", "grf_file"])
 def test_cli_header_only_file_prints_one_error_line(tmp_path, capsys, file_key):
     _, manifest_path = _write_single_trial_dataset(tmp_path)
-    raw = json.loads(open(manifest_path).read())
+    raw = json.loads(Path(manifest_path).read_text())
     path = os.path.join(os.path.dirname(manifest_path), raw["trials"][0][file_key])
-    header = open(path).readline()
-    open(path, "w").write(header)
+    header = Path(path).read_text().splitlines(keepends=True)[0]
+    Path(path).write_text(header)
     assert main(["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {path}: need at least 2 samples, got 0\n"
 

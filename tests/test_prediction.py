@@ -202,6 +202,10 @@ def test_sweep_errors_dt_check():
     wrong_dt = HorizonSpec.from_duration(125, 0.0025)
     with pytest.raises(ValueError):
         sweep_errors(trial, wrong_dt, ProfileKind.ZERO)
+    with pytest.raises(ValueError):
+        next(sweep_session([trial], [wrong_dt], [ProfileKind.ZERO]))
+    with pytest.raises(ValueError, match="one sample period"):
+        next(sweep_session([trial], [HorizonSpec.from_duration(125, trial.dt), wrong_dt], [ProfileKind.ZERO]))
 
 
 TWO_SAMPLES = HorizonSpec(horizon_ms=5.0, dt=DT, n_samples=2)
@@ -373,12 +377,13 @@ def ragged_session(seed=11):
 def test_session_sweep_equals_per_trial_sweeps_bitwise(monkeypatch, stride, block):
     monkeypatch.setattr(prediction, "BLOCK_STARTS", block)
     trials = ragged_session()
-    specs = [HorizonSpec.from_duration(t, DT) for t in (125, 250, 375)]
-    layout = SweepLayout(trials, DT, max(s.n_samples for s in specs), stride)
+    # the last horizon (1 s, 201 samples) is longer than every trial
+    specs = [HorizonSpec.from_duration(t, DT) for t in (125, 250, 375, 1000)]
+    assert max(trial.n_samples for trial in trials) < specs[-1].n_samples
     kinds = list(ProfileKind)
-    handed = list(sweep_session(layout, specs, kinds))
+    handed = list(sweep_session(trials, specs, kinds, stride))
     assert [i for i, _ in handed] == list(range(len(trials)))
-    for i, vectors in sweep_session(layout, specs, kinds, threads=3):
+    for i, vectors in sweep_session(trials, specs, kinds, stride, threads=3):
         for ours, theirs in zip(vectors, handed[i][1]):
             for a, b in zip(ours, theirs):
                 assert_array_equal(a, b)
