@@ -261,11 +261,11 @@ def welch_anova(groups) -> TestResult:
 
 
 def bonferroni(p_values, m: int) -> list[float]:
-    """Familywise-corrected p-values: min(1, m * p) for a family of m tests."""
+    """Familywise-corrected p-values: min(1, m * p) for a family of m tests; NaN stays NaN."""
     p_values = list(p_values)
     if m < len(p_values):
         raise ValueError(f"family size {m} is smaller than the {len(p_values)} tests given")
-    return [min(1.0, m * float(p)) for p in p_values]
+    return [float(np.minimum(1.0, m * float(p))) for p in p_values]
 
 
 def cohens_d(a, b, variant: str = "pooled") -> float:

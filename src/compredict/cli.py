@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profiles", help="comma-separated profile names")
         p.add_argument("--horizons", help="comma-separated horizon lengths in ms")
         p.add_argument("--stride", help="samples between horizon starts")
-        p.add_argument("--threads", help="workers: sweep threads, and processes that load trials")
+        p.add_argument("--threads", help="workers, capped at the CPU count: sweep threads, and processes that load trials")
         p.add_argument("--format", help="output format: csv or json")
 
     p = sub.add_parser("synth", help="generate a synthetic validation dataset")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 STANDARD_GRAVITY = 9.81  # m/s^2, configurable in all call sites
+VERTICAL_AXIS = 1  # Y is up
 
 
 def grf_to_acceleration(grf, mass: float, g: float = STANDARD_GRAVITY) -> np.ndarray:
@@ -37,7 +38,7 @@ def grf_to_acceleration(grf, mass: float, g: float = STANDARD_GRAVITY) -> np.nda
     if forces.shape[-1] != 3:
         raise ValueError(f"grf must have 3 components per sample, got shape {forces.shape}")
     accel = forces / mass
-    accel[..., 1] -= g
+    accel[..., VERTICAL_AXIS] -= g
     return accel
 
 

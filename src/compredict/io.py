@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import STANDARD_GRAVITY, grf_to_acceleration
+from .dynamics import STANDARD_GRAVITY, VERTICAL_AXIS, grf_to_acceleration
 from .prediction import Trial
 from .profiles import HorizonSpec, ProfileKind
 from .signal import check_contact_intervals, detect_contact, preprocess
@@ -650,7 +650,7 @@ def write_dataset(out_dir: str, items, gravity: float = STANDARD_GRAVITY, grf_fa
         write_table(os.path.join(out_dir, com_rel), COM_HEADER, timed(trial.dt, com_lines))
 
         forces = trial.mass * trial.accel_inputs.copy()
-        forces[:, 1] += trial.mass * gravity
+        forces[:, VERTICAL_AXIS] += trial.mass * gravity
         # hold each force over a window centered on its sample instant, so the
         # kept index 5i recovers sample i exactly and lowpass smoothing sees a
         # phase-aligned staircase; each distinct force row is formatted once

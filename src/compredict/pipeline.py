@@ -39,7 +39,7 @@ from .analysis import (
 )
 from .io import InputError, RunConfig, format_row, load_trial, write_table
 from .metrics import MetricSummary, Tally, summarize
-from .prediction import Trial, TrialTooShortError, sweep_session
+from .prediction import Trial, TrialTooShortError, sweep_session, worker_count
 from .prediction import sweep_errors  # noqa: F401  perfbench/spans.py wraps this name here
 from .profiles import ProfileKind
 
@@ -129,14 +129,14 @@ def _load_entry(entry, config: RunConfig):
 def loaded_entries(entries, config: RunConfig):
     """Each manifest entry's (trials, notes) from `load_trial`, in order.
 
-    With two or more workers (`config.threads`, capped at the entry count
-    and the CPU count) and the fork start method, entries load on a pool of
-    forked processes: parsing and the GRF chain, and with it the
-    `scipy.signal` import, stay out of the caller. Otherwise they load in
-    the caller. Either way the first failing entry's error is raised, and
-    no worker outlives the iterator.
+    With two or more workers (`worker_count`, the rule the sweep's threads
+    follow too) and the fork start method, entries load on a pool of forked
+    processes: parsing and the GRF chain, and with it the `scipy.signal`
+    import, stay out of the caller. Otherwise they load in the caller.
+    Either way the first failing entry's error is raised, and no worker
+    outlives the iterator.
     """
-    workers = min(config.threads, len(entries), os.cpu_count() or 1)
+    workers = worker_count(config.threads, len(entries))
     if workers >= 2:
         # imported here, so a run that loads in the caller never pays for them
         import multiprocessing
@@ -308,8 +308,8 @@ def compute_statistics(metric_rows, config: RunConfig):
                     anova.p_value,
                 )
             )
-            if anova.p_value > config.alpha:
-                continue  # post-hoc tests only after a significant main effect
+            if not anova.p_value <= config.alpha:
+                continue  # post-hoc tests only after a significant main effect; a NaN p is none
             for family in (plain_pairs, oracle_pairs):
                 pairs = [(a, b) for a, b in family if a in usable and b in usable]
                 rows = []

@@ -14,19 +14,21 @@ time times initial velocity, plus the input response from `_input_kernel`
 This path does not step through `dynamics.zoh_update`, so it matches stepped
 propagation to rounding error only.
 
-One kernel, `_Sweep`, evaluates every sweep, a block of starts at a time
-for every profile and horizon. `SweepLayout` lays trials back to back,
-component-major, so the lags of a block of starts are strided window views
-of contiguous rows: no gather and no per-start copy. Every element is the
-same expression whatever the block, so a sweep is bit-identical to
-evaluating each start on its own. `sweep_errors` returns one trial's (h, n)
-error matrix and (h,) scores; `sweep_session` lays a session out and hands
-it over trial by trial, with each start's mean error, max error and score.
+One object, `_Sweep`, lays a session out, cuts its starts into blocks and
+evaluates every profile and horizon a block at a time, on up to
+`worker_count` threads. It lays trials back to back, component-major, so
+the lags of a block of starts are strided window views of contiguous rows:
+no gather and no per-start copy. Every element is the same expression
+whatever the block, so a sweep is bit-identical to evaluating each start on
+its own. `sweep_errors` returns one trial's (h, n) error matrix and (h,)
+scores; `sweep_session` hands a session over trial by trial, with each
+start's mean error, max error and score.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -114,43 +116,24 @@ def _input_kernel(n: int, dt: float, shape) -> np.ndarray:
     return dt * dt * ((k - 0.5) * g1 - g2)
 
 
-class SweepLayout:
-    """Trials back to back, component-major, as the sweep kernel reads them.
-
-    Trial t fills columns offsets[t] : offsets[t] + lengths[t] of the (3, L)
-    `positions`, `velocities` and `accel` arrays. Each trial's segment is
-    padded with zeros to a whole number of strides and the arrays end in
-    n_max zero columns, so kernel row r is the start at column r * stride
-    and every row's window of n_max samples lies inside the arrays. Rows
-    whose horizon runs past their trial's end compute finite values that no
-    caller keeps. The layout is read-only once built.
-    """
-
-    def __init__(self, trials, dt: float, n_max: int, stride: int = 1):
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        for trial in trials:
-            if trial.dt != dt:
-                raise ValueError(f"trial dt {trial.dt} does not match horizon dt {dt}")
-        self.dt, self.stride = dt, stride
-        self.lengths = np.array([trial.n_samples for trial in trials], dtype=int)
-        padded = -(-self.lengths // stride) * stride
-        self.offsets = np.cumsum(padded) - padded
-        self.rows = int(padded.sum()) // stride
-        width = int(padded.sum()) + n_max
-        self.positions, self.velocities, self.accel = (np.zeros((3, width)) for _ in range(3))
-        for trial, offset, n in zip(trials, self.offsets, self.lengths):
-            self.positions[:, offset : offset + n] = trial.positions.T
-            self.velocities[:, offset : offset + n] = trial.velocities.T
-            self.accel[:, offset : offset + n] = trial.accel_inputs.T
-
-    def starts(self, n: int) -> np.ndarray:
-        """Number of horizon starts of n samples in each trial."""
-        return np.maximum((self.lengths - n) // self.stride + 1, 0)
+def worker_count(threads: int, tasks: int) -> int:
+    """Workers for `tasks` jobs on up to `threads`: at least one, and no more
+    than the jobs or the CPUs, since a worker beyond either only adds memory."""
+    return max(1, min(threads, tasks, os.cpu_count() or 1))
 
 
 class _Sweep:
-    """Every profile at every horizon of a layout, a block of start rows at a time.
+    """Every profile at every horizon of a session, a block of start rows at a time.
+
+    The trials are laid back to back, component-major: trial t fills columns
+    offsets[t] : offsets[t] + lengths[t] of (3, L) position, velocity and
+    input arrays. Each trial's segment is padded with zeros to a whole number
+    of strides and the arrays end in max(ns) zero columns, so kernel row r is
+    the start at column r * stride and every row's window lies inside the
+    arrays. Rows whose horizon runs past their trial's end compute finite
+    values that no caller keeps. `blocks` cuts the rows into slices of at
+    most BLOCK_STARTS; with no horizon in `ns` the sweep has its geometry
+    only.
 
     A pass is one profile over the first n columns of each row's window. Zero,
     const and oracle errors at (start, lag) do not depend on the horizon, so
@@ -159,12 +142,30 @@ class _Sweep:
     sweep, each with its own `work()` arrays.
     """
 
-    def __init__(self, layout: SweepLayout, kinds, ns):
+    def __init__(self, trials, dt: float, kinds, ns, stride: int = 1):
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
+        for trial in trials:
+            if trial.dt != dt:
+                raise ValueError(f"trial dt {trial.dt} does not match horizon dt {dt}")
         kinds = [ProfileKind(kind) for kind in kinds]
-        self.ns, self.rows, self.n_kinds = list(ns), layout.rows, len(kinds)
-        n_cols, step, dt = max(ns), layout.stride, layout.dt
-        self.windows = sliding_window_view(layout.positions, n_cols, axis=1)[:, ::step]
-        self.v0s, self.a0s = layout.velocities[:, ::step], layout.accel[:, ::step]
+        self.ns, self.n_kinds, self.stride = list(ns), len(kinds), stride
+        self.lengths = np.array([trial.n_samples for trial in trials], dtype=int)
+        padded = -(-self.lengths // stride) * stride
+        self.offsets = np.cumsum(padded) - padded
+        self.rows = int(padded.sum()) // stride
+        self.blocks = [slice(first, min(first + BLOCK_STARTS, self.rows)) for first in range(0, self.rows, BLOCK_STARTS)]
+        if not self.ns:
+            return
+        n_cols = max(ns)
+        positions, velocities, accel = (np.zeros((3, int(padded.sum()) + n_cols)) for _ in range(3))
+        for trial, offset, n in zip(trials, self.offsets, self.lengths):
+            positions[:, offset : offset + n] = trial.positions.T
+            velocities[:, offset : offset + n] = trial.velocities.T
+            accel[:, offset : offset + n] = trial.accel_inputs.T
+        # only these views keep the laid-out arrays alive
+        self.windows = sliding_window_view(positions, n_cols, axis=1)[:, ::stride]
+        self.v0s, self.a0s = velocities[:, ::stride], accel[:, ::stride]
         self.lags_dt = np.arange(n_cols) * dt
         every = list(range(len(ns)))
         self.passes = []  # (profile index, columns, input kernel or profile, horizon indices)
@@ -182,20 +183,24 @@ class _Sweep:
             # m < j, and half = j - 1/2, all 0 on padding. Then
             # sum_i (k-i-1/2) u[s+i-1] = (s+k-1/2) * du1 - du2, with du the
             # sums' differences between trial samples s+k and s.
-            s1, s2, half = np.zeros_like(layout.accel), np.zeros_like(layout.accel), np.zeros(layout.accel.shape[1])
-            for offset, n in zip(layout.offsets, layout.lengths):
-                u, m = layout.accel[:, offset : offset + n - 1], np.arange(n)
+            s1, s2, half = np.zeros_like(accel), np.zeros_like(accel), np.zeros(accel.shape[1])
+            for offset, n in zip(self.offsets, self.lengths):
+                u, m = accel[:, offset : offset + n - 1], np.arange(n)
                 np.cumsum(u, axis=1, out=s1[:, offset + 1 : offset + n])
                 np.cumsum(u * m[:-1], axis=1, out=s2[:, offset + 1 : offset + n])
                 half[offset : offset + n] = m - 0.5
-            self.w1, self.w2, self.wh = (sliding_window_view(a, n_cols, axis=-1)[..., ::step, :] for a in (s1, s2, half))
+            self.w1, self.w2, self.wh = (sliding_window_view(a, n_cols, axis=-1)[..., ::stride, :] for a in (s1, s2, half))
             self.dt2 = dt * dt
+
+    def starts(self, n: int) -> np.ndarray:
+        """Number of horizon starts of n samples in each trial."""
+        return np.maximum((self.lengths - n) // self.stride + 1, 0)
 
     def work(self) -> np.ndarray:
         """One thread's work arrays, each (block rows, longest horizon): the
         base positions of the three components, the prediction, the errors
         and, with the oracle, its response."""
-        return np.empty((5 + self.oracle, min(BLOCK_STARTS, self.rows), self.windows.shape[-1]))
+        return np.empty((5 + self.oracle, self.blocks[0].stop, self.windows.shape[-1]))
 
     def _base(self, rows, base):
         """P0 + (k*dt)*V0 at the start rows in the slice `rows`, into the
@@ -257,11 +262,10 @@ class _Sweep:
             err[:, 0] = 0.0  # initial state is handed over exactly
             yield p, js, err, [np.sign(disp[m][axes[j], cols]) == signs[j] for m, j in enumerate(js)]
 
-    def block(self, first: int, work):
-        """(means, maxima, scores) of every profile and horizon at the block
-        of start rows from `first`, each (profiles, horizons, rows)."""
-        rows = slice(first, min(first + BLOCK_STARTS, self.rows))
-        shape = (self.n_kinds, len(self.ns), rows.stop - first)
+    def block(self, rows: slice, work):
+        """(means, maxima, scores) of every profile and horizon at the start
+        rows in the slice `rows`, each (profiles, horizons, rows)."""
+        shape = (self.n_kinds, len(self.ns), rows.stop - rows.start)
         means, maxima, scores = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int8)
         for p, js, errors, pass_scores in self._passes(rows, work):
             for j, score in zip(js, pass_scores):
@@ -270,39 +274,37 @@ class _Sweep:
                 scores[p, j] = score
         return means, maxima, scores
 
+    def run(self, threads: int):
+        """`block` of every one of `blocks` in order, on `worker_count`
+        threads, four blocks per thread at a time. A batch is swept whole
+        before any of it is handed on: a slow consumer holds the threads back
+        instead of piling up results, and never runs while they do, so
+        neither waits for the GIL held by the other."""
+        workers = worker_count(threads, len(self.blocks))
+        spare, local = [self.work() for _ in range(workers)], threading.local()
 
-def _swept_blocks(sweep: _Sweep, threads: int):
-    """`sweep.block` of every block in layout order, on up to `threads`
-    threads, four blocks per thread at a time. A batch is swept whole before
-    any of it is handed on: a slow consumer holds the threads back instead
-    of piling up results, and never runs while they do, so neither waits
-    for the GIL held by the other."""
-    firsts = range(0, sweep.rows, BLOCK_STARTS)
-    workers = min(threads, len(firsts))
-    spare, local = [sweep.work() for _ in range(max(workers, 1))], threading.local()
+        def block(rows):  # each thread takes one set of the caller's work arrays
+            if not hasattr(local, "work"):
+                local.work = spare.pop()
+            return self.block(rows, local.work)
 
-    def block(first):  # each thread takes one set of the caller's work arrays
-        if not hasattr(local, "work"):
-            local.work = spare.pop()
-        return sweep.block(first, local.work)
-
-    if workers <= 1:
-        # a lone pool worker would allocate the sweep's work arrays in its own
-        # malloc arena instead of reusing what loading freed, raising peak RSS
-        yield from map(block, firsts)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i in range(0, len(firsts), 4 * workers):
-            yield from list(pool.map(block, firsts[i : i + 4 * workers]))
+        if workers == 1:
+            # a lone pool worker would allocate the sweep's work arrays in its own
+            # malloc arena instead of reusing what loading freed, raising peak RSS
+            yield from map(block, self.blocks)
+            return
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for i in range(0, len(self.blocks), 4 * workers):
+                yield from list(pool.map(block, self.blocks[i : i + 4 * workers]))
 
 
 def sweep_session(trials, specs, kinds, stride: int = 1, threads: int = 1):
     """Sweep every trial with every profile in `kinds` at every horizon in
     `specs`, starts `stride` samples apart, and yield (trial index, vectors)
     in trial order, as soon as the trial's last block of starts is swept on
-    up to `threads` threads.
+    up to `threads` threads (see `worker_count`).
 
-    The trials are laid out once (`SweepLayout`), with room only for the
+    The trials are laid out once (`_Sweep`), with room only for the
     horizons that fit the longest trial: a longer horizon costs nothing.
     vectors[j] holds the (means, maxima, int8 scores) of specs[j], each
     (len(kinds), starts): none for a trial shorter than the spec. A mean is
@@ -316,27 +318,24 @@ def sweep_session(trials, specs, kinds, stride: int = 1, threads: int = 1):
     longest = max((trial.n_samples for trial in trials), default=0)
     live = [j for j, spec in enumerate(specs) if spec.n_samples <= longest]
     ns = [specs[j].n_samples for j in live]
-    layout = SweepLayout(trials, dts.pop(), max(ns, default=0), stride)
-    counts = [layout.starts(spec.n_samples).tolist() for spec in specs]
-    n_trials = len(layout.lengths)
+    sweep = _Sweep(trials, dts.pop(), kinds, ns, stride)
+    counts = [sweep.starts(spec.n_samples).tolist() for spec in specs]
     if live:
-        blocks = _swept_blocks(_Sweep(layout, kinds, ns), threads)
-    else:
+        blocks = sweep.run(threads)
+    else:  # nothing to sweep, but the blocks still hand every trial over
         blocks = itertools.repeat(None)
-    starts = (layout.offsets // layout.stride).tolist()  # each trial's first row
-    ends = starts[1:] + [layout.rows]
+    starts = (sweep.offsets // stride).tolist() + [sweep.rows]  # each trial's first row, then the end
     t, vectors = 0, None
-    for first, block in zip(range(0, layout.rows, BLOCK_STARTS), blocks):
-        stop = min(first + BLOCK_STARTS, layout.rows)
-        while t < n_trials and starts[t] < stop:
+    for rows, block in zip(sweep.blocks, blocks):
+        while starts[t] < rows.stop:
             if vectors is None:  # trial t's vectors, filled block by block
                 vectors = [tuple(np.empty((len(kinds), c[t]), d) for d in (float, float, np.int8)) for c in counts]
             for k, j in enumerate(live):
-                lo, hi = max(first, starts[t]), min(stop, starts[t] + counts[j][t])
+                lo, hi = max(rows.start, starts[t]), min(rows.stop, starts[t] + counts[j][t])
                 if lo < hi:
                     for out, values in zip(vectors[j], block):
-                        out[:, lo - starts[t] : hi - starts[t]] = values[:, k, lo - first : hi - first]
-            if ends[t] > stop:
+                        out[:, lo - starts[t] : hi - starts[t]] = values[:, k, lo - rows.start : hi - rows.start]
+            if starts[t + 1] > rows.stop:
                 break  # the trial runs on into the next block
             yield t, vectors
             t, vectors = t + 1, None
@@ -350,11 +349,10 @@ def sweep_errors(trial: Trial, spec: HorizonSpec, kind: ProfileKind, stride: int
     shorter than one horizon is an error so callers can report the skip.
     """
     n = spec.n_samples
-    layout = SweepLayout([trial], spec.dt, n, stride)
+    sweep = _Sweep([trial], spec.dt, [kind], [n], stride)
     if trial.n_samples < n:
         raise TrialTooShortError.for_horizon(trial, spec)
-    h = int(layout.starts(n)[0])
-    sweep = _Sweep(layout, [kind], [n])
+    h = int(sweep.starts(n)[0])
     work = sweep.work()
     errors, scores = np.empty((h, n)), np.empty(h, dtype=np.int8)
     for first in range(0, h, BLOCK_STARTS):

@@ -28,7 +28,7 @@ import functools
 
 import numpy as np
 
-VERTICAL_AXIS = 1  # Y is up
+from .dynamics import VERTICAL_AXIS
 
 
 def _as_forces(samples) -> np.ndarray:

@@ -276,6 +276,7 @@ def test_bonferroni_examples():
     assert bonferroni([0.01], 3) == [pytest.approx(0.03)]
     assert bonferroni([0.5], 3) == [1.0]
     assert bonferroni([0.004], 6) == [pytest.approx(0.024)]
+    assert np.isnan(bonferroni([float("nan")], 3)[0])  # not min(1, nan) = 1.0
     with pytest.raises(ValueError):
         bonferroni([0.1, 0.2, 0.3], 2)
 

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +11,6 @@ from compredict.io import DEFAULTS
 from compredict.metrics import Tally, summarize
 from compredict.pipeline import SkipRow, run_pipeline
 from compredict.prediction import (
-    SweepLayout,
     Trial,
     TrialTooShortError,
     _Sweep,
@@ -33,7 +33,7 @@ def tally(values):
 def predicted_positions(trial, spec, kind, rows):
     """The sweep kernel's (len(rows), n, 3) predicted positions for the
     start rows in the slice `rows` of a one-trial, stride-1 layout."""
-    sweep = _Sweep(SweepLayout([trial], trial.dt, spec.n_samples), [kind], [spec.n_samples])
+    sweep = _Sweep([trial], trial.dt, [kind], [spec.n_samples])
     ((_, n, response, _),) = sweep.passes
     b = rows.stop - rows.start
     base, (out, tmp) = np.empty((3, b, n)), np.empty((2, b, n))
@@ -438,6 +438,55 @@ def test_pipeline_batched_reduction_equals_per_trial_sweeps(monkeypatch, stride,
     assert ("s1", "a0", 125.0) not in skipped  # exactly one 125 ms horizon long
 
 
+def test_session_that_no_horizon_fits_hands_every_trial_over_empty():
+    trials = ragged_session()
+    horizons_ms = (2000.0, 3000.0)
+    specs = [HorizonSpec.from_duration(t, DT) for t in horizons_ms]
+    assert max(trial.n_samples for trial in trials) < specs[0].n_samples
+    kinds = list(ProfileKind)
+    handed = list(sweep_session(trials, specs, kinds, stride=3, threads=2))
+    assert [i for i, _ in handed] == list(range(len(trials)))
+    for _, vectors in handed:
+        assert len(vectors) == len(specs)
+        for means, maxima, scores in vectors:
+            assert means.shape == maxima.shape == scores.shape == (len(kinds), 0)
+
+    bundle = run_pipeline(replace(DEFAULTS, horizons_ms=horizons_ms), trials)
+    assert bundle.metric_rows == []
+    assert [(r.subject_id, r.activity_id, r.repeat_index, r.horizon_ms) for r in bundle.skip_rows] == [
+        (subject, trial.activity_id, trial.repeat_index, t_ms)
+        for subject in ("s0", "s1")
+        for t_ms in horizons_ms
+        for trial in trials
+        if trial.subject_id == subject
+    ]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_threads_are_capped_at_the_cpu_count(monkeypatch, cpus):
+    monkeypatch.setattr(prediction, "BLOCK_STARTS", 64)  # 13 blocks, more than the threads asked for
+    trials = ragged_session()
+    specs = [HorizonSpec.from_duration(t, DT) for t in (125, 250)]
+    kinds = list(ProfileKind)
+    alone = list(sweep_session(trials, specs, kinds, threads=1))
+
+    made, work = [], _Sweep.work
+
+    def counted_work(self):  # one set of work arrays per sweep thread
+        made.append(self)
+        return work(self)
+
+    monkeypatch.setattr(_Sweep, "work", counted_work)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    handed = list(sweep_session(trials, specs, kinds, threads=8))
+    assert len(made) == cpus
+    assert [i for i, _ in handed] == [i for i, _ in alone]
+    for (_, ours), (_, theirs) in zip(handed, alone):
+        for a, b in zip(ours, theirs):
+            for x, y in zip(a, b):
+                assert_array_equal(x, y)
+
+
 def test_horizon_longer_than_every_trial_takes_no_memory():
     # a 60 s horizon (12,001 samples) fits no trial: it adds one skip row per
     # trial and changes no other row, without work arrays of its length
@@ -476,10 +525,10 @@ def test_run_memory_beyond_layout_does_not_grow_with_trial_length():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        layout = SweepLayout(trials, DT, n_max)
+        sweep = _Sweep(trials, DT, [], [n_max])
         # positions, velocities, inputs and the oracle's two prefix sums, and its half-sample column
-        held = 5 * layout.accel.nbytes + layout.accel.nbytes // 3
-        starts = sum(int(layout.starts(spec.n_samples)[0]) for spec in config.horizon_specs())
+        held = 5 * sweep.v0s.nbytes + sweep.v0s.nbytes // 3
+        starts = sum(int(sweep.starts(spec.n_samples)[0]) for spec in config.horizon_specs())
         handed = starts * len(config.profiles) * (8 + 8 + 1)  # means, maxima, int8 scores
         return peak - held - handed
 

@@ -89,6 +89,17 @@ def test_compute_statistics_gates_pairwise_tests_on_the_anova():
         ]
 
 
+def test_compute_statistics_runs_no_pairwise_tests_after_a_nan_anova():
+    # zero's squared deviations overflow, so both ANOVAs (ae, and me at twice
+    # ae) have a NaN statistic and p-value: no main effect to follow up
+    ae = {("zero", 125.0): [1e200, -1e200, 3e199], ("const", 125.0): [1.0, 2.0, 3.5], ("cubic", 125.0): [1.5, 2.5, 2.0]}
+    config = replace(CONFIG, horizons_ms=(125.0,), profiles=("zero", "const", "cubic"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, stats, _ = compute_statistics(metric_rows(ae), config)
+    assert [(r.metric, r.comparison) for r in stats] == [("ae", "anova"), ("me", "anova")]
+    assert all(np.isnan(r.statistic) and np.isnan(r.p_value) for r in stats)
+
+
 def pairwise_row(ae, t_ms, a, b, m):
     test = welch_t_test(ae[(a, t_ms)], ae[(b, t_ms)])
     return StatRow(
