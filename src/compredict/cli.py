@@ -51,7 +51,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .prediction import sweep_session
-from .profiles import ProfileKind
+from .profiles import HorizonSpec, ProfileKind
 from .synth import protocol_items
 
 
@@ -224,7 +224,7 @@ def _finite(text: str) -> float:
     return value
 
 
-def _read_metrics_csv(path: str) -> list[MetricSummary]:
+def _read_metrics_csv(path: str, dt: float) -> list[MetricSummary]:
     rows = []
     first_lines = {}  # (subject_id, profile, horizon_ms) -> the line that first gave it
     try:
@@ -254,6 +254,10 @@ def _read_metrics_csv(path: str) -> list[MetricSummary]:
                         f"{path}:{reader.line_num}: malformed row {cells!r}; expected "
                         f"{','.join(METRICS_HEADER)} with a known profile and finite numeric values"
                     ) from None
+                try:
+                    HorizonSpec.from_duration(rows[-1].horizon_ms, dt)
+                except ValueError as exc:
+                    raise InputError(f"{path}:{reader.line_num}: {exc}; dt = {dt:g} s is set with --config") from None
                 key = (rows[-1].subject_id, rows[-1].profile, rows[-1].horizon_ms)
                 if key in first_lines:
                     raise InputError(
@@ -268,7 +272,7 @@ def _read_metrics_csv(path: str) -> list[MetricSummary]:
 
 def _cmd_analyze(args) -> int:
     config = _load_effective_config(args)
-    metric_rows = _read_metrics_csv(args.metrics_csv)
+    metric_rows = _read_metrics_csv(args.metrics_csv, config.dt)
     if not metric_rows:
         raise InputError(f"{args.metrics_csv}: no metric rows")
     horizons = tuple(sorted({r.horizon_ms for r in metric_rows}))
@@ -316,6 +320,8 @@ def main(argv=None) -> int:
         if isinstance(value, list):
             setattr(args, name, "--")
     try:
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise InputError(f"--out: {args.out} exists and is not a directory")
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

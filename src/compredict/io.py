@@ -264,6 +264,13 @@ class ManifestEntry:
         return (f"{self.activity_id}_start", f"{self.activity_id}_return")
 
 
+def _manifest_number(value, kind):
+    """A manifest value as kind (int or float); a non-number, or a fraction as an int, is a ValueError."""
+    if type(value) not in (int, float) or (kind is int and not float(value).is_integer()):
+        raise ValueError(f"{value!r} is not a JSON {kind.__name__}")
+    return kind(value)
+
+
 def load_manifest(path: str) -> list[ManifestEntry]:
     """Read a manifest JSON and resolve its file paths."""
     try:
@@ -286,18 +293,18 @@ def load_manifest(path: str) -> list[ManifestEntry]:
         if not isinstance(item, dict):
             raise bad(i, f"must be an object, got {item!r}")
         try:
-            mass = float(item["mass_kg"])
+            mass = _manifest_number(item["mass_kg"], float)
         except KeyError:
             raise bad(i, "mass required") from None
         except (TypeError, ValueError, OverflowError):
-            raise bad(i, "mass_kg must be a number") from None
+            raise bad(i, f"mass_kg must be a number, got {item['mass_kg']!r}") from None
         if not np.isfinite(mass) or mass <= 0:
             raise bad(i, f"mass must be positive and finite, got {mass}")
         missing = [k for k in ("subject_id", "activity_id", "repeat_index", "com_file", "grf_file") if k not in item]
         if missing:
             raise bad(i, f"missing keys {missing}")
         try:
-            repeat_index = int(item["repeat_index"])
+            repeat_index = _manifest_number(item["repeat_index"], int)
         except (TypeError, ValueError, OverflowError):
             raise bad(i, f"repeat_index must be an integer, got {item['repeat_index']!r}") from None
         for key in ("com_file", "grf_file"):
@@ -311,13 +318,13 @@ def load_manifest(path: str) -> list[ManifestEntry]:
         intervals = item.get("contact_intervals")
         if intervals is not None:
             try:
-                intervals = tuple((int(a), int(b)) for a, b in intervals)
+                intervals = tuple((_manifest_number(a, int), _manifest_number(b, int)) for a, b in intervals)
             except (TypeError, ValueError, OverflowError):
                 raise bad(i, f"contact_intervals must be [start, end] integer pairs, got {intervals!r}") from None
         split = item.get("phase_split")
         if split is not None:
             try:
-                split = (int(split["start_end"]), int(split["return_begin"]))
+                split = (_manifest_number(split["start_end"], int), _manifest_number(split["return_begin"], int))
             except (KeyError, TypeError, ValueError, OverflowError):
                 raise bad(i, "phase_split needs integer start_end and return_begin") from None
         is_static = item.get("is_static", False)

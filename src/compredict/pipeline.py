@@ -7,8 +7,8 @@ imported only by them and the process that sweeps the session stays small.
 `run_pipeline` sweeps the whole session at once with every profile and
 horizon (`prediction.sweep_session`), which hands each trial's per-start
 mean error, max error and score over as soon as the trial is swept. Each
-trial is reduced at once into its (subject, profile, horizon) groups of
-per-trial values, and each group into one metric row (`summarize`).
+trial is reduced at once to one `metrics.Outcome` per profile and horizon it
+fits, and each (subject, profile, horizon)'s outcomes to a row (`summarize`).
 `compute_statistics` groups the metric rows' values by (metric, profile,
 horizon) once and runs the trend fits and the per-horizon tests on them.
 Blocks may run on a thread pool, but trials come back in order and every
@@ -38,7 +38,7 @@ from .analysis import (
     welch_t_test,
 )
 from .io import InputError, RunConfig, format_row, load_trial, write_table
-from .metrics import MetricSummary, Tally, summarize
+from .metrics import MetricSummary, Outcome, summarize
 from .prediction import Trial, TrialTooShortError, sweep_session, worker_count
 from .prediction import sweep_errors  # noqa: F401  perfbench/spans.py wraps this name here
 from .profiles import ProfileKind
@@ -173,9 +173,8 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
     bundle = ResultBundle(version=__version__, config=config.to_dict())
     specs = config.horizon_specs()
 
-    # (subject, profile index, horizon index) -> each trial's Tally of mean
-    # errors, max error and Tally of scores, each as {activity: {repeat: value}}
-    groups = {}
+    # (subject, profile index, horizon index) -> one Outcome per trial
+    outcomes = defaultdict(list)
     for i, vectors in sweep_session(trials, specs, config.profiles, config.stride, config.threads):
         trial = trials[i]
         # per horizon the trial fits, its start count and each profile's sum
@@ -187,19 +186,16 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
             if m.size
         ]
         del vectors  # before the next trial is swept
-        for j, n, totals, peaks, hits in sums:
-            for p in range(len(config.profiles)):
-                means, maxima, scores = groups.setdefault((trial.subject_id, p, j), ({}, {}, {}))
-                means.setdefault(trial.activity_id, {})[trial.repeat_index] = Tally(totals[p], n)
-                maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = peaks[p]
-                if not trial.is_static:
-                    scores.setdefault(trial.activity_id, {})[trial.repeat_index] = Tally(hits[p], n)
+        labels = (trial.activity_id, trial.repeat_index, trial.is_static)
+        for j, n, *columns in sums:
+            for p, values in enumerate(zip(*columns)):
+                outcomes[trial.subject_id, p, j].append(Outcome(*labels, n, *values))
 
     # fixed-order per-subject metric rows; a subject none of whose trials
     # fits a horizon has no row for it
-    for (subject, p, j), grouped in sorted(groups.items()):
+    for (subject, p, j), own in sorted(outcomes.items()):
         profile, t_ms = config.profiles[p], config.horizons_ms[j]
-        bundle.metric_rows.append(summarize(subject, profile, t_ms, *grouped, aggregation=config.aggregation))
+        bundle.metric_rows.append(summarize(subject, profile, t_ms, own, aggregation=config.aggregation))
     for subject in sorted({t.subject_id for t in trials}):
         for t_ms, spec in zip(config.horizons_ms, specs):
             for trial in trials:

@@ -20,13 +20,7 @@ import pytest
 
 from compredict.analysis import bonferroni, cohens_d, f_sf, t_ppf, t_sf_two_sided, welch_t_test
 from compredict.io import RunConfig
-from compredict.metrics import (
-    Tally,
-    average_direction_accuracy,
-    average_error,
-    max_error,
-    min_direction_accuracy,
-)
+from compredict.metrics import Outcome, summarize
 from compredict.pipeline import run_pipeline
 from compredict.prediction import sweep_errors
 from compredict.profiles import HorizonSpec, ProfileKind
@@ -37,11 +31,6 @@ from oracles import analytic_error, expected_ae, expected_me, mp_f_sf, mp_t_cdf
 
 DT = 0.005
 HORIZONS_MS = (125, 250, 375, 500, 625)
-
-
-def tally(values):
-    """A trial's per-horizon values as the metrics take them."""
-    return Tally(float(np.sum(values)), len(values))
 
 
 @contextmanager
@@ -89,6 +78,11 @@ def test_criterion_02_closed_form_average_and_max_error():
                 me = errors.max(axis=1)
                 assert np.max(relative_errors(ae, expected_ae(spec.n_samples, DT, c))) <= 1e-9
                 assert np.max(relative_errors(me, expected_me(spec.n_samples, DT, c))) <= 1e-9
+                # and through the per-subject reduction of the trial's horizons
+                outcome = Outcome("a", 0, False, len(ae), float(np.sum(ae)), float(me.max()), 0.0)
+                row = summarize("s", "zero", t_ms, [outcome])
+                assert relative_errors(row.ae, expected_ae(spec.n_samples, DT, c)) <= 1e-9
+                assert relative_errors(row.me, expected_me(spec.n_samples, DT, c)) <= 1e-9
         ratio = expected_ae(51, DT, 1.0) / expected_ae(26, DT, 1.0)
         assert abs(ratio - 5050.0 / 1275.0) <= 1e-9
         assert time.monotonic() - started < 5.0
@@ -206,33 +200,21 @@ def test_criterion_08_metric_invariants_on_randomized_bundles():
     with criterion(8, "metric orderings and label-permutation invariance on 1000 bundles"):
         rng = np.random.default_rng(20240817)
         for _ in range(1000):
-            grouped_means = {}
-            grouped_maxima = {}
-            grouped_scores = {}
+            outcomes = []
             for a in range(rng.integers(1, 4)):
-                name = f"act{a}"
-                grouped_means[name] = {}
-                grouped_maxima[name] = {}
-                grouped_scores[name] = {}
                 for r in range(rng.integers(1, 3)):
                     n_h = int(rng.integers(1, 5))
                     n_s = int(rng.integers(1, 7))
                     errors = np.abs(rng.normal(size=(n_h, n_s)))
-                    grouped_means[name][r] = tally(errors.mean(axis=1))
-                    grouped_maxima[name][r] = float(errors.max())
-                    grouped_scores[name][r] = tally(rng.integers(0, 2, size=n_h))
-            ae = average_error(grouped_means)
-            me = max_error(grouped_maxima)
-            ada = average_direction_accuracy(grouped_scores)
-            mda = min_direction_accuracy(grouped_scores)
-            assert 0.0 <= ae <= me
-            assert 0.0 <= mda <= ada <= 1.0
+                    total = float(np.sum(errors.mean(axis=1)))
+                    hits = float(np.sum(rng.integers(0, 2, size=n_h)))
+                    outcomes.append(Outcome(f"act{a}", r, False, n_h, total, float(errors.max()), hits))
+            row = summarize("s01", "zero", 125.0, outcomes)
+            assert 0.0 <= row.ae <= row.me
+            assert 0.0 <= row.mda <= row.ada <= 1.0
 
-            assert average_error({f"x_{k}": v for k, v in grouped_means.items()}) == ae
-            assert max_error({f"x_{k}": v for k, v in grouped_maxima.items()}) == me
-            relabeled_scores = {f"x_{k}": v for k, v in grouped_scores.items()}
-            assert average_direction_accuracy(relabeled_scores) == ada
-            assert min_direction_accuracy(relabeled_scores) == mda
+            relabeled = [o._replace(activity_id=f"x_{o.activity_id}") for o in reversed(outcomes)]
+            assert summarize("s01", "zero", 125.0, relabeled) == row
 
 
 def run_cli(*args):

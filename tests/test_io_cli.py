@@ -37,6 +37,7 @@ from compredict.io import (
 from compredict.pipeline import (
     METRICS_HEADER,
     PipelineError,
+    ResultBundle,
     bundle_from_dict,
     export_results,
     load_all_trials,
@@ -748,13 +749,36 @@ def test_cli_predict_rows_match_sweep(tmp_path, capsys):
         ("s01", "zero", 125.0, float("nan"), 0.2, 0.5, 0.4),
         ("s01", "zero", 125.0, 0.1, float("inf"), 0.5, 0.4),
         ("s01", "zero", 125.0, 0.1, 0.2, 0.5, float("-inf")),
+        # not a whole number of the default 5 ms samples
+        ("s01", "zero", 127.0, 0.1, 0.2, 0.5, 0.4),
     ],
 )
 def test_cli_analyze_rejects_malformed_metrics_row_naming_file_and_line(tmp_path, capsys, bad_row):
     path = tmp_path / "metrics.csv"
     write_table(path, METRICS_HEADER, map(format_row, [("s00", "zero", 125.0, 0.1, 0.2, 0.5, 0.4), bad_row]))
     assert main(["analyze", "--metrics-csv", str(path), "--out", str(tmp_path / "stats")]) == 1
-    assert f"{path}:3:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path}:3:" in err
+    if bad_row[2] == 127.0:
+        assert "dt = 0.005 s is set with --config" in err
+
+
+@pytest.mark.parametrize("command", ["synth", "preprocess", "predict", "metrics", "run", "analyze", "report"])
+def test_cli_out_naming_an_existing_file_is_an_input_error(tmp_path, capsys, command):
+    _, manifest_path = _write_single_trial_dataset(tmp_path)
+    metrics_path = tmp_path / "metrics.csv"
+    write_table(metrics_path, METRICS_HEADER, map(format_row, [("s00", "zero", 125.0, 0.1, 0.2, 0.5, 0.4)]))
+    bundle_path = export_results(ResultBundle(version="0", config={}), str(tmp_path / "bundle"), "json")[0]
+    inputs = {
+        "synth": [],
+        "analyze": ["--metrics-csv", str(metrics_path)],
+        "report": ["--bundle", bundle_path],
+    }
+    out = tmp_path / "afile"
+    out.write_text("kept\n")
+    assert main([command, "--out", str(out), *inputs.get(command, ["--manifest", str(manifest_path)])]) == 1
+    assert f"--out: {out} exists and is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
 
 
 def _set_cell(path, lineno, column, text):
@@ -779,6 +803,13 @@ def _set_cell(path, lineno, column, text):
         ("manifest", ("axis_map", ["x", "x", "z"])),
         ("manifest", ("com_file", 5)),
         ("manifest", ("mass_kg", float("nan"))),
+        ("manifest", ("mass_kg", True)),
+        ("manifest", ("mass_kg", "70")),
+        ("manifest", ("repeat_index", 0.9)),
+        ("manifest", ("repeat_index", True)),
+        ("manifest", ("contact_intervals", [[0.5, 100]])),
+        ("manifest", ("contact_intervals", [[False, 100]])),
+        ("manifest", ("phase_split", {"start_end": 60.5, "return_begin": 100})),
         ("manifest_root", ("trials", 5)),
         ("config", "filter_cutoff_hz = 600\n"),
         ("config", "filter_padlen = 100000\n"),
@@ -797,6 +828,13 @@ def _set_cell(path, lineno, column, text):
         "repeated-axis-in-axis-map",
         "non-string-com-file",
         "nan-mass",
+        "boolean-mass",
+        "string-mass",
+        "fractional-repeat",
+        "boolean-repeat",
+        "fractional-interval",
+        "boolean-interval",
+        "fractional-phase-split",
         "non-list-trials",
         "cutoff-above-grf-nyquist",
         "padlen-beyond-grf-length",

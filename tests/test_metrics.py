@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from compredict.metrics import (
-    AggregationError,
-    Tally,
-    average_direction_accuracy,
-    average_error,
-    max_error,
-    min_direction_accuracy,
-    pooled_average_error,
-    summarize,
-)
+from compredict.metrics import Outcome, summarize
 from compredict.prediction import sweep_errors
 from compredict.profiles import HorizonSpec, ProfileKind
 from compredict.synth import SyntheticSpec, make_trial
@@ -18,164 +9,143 @@ from compredict.synth import SyntheticSpec, make_trial
 from oracles import expected_me
 
 
-def tally(values):
-    """A trial's per-horizon values as the metrics take them."""
-    return Tally(float(np.sum(values)), len(values))
+def outcome(activity, repeat, errors=(), scores=(), is_static=False):
+    """A trial's Outcome from its per-horizon error series (one array per
+    horizon) and per-horizon 0/1 scores; either may be left out, and then
+    reads as zeros over the other's horizons."""
+    errors = list(errors) or [np.zeros(1)] * len(scores)
+    scores = list(scores) or [0] * len(errors)
+    assert len(errors) == len(scores)
+    means = [np.mean(s) for s in errors]
+    peak = max(float(np.max(s)) for s in errors)
+    return Outcome(activity, repeat, is_static, len(means), float(np.sum(means)), peak, float(np.sum(scores)))
 
 
-def _means(grouped_series):
-    """{activity: {repeat: [per-sample error series]}} reduced to what the
-    metrics take: per trial, a tally of its per-horizon mean errors."""
-    return {
-        activity: {r: tally([np.mean(s) for s in series]) for r, series in repeats.items()}
-        for activity, repeats in grouped_series.items()
-    }
-
-
-def _maxima(grouped_series):
-    """The same series reduced to each trial's max error."""
-    return {
-        activity: {r: max(float(np.max(s)) for s in series) for r, series in repeats.items()}
-        for activity, repeats in grouped_series.items()
-    }
-
-
-def _tallies(grouped_scores):
-    """{activity: {repeat: per-horizon scores}} as per-trial tallies."""
-    return {activity: {r: tally(v) for r, v in repeats.items()} for activity, repeats in grouped_scores.items()}
+def summary(outcomes, aggregation="hierarchical"):
+    return summarize("s01", "zero", 125.0, outcomes, aggregation)
 
 
 def test_average_error_single_horizon():
-    grouped = {"walk": {0: [np.array([0.0, 1e-3, 2e-3])]}}
-    assert average_error(_means(grouped)) == pytest.approx(1e-3, rel=1e-12)
+    outcomes = [outcome("walk", 0, [np.array([0.0, 1e-3, 2e-3])])]
+    assert summary(outcomes).ae == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_average_error_weighs_activities_equally():
     # activity means 1 mm and 3 mm with very different horizon counts
-    grouped = {
-        "short": {0: [np.array([1e-3])]},
-        "long": {0: [np.array([3e-3])] * 50},
-    }
-    assert average_error(_means(grouped)) == pytest.approx(2e-3, rel=1e-12)
+    outcomes = [outcome("short", 0, [np.array([1e-3])]), outcome("long", 0, [np.array([3e-3])] * 50)]
+    assert summary(outcomes).ae == pytest.approx(2e-3, rel=1e-12)
     # a pooled mean is dominated by the long activity instead
-    assert pooled_average_error(_means(grouped)) == pytest.approx((1e-3 + 50 * 3e-3) / 51, rel=1e-12)
+    assert summary(outcomes, "pooled").ae == pytest.approx((1e-3 + 50 * 3e-3) / 51, rel=1e-12)
 
 
 def test_average_error_all_zero():
-    grouped = {"a": {0: [np.zeros(5), np.zeros(7)], 1: [np.zeros(3)]}}
-    assert average_error(_means(grouped)) == 0.0
+    outcomes = [outcome("a", 0, [np.zeros(5), np.zeros(7)]), outcome("a", 1, [np.zeros(3)])]
+    assert summary(outcomes).ae == 0.0
 
 
 def test_max_error_over_everything():
-    grouped = {
-        "a": {0: [np.array([0.0, 1e-3, 2e-3]), np.array([0.0, 5e-3, 1e-3])]},
-    }
-    assert max_error(_maxima(grouped)) == pytest.approx(5e-3)
+    outcomes = [outcome("a", 0, [np.array([0.0, 1e-3, 2e-3]), np.array([0.0, 5e-3, 1e-3])])]
+    assert summary(outcomes).me == pytest.approx(5e-3)
 
 
 def test_max_error_matches_constant_discrepancy_closed_form():
     trial = make_trial(SyntheticSpec(kind="constant_acceleration", accel=1.0, duration=0.8, dt=0.005))
     hspec = HorizonSpec.from_duration(125, 0.005)
     errors, _ = sweep_errors(trial, hspec, ProfileKind.ZERO)
-    grouped = {"synthetic": {0: float(errors.max())}}
+    me = summary([outcome("synthetic", 0, errors)]).me
     # 0.5 * 25^2 * 0.005^2 * 1.0
-    assert max_error(grouped) == pytest.approx(expected_me(26, 0.005, 1.0), rel=1e-12)
-    assert max_error(grouped) == pytest.approx(7.8125e-3, rel=1e-12)
+    assert me == pytest.approx(expected_me(26, 0.005, 1.0), rel=1e-12)
+    assert me == pytest.approx(7.8125e-3, rel=1e-12)
 
 
 def test_single_sample_horizons_have_zero_error():
-    grouped = {"a": {0: [np.array([0.0]), np.array([0.0])]}}
-    assert max_error(_maxima(grouped)) == 0.0
+    outcomes = [outcome("a", 0, [np.array([0.0]), np.array([0.0])])]
+    assert summary(outcomes).me == 0.0
 
 
 def test_direction_accuracy_mean_of_means():
-    grouped = {
-        "a": {
-            0: [1, 1, 1, 1],          # mean 1.0
-            1: [1, 0, 1, 0],          # mean 0.5
-            2: [1, 1, 1, 0],          # mean 0.75
-        }
-    }
-    assert average_direction_accuracy(_tallies(grouped)) == pytest.approx(0.75)
+    outcomes = [
+        outcome("a", 0, scores=[1, 1, 1, 1]),  # mean 1.0
+        outcome("a", 1, scores=[1, 0, 1, 0]),  # mean 0.5
+        outcome("a", 2, scores=[1, 1, 1, 0]),  # mean 0.75
+    ]
+    assert summary(outcomes).ada == pytest.approx(0.75)
 
 
 def test_direction_accuracy_all_correct():
-    grouped = _tallies({"a": {0: [1, 1]}, "b": {0: [1, 1, 1]}})
-    assert average_direction_accuracy(grouped) == 1.0
-    assert min_direction_accuracy(grouped) == 1.0
+    row = summary([outcome("a", 0, scores=[1, 1]), outcome("b", 0, scores=[1, 1, 1])])
+    assert row.ada == 1.0
+    assert row.mda == 1.0
 
 
 def test_min_direction_accuracy_examples():
-    grouped = {"a": {0: [1, 1], 1: [1, 0, 1, 0, 1, 0, 1, 0, 1, 1], 2: [1, 0, 0, 0, 1]}}
+    outcomes = [
+        outcome("a", 0, scores=[1, 1]),
+        outcome("a", 1, scores=[1, 0, 1, 0, 1, 0, 1, 0, 1, 1]),
+        outcome("a", 2, scores=[1, 0, 0, 0, 1]),
+    ]
     # repeat means 1.0, 0.6, 0.4
-    assert min_direction_accuracy(_tallies(grouped)) == pytest.approx(0.4)
-    grouped = {"a": {0: [1], 1: [1]}, "b": {0: [1, 1, 0, 1, 0], 1: [1, 1, 0, 0, 1]}}
+    assert summary(outcomes).mda == pytest.approx(0.4)
+    outcomes = [
+        outcome("a", 0, scores=[1]),
+        outcome("a", 1, scores=[1]),
+        outcome("b", 0, scores=[1, 1, 0, 1, 0]),
+        outcome("b", 1, scores=[1, 1, 0, 0, 1]),
+    ]
     # repeat means 1.0, 1.0, 0.6, 0.6
-    assert min_direction_accuracy(_tallies(grouped)) == pytest.approx(0.6)
+    assert summary(outcomes).mda == pytest.approx(0.6)
 
 
 def test_empty_groups_raise_named_level():
-    with pytest.raises(AggregationError):
-        average_error({})
-    with pytest.raises(AggregationError, match="walk"):
-        average_error({"walk": {}})
-    with pytest.raises(AggregationError, match="repeat 1"):
-        average_error({"walk": {1: tally([])}})
-    with pytest.raises(AggregationError):
-        average_direction_accuracy({})
+    with pytest.raises(ValueError, match="no trials"):
+        summary([])
 
 
-def _random_grouped(rng):
-    grouped_errors = {}
-    grouped_scores = {}
+def _random_outcomes(rng):
+    outcomes = []
     for a in range(rng.integers(1, 4)):
-        activity = f"act{a}"
-        grouped_errors[activity] = {}
-        grouped_scores[activity] = {}
         for r in range(rng.integers(1, 4)):
             horizons = rng.integers(1, 6)
-            grouped_errors[activity][r] = [
-                np.abs(rng.normal(size=rng.integers(1, 9))) for _ in range(horizons)
-            ]
-            grouped_scores[activity][r] = list(rng.integers(0, 2, size=horizons))
-    return grouped_errors, grouped_scores
+            errors = [np.abs(rng.normal(size=rng.integers(1, 9))) for _ in range(horizons)]
+            outcomes.append(outcome(f"act{a}", r, errors, rng.integers(0, 2, size=horizons)))
+    return outcomes
 
 
 def test_metric_orderings_on_random_bundles():
     rng = np.random.default_rng(2024)
     for _ in range(200):
-        grouped_errors, grouped_scores = _random_grouped(rng)
-        ae = average_error(_means(grouped_errors))
-        me = max_error(_maxima(grouped_errors))
-        ada = average_direction_accuracy(_tallies(grouped_scores))
-        mda = min_direction_accuracy(_tallies(grouped_scores))
-        assert 0.0 <= ae <= me
-        assert 0.0 <= mda <= ada <= 1.0
+        row = summary(_random_outcomes(rng))
+        assert 0.0 <= row.ae <= row.me
+        assert 0.0 <= row.mda <= row.ada <= 1.0
 
 
 def test_metrics_invariant_under_relabeling():
     rng = np.random.default_rng(7)
-    grouped_errors, grouped_scores = _random_grouped(rng)
-    renamed_errors = {f"renamed_{k}": v for k, v in grouped_errors.items()}
-    grouped_scores = _tallies(grouped_scores)
-    renamed_scores = {f"renamed_{k}": v for k, v in grouped_scores.items()}
-    assert average_error(_means(grouped_errors)) == average_error(_means(renamed_errors))
-    assert max_error(_maxima(grouped_errors)) == max_error(_maxima(renamed_errors))
-    assert average_direction_accuracy(grouped_scores) == average_direction_accuracy(renamed_scores)
-    assert min_direction_accuracy(grouped_scores) == min_direction_accuracy(renamed_scores)
+    outcomes = _random_outcomes(rng)
+    row = summary(outcomes)
+    renamed = [o._replace(activity_id=f"renamed_{o.activity_id}") for o in outcomes]
+    assert summary(renamed) == row
     # reversing repeat indices only permutes the inner means
-    flipped = {
-        k: {max(v) - r: series for r, series in v.items()} for k, v in grouped_errors.items()
-    }
-    assert average_error(_means(grouped_errors)) == average_error(_means(flipped))
+    last = {}
+    for o in outcomes:
+        last[o.activity_id] = max(last.get(o.activity_id, 0), o.repeat_index)
+    flipped = [o._replace(repeat_index=last[o.activity_id] - o.repeat_index) for o in outcomes]
+    assert summary(flipped).ae == row.ae
+
+
+def test_summarize_sorts_outcomes_by_activity_and_repeat():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        outcomes = _random_outcomes(rng)
+        for aggregation in ("hierarchical", "pooled"):
+            row = summary(outcomes, aggregation)
+            for _ in range(3):
+                shuffled = [outcomes[i] for i in rng.permutation(len(outcomes))]
+                assert summary(shuffled, aggregation) == row
 
 
 def test_summarize_builds_metric_row():
-    grouped_errors = {"a": {0: [np.array([0.0, 2e-3])]}}
-    grouped_scores = _tallies({"a": {0: [1, 0]}})
-    row = summarize(
-        "s01", "zero", 125.0, _means(grouped_errors), _maxima(grouped_errors), grouped_scores
-    )
+    row = summary([outcome("a", 0, [np.array([0.0, 2e-3])] * 2, [1, 0])])
     assert row.subject_id == "s01"
     assert row.profile == "zero"
     assert row.ae == pytest.approx(1e-3)
@@ -186,21 +156,27 @@ def test_summarize_builds_metric_row():
 
 
 def test_summarize_static_only_subject_has_no_direction_metrics():
-    grouped_errors = {"a": {0: [np.array([0.0, 1e-3])]}}
-    row = summarize("s01", "zero", 125.0, _means(grouped_errors), _maxima(grouped_errors), {})
+    row = summary([outcome("a", 0, [np.array([0.0, 1e-3])], [1], is_static=True)])
+    assert row.ae == pytest.approx(5e-4)
     assert row.ada is None and row.mda is None
 
 
+def test_summarize_static_trials_count_toward_errors_only():
+    static = outcome("rest", 0, [np.array([9e-3])], is_static=True)
+    moving = outcome("walk", 0, [np.array([1e-3]), np.array([1e-3])], [1, 0])
+    row = summary([static, moving])
+    assert row.ae == pytest.approx(5e-3)
+    assert row.me == pytest.approx(9e-3)
+    assert row.ada == pytest.approx(0.5)
+    assert row.mda == pytest.approx(0.5)
+
+
 def test_summarize_pooled_mode():
-    grouped_errors = {
-        "short": {0: [np.array([1e-3])]},
-        "long": {0: [np.array([3e-3])] * 50},
-    }
-    means, maxima = _means(grouped_errors), _maxima(grouped_errors)
-    row = summarize("s01", "zero", 125.0, means, maxima, {}, aggregation="pooled")
+    outcomes = [outcome("short", 0, [np.array([1e-3])]), outcome("long", 0, [np.array([3e-3])] * 50)]
+    row = summary(outcomes, "pooled")
     assert row.ae == pytest.approx((1e-3 + 50 * 3e-3) / 51, rel=1e-12)
     with pytest.raises(ValueError):
-        summarize("s01", "zero", 125.0, means, maxima, {}, aggregation="median")
+        summary(outcomes, "median")
 
 
 def test_summarize_from_per_horizon_values_equals_per_sample_definition():
@@ -236,13 +212,16 @@ def test_summarize_from_per_horizon_values_equals_per_sample_definition():
             activity_ae.append(float(np.mean(repeat_ae)))
             activity_ada.append(float(np.mean(this_ada)))
 
-        means = {a: {r: tally(m.mean(axis=1)) for r, m in reps.items()} for a, reps in matrices.items()}
-        maxima = {a: {r: float(m.max()) for r, m in reps.items()} for a, reps in matrices.items()}
-        scores = _tallies(scores)
-        row = summarize("s01", "zero", 125.0, means, maxima, scores)
+        # as the pipeline reduces a trial: row sums of the (h, n) matrix's means
+        outcomes = [
+            Outcome(a, r, False, len(m), float(m.mean(axis=1).sum()), float(m.max()), float(scores[a][r].sum()))
+            for a, reps in matrices.items()
+            for r, m in reps.items()
+        ]
+        row = summary(outcomes)
         assert row.ae == float(np.mean(activity_ae))
         assert row.me == worst
         assert row.ada == float(np.mean(activity_ada))
         assert row.mda == min(repeat_ada)
-        pooled = summarize("s01", "zero", 125.0, means, maxima, scores, aggregation="pooled")
+        pooled = summary(outcomes, "pooled")
         assert pooled.ae == pytest.approx(float(np.mean(samples)), rel=1e-12)

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from compredict import prediction
 from compredict.io import DEFAULTS
-from compredict.metrics import Tally, summarize
+from compredict.metrics import Outcome, summarize
 from compredict.pipeline import SkipRow, run_pipeline
 from compredict.prediction import (
     Trial,
@@ -23,11 +23,6 @@ from compredict.synth import SyntheticSpec, make_trial
 from oracles import brute_force_trajectory, direction_score, generate_profile
 
 DT = 0.005
-
-
-def tally(values):
-    """A trial's per-horizon values as the metrics take them."""
-    return Tally(float(np.sum(values)), len(values))
 
 
 def predicted_positions(trial, spec, kind, rows):
@@ -413,7 +408,7 @@ def test_pipeline_batched_reduction_equals_per_trial_sweeps(monkeypatch, stride,
     for subject in ("s0", "s1"):
         for kind in (ProfileKind.parse(p) for p in config.profiles):
             for t_ms, spec in zip(config.horizons_ms, config.horizon_specs()):
-                means, maxima, scores = {}, {}, {}
+                outcomes = []
                 for trial in (t for t in trials if t.subject_id == subject):
                     try:
                         errors, trial_scores = sweep_errors(trial, spec, kind, stride=stride)
@@ -423,14 +418,20 @@ def test_pipeline_batched_reduction_equals_per_trial_sweeps(monkeypatch, stride,
                             seen.add(key)
                             expected_skips.append(SkipRow(*key, reason=str(exc)))
                         continue
-                    means.setdefault(trial.activity_id, {})[trial.repeat_index] = tally(errors.mean(axis=1))
-                    maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = float(errors.max())
-                    if not trial.is_static:
-                        scores.setdefault(trial.activity_id, {})[trial.repeat_index] = tally(trial_scores)
-                if means:
-                    expected_rows.append(
-                        summarize(subject, kind.value, t_ms, means, maxima, scores, config.aggregation)
+                    means = errors.mean(axis=1)
+                    outcomes.append(
+                        Outcome(
+                            trial.activity_id,
+                            trial.repeat_index,
+                            trial.is_static,
+                            len(means),
+                            float(np.sum(means)),
+                            float(errors.max()),
+                            float(np.sum(trial_scores)),
+                        )
                     )
+                if outcomes:
+                    expected_rows.append(summarize(subject, kind.value, t_ms, outcomes, config.aggregation))
     assert bundle.metric_rows == expected_rows
     assert bundle.skip_rows == expected_skips
     skipped = {(r.subject_id, r.activity_id, r.horizon_ms) for r in bundle.skip_rows}

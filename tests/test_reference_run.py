@@ -1,6 +1,7 @@
 """The pipeline's metric and skip rows against an independent reference:
 per-start stepping and plain loops (`oracles.reference_metric_rows`)."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -79,3 +80,14 @@ def test_metric_rows_equal_reference(trials, stride, profiles, aggregation, thre
                 assert value is None
             else:
                 assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(trials=sessions(), data=st.data(), aggregation=st.sampled_from(["hierarchical", "pooled"]))
+def test_trial_order_does_not_change_metric_rows(trials, data, aggregation):
+    config = replace(DEFAULTS, horizons_ms=HORIZONS_MS, aggregation=aggregation)
+    shuffled = data.draw(st.permutations(trials))
+    bundle, expected = run_pipeline(config, shuffled), run_pipeline(config, trials)
+    # repr shows every float to the last bit; skip rows follow trial order
+    assert list(map(repr, bundle.metric_rows)) == list(map(repr, expected.metric_rows))
+    assert Counter(bundle.skip_rows) == Counter(expected.skip_rows)
