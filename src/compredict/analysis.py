@@ -5,7 +5,8 @@ Weighted least squares handles the unequal variance across horizon lengths
 polynomial degrees, and a cubic -> quadratic -> linear cascade picks the
 lowest degree the data supports. Profiles are compared per horizon length
 with Welch's ANOVA, Welch's t-tests under a Bonferroni correction, and
-Cohen's d effect sizes.
+Cohen's d effect sizes. Every test returns a `TestResult` of one shape:
+statistic, df1, df2 (None for a t-test) and p-value.
 
 The t and F tail probabilities and the t quantile are evaluated through
 the regularized incomplete beta function.
@@ -138,10 +139,12 @@ def wls_polyfit(levels, degree: int) -> FitResult:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one statistical test; df is a float or (df1, df2) pair."""
+    """Outcome of one statistical test: its statistic, its degrees of
+    freedom (df2 is the F denominator's, None for a t-test) and its p-value."""
 
     statistic: float
-    df: object
+    df1: float
+    df2: float | None
     p_value: float
     perfect_fit: bool = False
 
@@ -163,20 +166,15 @@ def nested_f_test(fit_reduced: FitResult, fit_full: FitResult) -> TestResult:
     if n <= p_f:
         raise ValueError(f"need more observations ({n}) than parameters ({p_f})")
 
+    df1, df2 = float(p_f - p_r), float(n - p_f)
     drop = fit_reduced.wrss - fit_full.wrss
     # guard tiny negative/zero differences from float round-off
     if drop <= max(1e-12 * fit_reduced.wrss, 0.0):
-        return TestResult(statistic=0.0, df=(p_f - p_r, n - p_f), p_value=1.0)
+        return TestResult(statistic=0.0, df1=df1, df2=df2, p_value=1.0)
     if fit_full.wrss <= 0.0:
-        return TestResult(
-            statistic=float("inf"), df=(p_f - p_r, n - p_f), p_value=0.0, perfect_fit=True
-        )
-    stat = (drop / (p_f - p_r)) / (fit_full.wrss / (n - p_f))
-    return TestResult(
-        statistic=float(stat),
-        df=(p_f - p_r, n - p_f),
-        p_value=f_sf(stat, p_f - p_r, n - p_f),
-    )
+        return TestResult(statistic=float("inf"), df1=df1, df2=df2, p_value=0.0, perfect_fit=True)
+    stat = (drop / df1) / (fit_full.wrss / df2)
+    return TestResult(statistic=float(stat), df1=df1, df2=df2, p_value=f_sf(stat, df1, df2))
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ def welch_t_test(a, b) -> TestResult:
     se_b = var_b / b.size
     stat = (float(np.mean(a)) - float(np.mean(b))) / np.sqrt(se_a + se_b)
     df = (se_a + se_b) ** 2 / (se_a**2 / (a.size - 1) + se_b**2 / (b.size - 1))
-    return TestResult(statistic=float(stat), df=float(df), p_value=t_sf_two_sided(stat, df))
+    return TestResult(statistic=float(stat), df1=float(df), df2=None, p_value=t_sf_two_sided(stat, df))
 
 
 def welch_anova(groups) -> TestResult:
@@ -257,7 +255,7 @@ def welch_anova(groups) -> TestResult:
     spread = float((((1.0 - w / w_total) ** 2) / (n - 1.0)).sum() / (k**2 - 1.0))
     stat = between / (1.0 + 2.0 * (k - 2.0) * spread)
     df2 = 1.0 / (3.0 * spread)
-    return TestResult(statistic=float(stat), df=(k - 1, df2), p_value=f_sf(stat, k - 1, df2))
+    return TestResult(statistic=float(stat), df1=float(k - 1), df2=df2, p_value=f_sf(stat, k - 1, df2))
 
 
 def bonferroni(p_values, m: int) -> list[float]:

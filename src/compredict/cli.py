@@ -55,24 +55,41 @@ from .profiles import HorizonSpec, ProfileKind
 from .synth import protocol_items
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 1), so
+    they leave through `main` like every other error."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+# flag -> (the RunConfig key it overrides, its help text), in the order they apply
+FLAGS = {
+    "--profiles": ("profiles", "comma-separated profile names"),
+    "--horizons": ("horizons_ms", "comma-separated horizon lengths in ms"),
+    "--stride": ("stride", "samples between horizon starts"),
+    "--threads": ("threads", "workers, capped at the CPU count: sweep threads, and processes that load trials"),
+    "--format": ("out_format", "output format: csv or json"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="compredict",
         description="Predict center-of-mass trajectories and evaluate them across horizons.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, manifest=True):
+    def add_flags(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, help=FLAGS[flag][1])
+
+    def add_session(p, *flags):
         p.add_argument("--config", help="run configuration file (key = value lines)")
         p.add_argument("--out", required=True, help="output directory")
-        if manifest:
-            p.add_argument("--manifest", required=True, help="trial manifest (JSON)")
-        p.add_argument("--profiles", help="comma-separated profile names")
-        p.add_argument("--horizons", help="comma-separated horizon lengths in ms")
-        p.add_argument("--stride", help="samples between horizon starts")
-        p.add_argument("--threads", help="workers, capped at the CPU count: sweep threads, and processes that load trials")
-        p.add_argument("--format", help="output format: csv or json")
+        p.add_argument("--manifest", required=True, help="trial manifest (JSON)")
+        add_flags(p, *flags)
 
     p = sub.add_parser("synth", help="generate a synthetic validation dataset")
     p.add_argument("--out", required=True)
@@ -81,39 +98,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", default="3")
     p.add_argument("--dt", default="0.005")
 
-    add_common(sub.add_parser("preprocess", help="run the GRF chain only"))
-    add_common(sub.add_parser("predict", help="write per-horizon sweep summaries"))
-    add_common(sub.add_parser("metrics", help="write per-subject metric rows"))
-    add_common(sub.add_parser("run", help="full pipeline with all outputs"))
+    # each subcommand takes only the flags it reads
+    sweep = ("--profiles", "--horizons", "--stride", "--threads")
+    add_session(sub.add_parser("preprocess", help="run the GRF chain only"), "--threads")
+    add_session(sub.add_parser("predict", help="write per-horizon sweep summaries"), *sweep)
+    add_session(sub.add_parser("metrics", help="write per-subject metric rows"), *sweep)
+    add_session(sub.add_parser("run", help="full pipeline with all outputs"), *sweep, "--format")
 
     p = sub.add_parser("analyze", help="statistics from an existing metrics.csv")
     p.add_argument("--config", help="run configuration file")
     p.add_argument("--metrics-csv", required=True, dest="metrics_csv")
     p.add_argument("--out", required=True)
-    p.add_argument("--format")
+    add_flags(p, "--format")
 
     p = sub.add_parser("report", help="re-export tables from a saved bundle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format")
+    add_flags(p, "--format")
     return parser
-
-
-# flag -> the RunConfig key it overrides, in the order they apply
-FLAG_KEYS = {
-    "--profiles": "profiles",
-    "--horizons": "horizons_ms",
-    "--stride": "stride",
-    "--threads": "threads",
-    "--format": "out_format",
-}
 
 
 def _load_effective_config(args) -> RunConfig:
     """The config file or defaults under the flags, each read as its config
     key's value would be; a bad flag is a ConfigError that names it."""
     config = load_config(args.config) if getattr(args, "config", None) else DEFAULTS
-    for flag, key in FLAG_KEYS.items():
+    for flag, (key, _) in FLAGS.items():
         text = getattr(args, flag[2:], None)
         if text is not None:
             try:
@@ -313,15 +322,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    # No option takes a list, but argparse before Python 3.12 drops a value
-    # of exactly "--" (``--horizons=--``) and stores []; give back the text.
-    for name, value in vars(args).items():
-        if isinstance(value, list):
-            setattr(args, name, "--")
     try:
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise InputError(f"--out: {args.out} exists and is not a directory")
+        args = _build_parser().parse_args(argv)  # --help and --version exit 0 here
+        # No option takes a list, but argparse before Python 3.12 drops a value
+        # of exactly "--" (``--horizons=--``) and stores []; give back the text.
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                setattr(args, name, "--")
+        # --out may not exist yet, but its nearest existing ancestor must be a directory
+        existing = args.out
+        while existing and not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
+            raise InputError(f"--out: {existing} exists and is not a directory")
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,9 @@ trial is reduced at once to one `metrics.Outcome` per profile and horizon it
 fits, and each (subject, profile, horizon)'s outcomes to a row (`summarize`).
 `compute_statistics` groups the metric rows' values by (metric, profile,
 horizon) once and runs the trend fits and the per-horizon tests on them.
+One function, `_test_row`, turns every test (trend F-test, ANOVA or pairwise
+t-test) into its `StatRow`, or into a note row when the test or its effect
+size finds no variance; each Bonferroni family is corrected in one call.
 Blocks may run on a thread pool, but trials come back in order and every
 output row is produced in a fixed sorted order, so a run's outputs are
 byte-identical regardless of thread count. Trials too short for a horizon
@@ -234,23 +237,12 @@ def compute_statistics(metric_rows, config: RunConfig):
 
     for metric in METRIC_NAMES:
         for profile in config.profiles:
-            levels = []
-            for t_ms in config.horizons_ms:
-                values = grouped[metric, profile, t_ms]
-                if len(values) >= 2:
-                    levels.append((t_ms, values))
-                    low, high = confidence_interval(values)
-                    level_rows.append(
-                        LevelRow(
-                            metric=metric,
-                            profile=profile,
-                            horizon_ms=t_ms,
-                            mean=float(np.mean(values)),
-                            ci_low=low,
-                            ci_high=high,
-                            n=len(values),
-                        )
-                    )
+            # the horizons with two or more values: a level row each, and the trend's data
+            levels = [(t_ms, grouped[metric, profile, t_ms]) for t_ms in config.horizons_ms]
+            levels = [(t_ms, values) for t_ms, values in levels if len(values) >= 2]
+            for t_ms, values in levels:
+                mean, ci = float(np.mean(values)), confidence_interval(values)
+                level_rows.append(LevelRow(metric, profile, t_ms, mean, *ci, n=len(values)))
             if len(levels) < 4:
                 notes.append(f"{metric}/{profile}: too few horizon levels for trend fits")
                 continue
@@ -267,89 +259,71 @@ def compute_statistics(metric_rows, config: RunConfig):
                         degenerate=fit.degenerate_weights,
                     )
                 )
-            stat_rows.append(
-                _test_row(metric, f"{profile}:cubic-vs-quadratic", cascade.cubic_vs_quadratic)
-            )
-            if cascade.quadratic_vs_linear is not None:
-                stat_rows.append(
-                    _test_row(metric, f"{profile}:quadratic-vs-linear", cascade.quadratic_vs_linear)
-                )
+            trend_tests = {
+                "cubic-vs-quadratic": cascade.cubic_vs_quadratic,
+                "quadratic-vs-linear": cascade.quadratic_vs_linear,  # None once the cubic is selected
+            }
+            for name, test in trend_tests.items():
+                if test is not None:
+                    stat_rows.append(_test_row(metric, None, f"{profile}:{name}", lambda: test))
 
+    # the Bonferroni families: each pair of non-oracle profiles, and the
+    # oracle against each of them
     oracle = ProfileKind.ORACLE.value
     plain = [p for p in config.profiles if p != oracle]
-    plain_pairs = [(a, b) for i, a in enumerate(plain) for b in plain[i + 1 :]]
-    oracle_pairs = [(oracle, p) for p in plain] if oracle in config.profiles else []
-
+    families = [
+        [(a, b) for i, a in enumerate(plain) for b in plain[i + 1 :]],
+        [(oracle, p) for p in plain] if oracle in config.profiles else [],
+    ]
     for metric in METRIC_NAMES:
         for t_ms in config.horizons_ms:
             groups = {p: grouped[metric, p, t_ms] for p in config.profiles}
             usable = {p: v for p, v in groups.items() if len(v) >= 2}
             if len(usable) < 2:
                 continue
-            try:
-                anova = welch_anova(list(usable.values()))
-            except DegenerateVarianceError as exc:
-                stat_rows.append(
-                    StatRow(metric, t_ms, "anova", None, None, None, None, note=str(exc))
-                )
+            anova = _test_row(metric, t_ms, "anova", lambda: welch_anova(list(usable.values())))
+            stat_rows.append(anova)
+            # post-hoc tests only after a significant main effect; a note or a NaN p is none
+            if anova.p_value is None or not anova.p_value <= config.alpha:
                 continue
-            stat_rows.append(
-                StatRow(
-                    metric,
-                    t_ms,
-                    "anova",
-                    anova.statistic,
-                    float(anova.df[0]),
-                    float(anova.df[1]),
-                    anova.p_value,
-                )
-            )
-            if not anova.p_value <= config.alpha:
-                continue  # post-hoc tests only after a significant main effect; a NaN p is none
-            for family in (plain_pairs, oracle_pairs):
+            for family in families:
                 pairs = [(a, b) for a, b in family if a in usable and b in usable]
-                rows = []
-                for a, b in pairs:
-                    try:
-                        test = welch_t_test(usable[a], usable[b])
-                        effect = cohens_d(usable[a], usable[b], variant=config.cohens_d_variant)
-                    except DegenerateVarianceError as exc:
-                        rows.append(
-                            StatRow(metric, t_ms, f"{a}-{b}", None, None, None, None, note=str(exc))
-                        )
-                        continue
-                    rows.append(
-                        StatRow(
-                            metric,
-                            t_ms,
-                            f"{a}-{b}",
-                            test.statistic,
-                            float(test.df),
-                            None,
-                            test.p_value,
-                            effect_size=effect,
-                        )
+                rows = [
+                    _test_row(
+                        metric,
+                        t_ms,
+                        f"{a}-{b}",
+                        lambda: welch_t_test(usable[a], usable[b]),
+                        lambda: cohens_d(usable[a], usable[b], variant=config.cohens_d_variant),
                     )
+                    for a, b in pairs
+                ]
+                tested = [row.p_value for row in rows if row.p_value is not None]
                 # the family's size, raised to the number of pairs tested
-                m = max(config.bonferroni_m or len(pairs), sum(row.p_value is not None for row in rows))
-                for row in rows:
-                    if row.p_value is not None:
-                        row = replace(row, adjusted_p=bonferroni([row.p_value], m)[0])
-                    stat_rows.append(row)
+                adjusted = iter(bonferroni(tested, max(config.bonferroni_m or len(pairs), len(tested))))
+                stat_rows.extend(row if row.p_value is None else replace(row, adjusted_p=next(adjusted)) for row in rows)
     return fit_rows, level_rows, stat_rows, notes
 
 
-def _test_row(metric: str, comparison: str, test) -> StatRow:
-    df1, df2 = test.df if isinstance(test.df, tuple) else (test.df, None)
+def _test_row(metric: str, horizon_ms: float | None, comparison: str, test, effect=None) -> StatRow:
+    """The row of one test. `test()` runs it and `effect()`, if given, gives
+    its effect size; a DegenerateVarianceError from either makes the row a
+    note with no figures."""
+    try:
+        result = test()
+        effect_size = effect() if effect else None
+    except DegenerateVarianceError as exc:
+        return StatRow(metric, horizon_ms, comparison, None, None, None, None, note=str(exc))
     return StatRow(
         metric=metric,
-        horizon_ms=None,
+        horizon_ms=horizon_ms,
         comparison=comparison,
-        statistic=test.statistic,
-        df1=float(df1),
-        df2=float(df2) if df2 is not None else None,
-        p_value=test.p_value,
-        note="perfect fit" if test.perfect_fit else "",
+        statistic=result.statistic,
+        df1=result.df1,
+        df2=result.df2,
+        p_value=result.p_value,
+        effect_size=effect_size,
+        note="perfect fit" if result.perfect_fit else "",
     )
 
 

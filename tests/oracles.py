@@ -10,6 +10,7 @@ import math
 import os
 
 import mpmath as mp
+from scipy import stats as scipy_stats
 
 mp.mp.dps = 50
 
@@ -188,6 +189,185 @@ def reference_metric_rows(trials, config):
                     mda = min(sum(v) / len(v) for repeats in scores.values() for v in repeats.values())
                 rows.append((subject, profile, t_ms, mean(means), me, ada, mda))
     return rows, skips
+
+
+STATISTICS_METRICS = ("ae", "me", "ada", "mda")
+
+
+def _mean(values):
+    return math.fsum(values) / len(values)
+
+
+def _variance(values):
+    """Sample variance (n - 1 in the denominator); exactly 0 when every
+    value is equal."""
+    if len(set(values)) == 1:
+        return 0.0
+    mean = _mean(values)
+    return math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
+
+
+def _welch_t(a, b):
+    """Welch's t-test: (t, df) by the Welch-Satterthwaite equation and the
+    two-sided p-value, or the note of a pair with no variance."""
+    va, vb = _variance(a), _variance(b)
+    if va == 0.0 and vb == 0.0:
+        return "both samples have zero variance"
+    se_a, se_b = va / len(a), vb / len(b)
+    t = (_mean(a) - _mean(b)) / math.sqrt(se_a + se_b)
+    df = (se_a + se_b) ** 2 / (se_a**2 / (len(a) - 1) + se_b**2 / (len(b) - 1))
+    return t, df, None, 2.0 * scipy_stats.t.sf(abs(t), df)
+
+
+def _cohens_d(a, b, variant):
+    va, vb = _variance(a), _variance(b)
+    if variant == "pooled":
+        spread = ((len(a) - 1) * va + (len(b) - 1) * vb) / (len(a) + len(b) - 2)
+    else:
+        spread = (va + vb) / 2.0
+    if spread <= 0.0:
+        return "pooled variance is zero"
+    return (_mean(a) - _mean(b)) / math.sqrt(spread)
+
+
+def _welch_anova(groups):
+    """Welch's one-way ANOVA (Welch 1951): F, df1 = k - 1, df2 and its
+    p-value, or the note naming the first group with no variance."""
+    variances = [_variance(g) for g in groups]
+    if 0.0 in variances:
+        return f"group {variances.index(0.0)} has zero variance"
+    k = len(groups)
+    w = [len(g) / v for g, v in zip(groups, variances)]
+    means = [_mean(g) for g in groups]
+    total = math.fsum(w)
+    grand = math.fsum(wi * m for wi, m in zip(w, means)) / total
+    between = math.fsum(wi * (m - grand) ** 2 for wi, m in zip(w, means)) / (k - 1)
+    lam = math.fsum((1.0 - wi / total) ** 2 / (len(g) - 1) for wi, g in zip(w, groups))
+    f = between / (1.0 + 2.0 * (k - 2) * lam / (k * k - 1))
+    df2 = (k * k - 1) / (3.0 * lam)
+    return f, float(k - 1), df2, scipy_stats.f.sf(f, k - 1, df2)
+
+
+def _wls_fit(levels, degree):
+    """Weighted polynomial fit in high precision: each value at a level
+    weighs 1/variance of the level's values, 1e12 for a level without
+    variance. Returns (coefficients, R^2, weighted RSS, points, degenerate)."""
+    ts, ys, ws = [], [], []
+    for t, values in levels:
+        v = _variance(values)
+        for y in values:
+            ts.append(t)
+            ys.append(y)
+            ws.append(1.0 / v if v > 0.0 else 1e12)
+    coefficients = mp_wls_polyfit(ts, ys, ws, degree)
+    wrss = mp_weighted_rss(ts, ys, ws, coefficients)
+    grand = mp.fsum(mp.mpf(w) * y for w, y in zip(ws, ys)) / mp.fsum(ws)
+    wtss = mp.fsum(mp.mpf(w) * (y - grand) ** 2 for w, y in zip(ws, ys))
+    r_squared = 1 - wrss / wtss if wtss > 0 else (1 if wrss <= 0 else 0)
+    degenerate = any(_variance(values) == 0.0 for _, values in levels)
+    return [float(c) for c in coefficients], float(r_squared), wrss, len(ys), degenerate
+
+
+def _nested_f(reduced, full):
+    """F-test of a fit of one more degree: (F, df1, df2, p, note)."""
+    (_, _, rss_r, n, _), (coefficients, _, rss_f, _, _) = reduced, full
+    df1, df2 = 1.0, float(n - len(coefficients))
+    drop = rss_r - rss_f
+    if drop <= max(mp.mpf(1e-12) * rss_r, 0):
+        return 0.0, df1, df2, 1.0, ""
+    if rss_f <= 0:
+        return math.inf, df1, df2, 0.0, "perfect fit"
+    f = float((drop / df1) / (rss_f / df2))
+    return f, df1, df2, scipy_stats.f.sf(f, df1, df2), ""
+
+
+def reference_statistics(metric_rows, config):
+    """compute_statistics' (fit rows, level rows, test rows, notes), each row
+    a tuple of the pipeline row's fields, from textbook formulas: scipy.stats
+    distributions for the tails and quantiles, and high-precision normal
+    equations for the weighted fits.
+
+    metric_rows carry subject_id, profile, horizon_ms and the four metrics
+    (ada and mda may be None); config carries profiles, horizons_ms, alpha,
+    bonferroni_m and cohens_d_variant. A group of values counts as without
+    variance when its values are all equal. Per (metric, profile), each
+    horizon with two or more values gives a level row with a t-based 95% CI;
+    four or more such levels give the cubic -> quadratic -> linear fits and
+    their F-tests. Per (metric, horizon), the profiles with two or more
+    values get a Welch ANOVA; when p <= alpha, Welch t-tests with Cohen's d
+    follow in two Bonferroni families: the pairs of non-oracle profiles, and
+    the oracle against each of them. A family's m is bonferroni_m (its own
+    number of pairs when 0), raised to the number of its pairs tested.
+    """
+    if len({row.subject_id for row in metric_rows}) < 2:
+        return [], [], [], ["insufficient subjects for inference (n < 2); statistics skipped"]
+    values = {}
+    for row in sorted(metric_rows, key=lambda r: r.subject_id):
+        for metric in STATISTICS_METRICS:
+            if getattr(row, metric) is not None:
+                values.setdefault((metric, row.profile, row.horizon_ms), []).append(getattr(row, metric))
+
+    fits, levels, trends, tests, notes = [], [], [], [], []
+    for metric in STATISTICS_METRICS:
+        for profile in config.profiles:
+            usable = []
+            for t in config.horizons_ms:
+                group = values.get((metric, profile, t), [])
+                if len(group) < 2:
+                    continue
+                usable.append((t, group))
+                mean, n = _mean(group), len(group)
+                se = math.sqrt(_variance(group) / n)
+                low, high = scipy_stats.t.interval(0.95, n - 1, loc=mean, scale=se) if se else (mean, mean)
+                levels.append((metric, profile, t, mean, low, high, n))
+            if len(usable) < 4:
+                notes.append(f"{metric}/{profile}: too few horizon levels for trend fits")
+                continue
+            by_degree = {d: _wls_fit(usable, d) for d in (1, 2, 3)}
+            f, df1, df2, p, note = _nested_f(by_degree[2], by_degree[3])
+            trends.append((metric, None, f"{profile}:cubic-vs-quadratic", f, df1, df2, p, None, None, note))
+            selected = 3
+            if not p <= config.alpha:
+                f, df1, df2, p, note = _nested_f(by_degree[1], by_degree[2])
+                trends.append((metric, None, f"{profile}:quadratic-vs-linear", f, df1, df2, p, None, None, note))
+                selected = 2 if p <= config.alpha else 1
+            for d, (coefficients, r_squared, _, _, degenerate) in by_degree.items():
+                fits.append((metric, profile, d, d == selected, tuple(coefficients), r_squared, degenerate))
+
+    oracle = "oracle"
+    plain = [p for p in config.profiles if p != oracle]
+    families = [[(a, b) for i, a in enumerate(plain) for b in plain[i + 1 :]]]
+    families.append([(oracle, p) for p in plain] if oracle in config.profiles else [])
+    for metric in STATISTICS_METRICS:
+        for t in config.horizons_ms:
+            groups = {}
+            for p in config.profiles:
+                if len(values.get((metric, p, t), [])) >= 2:
+                    groups[p] = values[metric, p, t]
+            if len(groups) < 2:
+                continue
+            anova = _welch_anova(list(groups.values()))
+            if isinstance(anova, str):
+                tests.append((metric, t, "anova", None, None, None, None, None, None, anova))
+                continue
+            tests.append((metric, t, "anova", *anova, None, None, ""))
+            if not anova[3] <= config.alpha:
+                continue
+            for family in families:
+                pairs = [(a, b) for a, b in family if a in groups and b in groups]
+                rows = []
+                for a, b in pairs:
+                    result = _welch_t(groups[a], groups[b])
+                    d = result if isinstance(result, str) else _cohens_d(groups[a], groups[b], config.cohens_d_variant)
+                    if isinstance(d, str):  # the note of the test, or else of the effect size
+                        rows.append((metric, t, f"{a}-{b}", None, None, None, None, None, None, d))
+                    else:
+                        rows.append((metric, t, f"{a}-{b}", *result, None, d, ""))
+                m = max(config.bonferroni_m or len(pairs), sum(row[6] is not None for row in rows))
+                for row in rows:
+                    adjusted = None if row[6] is None else min(1.0, m * row[6])
+                    tests.append(row[:7] + (adjusted,) + row[8:])
+    return fits, levels, trends + tests, notes
 
 
 def mp_t_cdf(x, df):

@@ -172,7 +172,7 @@ def test_criterion_07_statistics_golden_values():
     with criterion(7, "statistics layer matches independent high-precision oracles"):
         welch = welch_t_test([1, 2, 3, 4, 5], [2, 3, 4, 5, 6])
         assert welch.statistic == pytest.approx(-1.0, rel=1e-12)
-        assert welch.df == pytest.approx(8.0, rel=1e-12)
+        assert welch.df1 == pytest.approx(8.0, rel=1e-12)
         assert abs(welch.p_value - 0.3466) <= 0.0005
 
         # the tail probabilities and quantile the pipeline's tests and CIs use

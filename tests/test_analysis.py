@@ -139,7 +139,7 @@ def test_nested_f_frozen_p_value():
     # F = 4.26 on (1, 48): reduced wrss 52.26, full wrss 48 with n = 51
     result = nested_f_test(_fit_stub(1, 52.26, 51), _fit_stub(2, 48.0, 51))
     assert_allclose(result.statistic, 4.26, rtol=1e-12)
-    assert result.df == (1, 48)
+    assert (result.df1, result.df2) == (1, 48)
     assert_allclose(result.p_value, 0.04444799755, rtol=1e-8)
 
 
@@ -190,7 +190,7 @@ def test_trend_cascade_selects_expected_degrees():
 def test_welch_t_frozen_example():
     result = welch_t_test([1, 2, 3, 4, 5], [2, 3, 4, 5, 6])
     assert result.statistic == pytest.approx(-1.0, rel=1e-12)
-    assert result.df == pytest.approx(8.0, rel=1e-12)
+    assert result.df1 == pytest.approx(8.0, rel=1e-12) and result.df2 is None
     assert result.p_value == pytest.approx(0.3466, abs=5e-4)
     assert result.p_value == pytest.approx(0.3465935071, rel=1e-8)
 
@@ -213,7 +213,7 @@ def test_welch_t_is_antisymmetric():
     rev = welch_t_test(b, a)
     assert fwd.statistic == pytest.approx(-rev.statistic, rel=1e-14)
     assert fwd.p_value == pytest.approx(rev.p_value, rel=1e-14)
-    assert fwd.df == pytest.approx(rev.df, rel=1e-14)
+    assert fwd.df1 == pytest.approx(rev.df1, rel=1e-14)
 
 
 def test_welch_t_degenerate_variance():
@@ -224,8 +224,8 @@ def test_welch_t_degenerate_variance():
 def test_welch_anova_frozen_example():
     result = welch_anova([[1, 2, 3, 4], [2, 3, 4, 5], [10, 11, 12, 13]])
     assert result.statistic == pytest.approx(52.56, rel=1e-12)
-    assert result.df[0] == 2
-    assert result.df[1] == pytest.approx(6.0, rel=1e-12)
+    assert result.df1 == 2
+    assert result.df2 == pytest.approx(6.0, rel=1e-12)
     assert result.p_value == pytest.approx(1.5742621e-4, rel=1e-7)
     assert result.p_value < 0.001
 
@@ -243,7 +243,7 @@ def test_welch_anova_two_groups_equals_t_squared():
     anova = welch_anova([a, b])
     ttest = welch_t_test(a, b)
     assert anova.statistic == pytest.approx(ttest.statistic**2, rel=1e-12)
-    assert anova.df[1] == pytest.approx(ttest.df, rel=1e-12)
+    assert anova.df2 == pytest.approx(ttest.df1, rel=1e-12)
     assert anova.p_value == pytest.approx(ttest.p_value, rel=1e-10)
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compredict.cli import FLAG_KEYS, _load_effective_config, main
+from compredict.cli import FLAGS, _load_effective_config, main
 from compredict.io import DEFAULTS, ConfigError, parse_config, write_dataset
 from compredict.profiles import HorizonSpec, ProfileKind
 from compredict.synth import protocol_items
@@ -123,10 +123,7 @@ def run_cli(argv):
     """(exit code, stderr) of one in-process CLI call, stdout discarded."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = main(argv)  # usage errors return 1 too, without SystemExit
     return code, err.getvalue()
 
 
@@ -196,5 +193,5 @@ def read_setting(read):
 def test_flag_and_config_line_give_the_same_setting(override):
     flag, text = override
     from_flag = read_setting(lambda: _load_effective_config(argparse.Namespace(**{flag[2:]: text})))
-    from_file = read_setting(lambda: parse_config(f"{FLAG_KEYS[flag]} = {text}\n"))
+    from_file = read_setting(lambda: parse_config(f"{FLAGS[flag][0]} = {text}\n"))
     assert from_flag == from_file, (flag, text)

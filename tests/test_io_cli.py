@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from compredict import pipeline
-from compredict.cli import HORIZONS_HEADER, main
+from compredict.cli import FLAGS, HORIZONS_HEADER, main
 from compredict.io import (
     COM_HEADER,
     COM_HEADER_NO_VEL,
@@ -774,11 +774,63 @@ def test_cli_out_naming_an_existing_file_is_an_input_error(tmp_path, capsys, com
         "analyze": ["--metrics-csv", str(metrics_path)],
         "report": ["--bundle", bundle_path],
     }
-    out = tmp_path / "afile"
-    out.write_text("kept\n")
-    assert main([command, "--out", str(out), *inputs.get(command, ["--manifest", str(manifest_path)])]) == 1
-    assert f"--out: {out} exists and is not a directory" in capsys.readouterr().err
-    assert out.read_text() == "kept\n"
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    # the file itself, and a directory that would have to be made below it
+    for out in (afile, afile / "sub"):
+        assert main([command, "--out", str(out), *inputs.get(command, ["--manifest", str(manifest_path)])]) == 1
+        assert f"--out: {afile} exists and is not a directory" in capsys.readouterr().err
+        assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--manifest", "m.json", "--out", "o", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["run", "--out", "o"], "the following arguments are required: --manifest"),
+        (["simulate", "--out", "o"], "invalid choice: 'simulate'"),
+        ([], "the following arguments are required: command"),
+        # flags a subcommand would ignore are not accepted
+        (["metrics", "--manifest", "m.json", "--out", "o", "--format", "json"], "unrecognized arguments: --format"),
+        (["predict", "--manifest", "m.json", "--out", "o", "--format", "csv"], "unrecognized arguments: --format"),
+        (["preprocess", "--manifest", "m.json", "--out", "o", "--horizons", "125"], "unrecognized arguments"),
+        (["preprocess", "--manifest", "m.json", "--out", "o", "--profiles", "zero"], "unrecognized arguments"),
+        (["preprocess", "--manifest", "m.json", "--out", "o", "--stride", "2"], "unrecognized arguments"),
+        (["preprocess", "--manifest", "m.json", "--out", "o", "--format", "csv"], "unrecognized arguments"),
+    ],
+)
+def test_cli_usage_errors_exit_1_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: compredict") and message in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"], ["preprocess", "--help"]])
+def test_cli_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_cli_help_lists_only_the_flags_each_subcommand_reads(capsys):
+    taken = {}
+    for command in ("preprocess", "predict", "metrics", "run", "analyze", "report"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        shown = capsys.readouterr().out
+        taken[command] = {flag for flag in FLAGS if flag in shown}
+    sweep = {"--profiles", "--horizons", "--stride", "--threads"}
+    assert taken == {
+        "preprocess": {"--threads"},
+        "predict": sweep,
+        "metrics": sweep,
+        "run": sweep | {"--format"},
+        "analyze": {"--format"},
+        "report": {"--format"},
+    }
 
 
 def _set_cell(path, lineno, column, text):

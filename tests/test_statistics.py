@@ -107,8 +107,8 @@ def pairwise_row(ae, t_ms, a, b, m):
         t_ms,
         f"{a}-{b}",
         test.statistic,
-        test.df,
-        None,
+        test.df1,
+        test.df2,
         test.p_value,
         adjusted_p=min(1.0, m * test.p_value),
         effect_size=cohens_d(ae[(a, t_ms)], ae[(b, t_ms)]),
@@ -127,7 +127,7 @@ def test_compute_statistics_corrects_each_pairwise_family_on_its_own(
 ):
     # every ANOVA passes, so zero and const, both without variance at 250 ms,
     # reach a pairwise test
-    monkeypatch.setattr(pipeline, "welch_anova", lambda groups: analysis.TestResult(5.0, (3, 6.0), 1e-4))
+    monkeypatch.setattr(pipeline, "welch_anova", lambda groups: analysis.TestResult(5.0, 3.0, 6.0, 1e-4))
     ae = spread_values(1.0)
     ae[("zero", 250.0)], ae[("const", 250.0)] = [1.0] * len(SUBJECTS), [2.0] * len(SUBJECTS)
     # at 375 ms only zero and oracle have two subjects: one oracle pair, no plain pair
