@@ -86,8 +86,9 @@ def wls_polyfit(levels, degree: int) -> FitResult:
     levels is a sequence of (t, values) pairs, one per horizon length; every
     observation at level t gets weight 1/var(values at t). A zero-variance
     level falls back to weight 1/ZERO_VARIANCE_EPS and flags the result.
+    Levels are stacked in ascending t, so the fit does not depend on their order.
     """
-    levels = [(float(t), np.asarray(v, dtype=float)) for t, v in levels]
+    levels = sorted(((float(t), np.asarray(v, dtype=float)) for t, v in levels), key=lambda level: level[0])
     if len(levels) <= degree:
         raise ValueError(
             f"degree {degree} needs more than {degree} distinct levels, got {len(levels)}"

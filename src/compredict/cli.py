@@ -28,6 +28,7 @@ from .io import (
     DEFAULTS,
     ConfigError,
     InputError,
+    ManifestError,
     RunConfig,
     format_row,
     load_config,
@@ -41,13 +42,12 @@ from .io import load_trial  # noqa: F401  perfbench/spans.py wraps this name her
 from .metrics import MetricSummary
 from .pipeline import (
     METRICS_HEADER,
-    ResultBundle,
-    compute_statistics,
     export_results,
     export_table,
     load_all_trials,
     load_bundle,
     loaded_entries,
+    result_bundle,
     run_pipeline,
 )
 from .prediction import sweep_session
@@ -156,17 +156,22 @@ def _cmd_synth(args) -> int:
 def _cmd_preprocess(args) -> int:
     config = _load_effective_config(args)
     entries = load_manifest(args.manifest)
+    names = {}  # acceleration file name -> the key of the trial that writes it, in load order
+    for entry in entries:
+        for activity_id in entry.trial_activities():
+            key = f"{entry.subject_id}/{activity_id}/{entry.repeat_index}"
+            name = f"{entry.subject_id}_{activity_id}_{entry.repeat_index}_accel.csv"
+            if os.path.basename(name) != name or "\0" in name:
+                raise ManifestError(f"{args.manifest}: trial {key}: file name {name!r} is not a single path component")
+            if name in names:
+                raise ManifestError(f"{args.manifest}: trials {names[name]} and {key} both name the file {name}")
+            names[name] = key
     os.makedirs(args.out, exist_ok=True)
-    count = 0
-    for trials, _ in loaded_entries(entries, config):
-        for trial in trials:
-            path = os.path.join(
-                args.out,
-                f"{trial.subject_id}_{trial.activity_id}_{trial.repeat_index}_accel.csv",
-            )
-            write_table(path, ["time_s", "ax", "ay", "az"], timed_lines(trial.dt, trial.accel_inputs))
-            count += 1
-    print(f"wrote {count} acceleration files to {args.out}")
+    loaded = (trial for trials, _ in loaded_entries(entries, config) for trial in trials)
+    for trial, name in zip(loaded, names):
+        path = os.path.join(args.out, name)
+        write_table(path, ["time_s", "ax", "ay", "az"], timed_lines(trial.dt, trial.accel_inputs))
+    print(f"wrote {len(names)} acceleration files to {args.out}")
     return 0
 
 
@@ -200,7 +205,7 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _run_bundle(args, config: RunConfig) -> ResultBundle:
+def _run_bundle(args, config: RunConfig):
     entries = load_manifest(args.manifest)
     if not entries:
         raise InputError(f"manifest {args.manifest} lists no trials")
@@ -208,6 +213,13 @@ def _run_bundle(args, config: RunConfig) -> ResultBundle:
     bundle = run_pipeline(config, trials)
     bundle.notes = notes + bundle.notes
     return bundle
+
+
+def _export(bundle, args, config: RunConfig) -> int:
+    """Write the bundle into --out in the configured format: the tail of run, analyze and report."""
+    written = export_results(bundle, args.out, out_format=config.out_format)
+    print(f"wrote {len(written)} files to {args.out}")
+    return 0
 
 
 def _cmd_metrics(args) -> int:
@@ -220,10 +232,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_effective_config(args)
-    bundle = _run_bundle(args, config)
-    written = export_results(bundle, args.out, out_format=config.out_format)
-    print(f"wrote {len(written)} files to {args.out}")
-    return 0
+    return _export(_run_bundle(args, config), args, config)
 
 
 def _finite(text: str) -> float:
@@ -287,27 +296,12 @@ def _cmd_analyze(args) -> int:
     horizons = tuple(sorted({r.horizon_ms for r in metric_rows}))
     profiles = tuple(dict.fromkeys(r.profile for r in metric_rows))
     config = replace(config, horizons_ms=horizons, profiles=profiles)
-    fit_rows, level_rows, stat_rows, notes = compute_statistics(metric_rows, config)
-    bundle = ResultBundle(
-        version=__version__,
-        config=config.to_dict(),
-        metric_rows=metric_rows,
-        fit_rows=fit_rows,
-        level_rows=level_rows,
-        stat_rows=stat_rows,
-        notes=notes,
-    )
-    written = export_results(bundle, args.out, out_format=config.out_format)
-    print(f"wrote {len(written)} files to {args.out}")
-    return 0
+    return _export(result_bundle(config, metric_rows), args, config)
 
 
 def _cmd_report(args) -> int:
     config = _load_effective_config(args)
-    bundle = load_bundle(args.bundle)
-    written = export_results(bundle, args.out, out_format=config.out_format)
-    print(f"wrote {len(written)} files to {args.out}")
-    return 0
+    return _export(load_bundle(args.bundle), args, config)
 
 
 _COMMANDS = {

@@ -11,7 +11,8 @@ A JSON manifest lists the trials: subject/activity/repeat identity, static
 flag, body mass, the two file paths (relative to the manifest), contact
 intervals at the force-plate rate, an axis mapping onto the X/Y-up/Z
 convention, and optional phase-split markers that cut one recording into
-start and return sub-trials.
+start and return sub-trials. `load_trial` builds every trial in one place,
+one per slice: the recording cut to its aligned length, or the two halves.
 
 The run configuration is a flat "key = value" text file; see DEFAULTS for
 the keys and `RunConfig` for their meaning.
@@ -307,6 +308,9 @@ def load_manifest(path: str) -> list[ManifestEntry]:
             repeat_index = _manifest_number(item["repeat_index"], int)
         except (TypeError, ValueError, OverflowError):
             raise bad(i, f"repeat_index must be an integer, got {item['repeat_index']!r}") from None
+        for key in ("subject_id", "activity_id"):
+            if type(item[key]) not in (str, int, float):  # not null, a boolean, a list or an object
+                raise bad(i, f"{key} must be a string or a number, got {item[key]!r}")
         for key in ("com_file", "grf_file"):
             if not isinstance(item[key], str):
                 raise bad(i, f"{key} must be a file path, got {item[key]!r}")
@@ -479,16 +483,20 @@ def read_grf_csv(path: str):
 
 
 def _format_cell(value) -> str:
-    """One CSV cell: None is empty, bools are true/false, and floats (numpy
+    """One CSV cell: None is empty, bools are true/false, floats (numpy
     scalars included) are their repr, the shortest string that round-trips
-    exactly."""
+    exactly, and text holding a comma, a quote, CR or LF is quoted as
+    `csv.QUOTE_MINIMAL` quotes it, with inner quotes doubled."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(float(value))
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def format_row(cells) -> str:
@@ -531,6 +539,7 @@ def load_trial(entry: ManifestEntry, config: RunConfig = DEFAULTS):
     trials with '_start' and '_return' suffixes. Returns (trials, notes).
     """
     notes: list[str] = []
+    label = f"{entry.subject_id}/{entry.activity_id}/{entry.repeat_index}"
     com_dt, positions, velocities = read_com_csv(entry.com_file)
     if abs(com_dt - config.dt) > 1e-9 * max(config.dt, com_dt):
         raise SchemaError(
@@ -541,10 +550,7 @@ def load_trial(entry: ManifestEntry, config: RunConfig = DEFAULTS):
             raise SchemaError(f"{entry.com_file}: velocity columns required")
         # central differences inside, one-sided at the edges
         velocities = np.gradient(positions, config.dt, axis=0)
-        notes.append(
-            f"{entry.subject_id}/{entry.activity_id}/{entry.repeat_index}: "
-            "velocities estimated by central differences"
-        )
+        notes.append(f"{label}: velocities estimated by central differences")
 
     grf_rate, forces = read_grf_csv(entry.grf_file)
     factor = grf_rate * config.dt
@@ -561,10 +567,7 @@ def load_trial(entry: ManifestEntry, config: RunConfig = DEFAULTS):
     intervals = entry.contact_intervals
     if intervals is None:
         intervals = detect_contact(forces, config.contact_threshold_n, config.contact_hold_samples)
-        notes.append(
-            f"{entry.subject_id}/{entry.activity_id}/{entry.repeat_index}: "
-            f"contact intervals auto-detected ({len(intervals)} found)"
-        )
+        notes.append(f"{label}: contact intervals auto-detected ({len(intervals)} found)")
     try:
         check_contact_intervals(intervals, len(forces))
     except ValueError as exc:
@@ -593,10 +596,17 @@ def load_trial(entry: ManifestEntry, config: RunConfig = DEFAULTS):
             "(more than one sample apart)"
         )
     n = min(n_com, n_acc)
-    positions, velocities, accel = positions[:n], velocities[:n], accel[:n]
-
-    def build(activity_id: str, sl: slice) -> Trial:
-        return Trial(
+    # one slice per trial of entry.trial_activities(): the aligned recording, or its two halves
+    slices = [slice(0, n)]
+    if entry.phase_split is not None:
+        start_end, return_begin = entry.phase_split
+        if not (1 <= start_end < return_begin <= n - 2):
+            raise ManifestError(
+                f"{entry.com_file}: phase_split ({start_end}, {return_begin}) out of bounds for {n} samples"
+            )
+        slices = [slice(0, start_end + 1), slice(return_begin, n)]
+    trials = [
+        Trial(
             subject_id=entry.subject_id,
             activity_id=activity_id,
             repeat_index=entry.repeat_index,
@@ -607,17 +617,9 @@ def load_trial(entry: ManifestEntry, config: RunConfig = DEFAULTS):
             velocities=velocities[sl],
             accel_inputs=accel[sl],
         )
-
-    if entry.phase_split is None:
-        return [build(entry.activity_id, slice(None))], notes
-
-    start_end, return_begin = entry.phase_split
-    if not (1 <= start_end < return_begin <= n - 2):
-        raise ManifestError(
-            f"{entry.com_file}: phase_split ({start_end}, {return_begin}) out of bounds for {n} samples"
-        )
-    halves = (slice(0, start_end + 1), slice(return_begin, n))
-    return [build(a, sl) for a, sl in zip(entry.trial_activities(), halves)], notes
+        for activity_id, sl in zip(entry.trial_activities(), slices)
+    ]
+    return trials, notes
 
 
 # ---------------------------------------------------------------------------

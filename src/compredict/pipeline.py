@@ -17,7 +17,9 @@ size finds no variance; each Bonferroni family is corrected in one call.
 Blocks may run on a thread pool, but trials come back in order and every
 output row is produced in a fixed sorted order, so a run's outputs are
 byte-identical regardless of thread count. Trials too short for a horizon
-are skipped with a reason instead of aborting the run.
+are skipped with a reason instead of aborting the run. `result_bundle`
+builds every bundle with statistics: `run_pipeline` ends with it, and
+`analyze` calls it on the rows of a `metrics.csv`.
 """
 
 from __future__ import annotations
@@ -173,7 +175,6 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
     """Compute metric rows and the statistics layer for a set of trials."""
     if not trials:
         raise PipelineError("no trials to process")
-    bundle = ResultBundle(version=__version__, config=config.to_dict())
     specs = config.horizon_specs()
 
     # (subject, profile index, horizon index) -> one Outcome per trial
@@ -196,21 +197,24 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
 
     # fixed-order per-subject metric rows; a subject none of whose trials
     # fits a horizon has no row for it
+    metric_rows = []
     for (subject, p, j), own in sorted(outcomes.items()):
         profile, t_ms = config.profiles[p], config.horizons_ms[j]
-        bundle.metric_rows.append(summarize(subject, profile, t_ms, own, aggregation=config.aggregation))
+        metric_rows.append(summarize(subject, profile, t_ms, own, aggregation=config.aggregation))
+    skip_rows = []
     for subject in sorted({t.subject_id for t in trials}):
         for t_ms, spec in zip(config.horizons_ms, specs):
             for trial in trials:
                 if trial.subject_id == subject and trial.n_samples < spec.n_samples:
                     reason = str(TrialTooShortError.for_horizon(trial, spec))
-                    bundle.skip_rows.append(SkipRow(subject, trial.activity_id, trial.repeat_index, t_ms, reason))
+                    skip_rows.append(SkipRow(subject, trial.activity_id, trial.repeat_index, t_ms, reason))
+    return result_bundle(config, metric_rows, skip_rows)
 
-    fit_rows, level_rows, stat_rows, stat_notes = compute_statistics(bundle.metric_rows, config)
-    bundle.fit_rows.extend(fit_rows)
-    bundle.level_rows.extend(level_rows)
-    bundle.stat_rows.extend(stat_rows)
-    bundle.notes.extend(stat_notes)
+
+def result_bundle(config: RunConfig, metric_rows: list, skip_rows=()) -> ResultBundle:
+    """The bundle of metric rows and skip rows, with `compute_statistics` run on the metric rows."""
+    bundle = ResultBundle(__version__, config.to_dict(), metric_rows, skip_rows=list(skip_rows))
+    bundle.fit_rows, bundle.level_rows, bundle.stat_rows, bundle.notes = compute_statistics(metric_rows, config)
     return bundle
 
 

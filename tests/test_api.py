@@ -10,6 +10,8 @@ import numpy as np
 
 import compredict
 from compredict.io import DEFAULTS, RunConfig, parse_config
+from compredict.prediction import sweep_errors
+from compredict.profiles import ProfileKind
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,7 +36,11 @@ def test_readme_library_example_runs():
         exec(compile(snippet, str(README), "exec"), inputs)
     # one line per start of a 51-sample horizon in a 60-sample trial
     assert len(printed.getvalue().splitlines()) == 10
-    assert inputs["errors"].shape == (10, 51)
+    # each the row mean and max of the one-trial sweep's (10, 51) errors, and its score
+    errors, scores = sweep_errors(inputs["trial"], inputs["spec"], ProfileKind.CUBIC)
+    assert errors.shape == (10, 51)
+    expected = [f"{start} {e.mean()} {e.max()} {score}" for start, (e, score) in enumerate(zip(errors, scores))]
+    assert printed.getvalue().splitlines() == expected
 
 
 def test_readme_configuration_block_lists_every_setting_once_at_its_default():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import multiprocessing
 import os
@@ -736,6 +737,86 @@ def test_cli_predict_rows_match_sweep(tmp_path, capsys):
     assert written == expected
 
 
+def _rename_subjects(manifest_path, names):
+    """Give the manifest's subjects the new ids in `names`, old id -> new id."""
+    raw = json.loads(Path(manifest_path).read_text())
+    for entry in raw["trials"]:
+        entry["subject_id"] = names.get(entry["subject_id"], entry["subject_id"])
+    Path(manifest_path).write_text(json.dumps(raw))
+
+
+def test_cli_quotes_text_cells_that_hold_a_comma_or_a_quote(tmp_path, capsys):
+    manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=2, n_repeats=1)
+    _rename_subjects(manifest_path, {"s00": "Smith, J", "s01": 'O"Neil'})
+    common = ["--manifest", str(manifest_path), "--horizons", "125,250", "--profiles", "zero,const"]
+    assert main(["run", *common, "--out", str(tmp_path / "run")]) == 0
+    assert main(["analyze", "--metrics-csv", str(tmp_path / "run" / "metrics.csv"), "--out", str(tmp_path / "a")]) == 0
+    with open(tmp_path / "a" / "metrics.csv", newline="") as fh:
+        assert {row[0] for row in list(csv.reader(fh))[1:]} == {"Smith, J", 'O"Neil'}
+    assert (tmp_path / "a" / "metrics.csv").read_bytes() == (tmp_path / "run" / "metrics.csv").read_bytes()
+
+    assert main(["predict", *common, "--out", str(tmp_path / "pred")]) == 0
+    with open(tmp_path / "pred" / "horizons.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) > 100
+    assert {len(row) for row in rows} == {9}
+    assert {row[0] for row in rows[1:]} == {"Smith, J", 'O"Neil'}
+
+
+@pytest.mark.parametrize(
+    "names, keys",
+    [
+        ({"s00": "p_q", "s01": "p"}, ["p_q/r/0", "p/q_r/0"]),
+        ({"s00": "../escaped"}, ["../escaped/r/0"]),
+        ({"s00": "x/y"}, ["x/y/r/0"]),
+        ({"s00": "x\0y"}, ["x\0y/r/0"]),
+    ],
+    ids=["two-trials-one-file-name", "name-outside-out", "name-in-a-subdirectory", "name-with-a-nul"],
+)
+def test_cli_preprocess_rejects_file_names_it_cannot_write_apart(tmp_path, capsys, names, keys):
+    manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=1, n_repeats=1)
+    raw = json.loads(Path(manifest_path).read_text())
+    for entry, activity in zip(raw["trials"], ["r", "q_r"]):
+        entry["activity_id"] = activity
+    Path(manifest_path).write_text(json.dumps(raw))
+    _rename_subjects(manifest_path, names)
+    out = tmp_path / "work" / "pre"
+    assert main(["preprocess", "--manifest", str(manifest_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest_path}: ")
+    for key in keys:
+        assert key in err
+    assert not (tmp_path / "work").exists()  # rejected before anything is written
+
+
+@pytest.fixture(scope="module")
+def small_synth_session(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth")
+    assert main(["synth", "--out", str(out), "--subjects", "4", "--activities", "4", "--repeats", "2"]) == 0
+    return out / "manifest.json"
+
+
+def _tables(out_dir, names=("tests.csv", "fits.csv", "levels.csv")):
+    return {name: (out_dir / name).read_bytes() for name in names}
+
+
+def test_cli_trend_fits_do_not_depend_on_horizon_order(tmp_path, small_synth_session, capsys):
+    for name, horizons in (("up", "125,250,375,500,625"), ("shuffled", "625,125,250,375,500")):
+        args = ["run", "--manifest", str(small_synth_session), "--out", str(tmp_path / name), "--horizons", horizons]
+        assert main(args) == 0
+    up, shuffled = _tables(tmp_path / "up"), _tables(tmp_path / "shuffled")
+    assert shuffled["fits.csv"] == up["fits.csv"]
+    for name in ("tests.csv", "levels.csv"):
+        assert set(shuffled[name].splitlines()) == set(up[name].splitlines())
+        assert len(shuffled[name].splitlines()) == len(up[name].splitlines())
+
+
+def test_cli_analyze_reproduces_the_statistics_of_run(tmp_path, small_synth_session, capsys):
+    assert main(["run", "--manifest", str(small_synth_session), "--out", str(tmp_path / "run")]) == 0
+    assert main(["analyze", "--metrics-csv", str(tmp_path / "run" / "metrics.csv"), "--out", str(tmp_path / "a")]) == 0
+    assert _tables(tmp_path / "a") == _tables(tmp_path / "run")
+
+
 @pytest.mark.parametrize(
     "bad_row",
     [
@@ -854,6 +935,10 @@ def _set_cell(path, lineno, column, text):
         ("manifest", ("axis_map", ["x", "q", "z"])),
         ("manifest", ("axis_map", ["x", "x", "z"])),
         ("manifest", ("com_file", 5)),
+        ("manifest", ("subject_id", None)),
+        ("manifest", ("subject_id", True)),
+        ("manifest", ("activity_id", ["a"])),
+        ("manifest", ("activity_id", {"a": 1})),
         ("manifest", ("mass_kg", float("nan"))),
         ("manifest", ("mass_kg", True)),
         ("manifest", ("mass_kg", "70")),
@@ -879,6 +964,10 @@ def _set_cell(path, lineno, column, text):
         "unknown-axis-in-axis-map",
         "repeated-axis-in-axis-map",
         "non-string-com-file",
+        "null-subject-id",
+        "boolean-subject-id",
+        "list-activity-id",
+        "object-activity-id",
         "nan-mass",
         "boolean-mass",
         "string-mass",
