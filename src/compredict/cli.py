@@ -17,11 +17,10 @@ Exit codes: 0 on success, 1 for input errors (files, manifest, config),
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 from . import __version__
 from .io import (
@@ -34,6 +33,7 @@ from .io import (
     load_config,
     load_manifest,
     parse_value,
+    read_csv_rows,
     timed_lines,
     write_dataset,
     write_table,
@@ -235,64 +235,45 @@ def _cmd_run(args) -> int:
     return _export(_run_bundle(args, config), args, config)
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
-
-
-def _read_metrics_csv(path: str, dt: float) -> list[MetricSummary]:
-    rows = []
-    first_lines = {}  # (subject_id, profile, horizon_ms) -> the line that first gave it
+def _metric_row(cells, dt: float) -> MetricSummary:
+    """One `metrics.csv` row: a known profile, finite numbers, and a horizon
+    that is a whole number of sample periods dt."""
+    subject_id, profile, horizon_ms, ae, me, ada, mda = cells
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != METRICS_HEADER:
-                raise InputError(f"{path}: header {header} does not match {METRICS_HEADER}")
-            for cells in reader:
-                if not cells:
-                    continue
-                try:
-                    subject_id, profile, horizon_ms, ae, me, ada, mda = cells
-                    rows.append(
-                        MetricSummary(
-                            subject_id=subject_id,
-                            profile=ProfileKind.parse(profile).value,
-                            horizon_ms=_finite(horizon_ms),
-                            ae=_finite(ae),
-                            me=_finite(me),
-                            ada=_finite(ada) if ada else None,
-                            mda=_finite(mda) if mda else None,
-                        )
-                    )
-                except ValueError:
-                    raise InputError(
-                        f"{path}:{reader.line_num}: malformed row {cells!r}; expected "
-                        f"{','.join(METRICS_HEADER)} with a known profile and finite numeric values"
-                    ) from None
-                try:
-                    HorizonSpec.from_duration(rows[-1].horizon_ms, dt)
-                except ValueError as exc:
-                    raise InputError(f"{path}:{reader.line_num}: {exc}; dt = {dt:g} s is set with --config") from None
-                key = (rows[-1].subject_id, rows[-1].profile, rows[-1].horizon_ms)
-                if key in first_lines:
-                    raise InputError(
-                        f"{path}:{reader.line_num}: {cells!r} repeats the subject, profile and horizon "
-                        f"of line {first_lines[key]}"
-                    )
-                first_lines[key] = reader.line_num
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return rows
+        row = MetricSummary(
+            subject_id=subject_id,
+            profile=ProfileKind.parse(profile).value,
+            horizon_ms=float(horizon_ms),
+            ae=float(ae),
+            me=float(me),
+            ada=float(ada) if ada else None,
+            mda=float(mda) if mda else None,
+        )
+        if not all(value is None or math.isfinite(value) for value in astuple(row)[2:]):
+            raise ValueError("non-finite value")
+    except ValueError:
+        raise ValueError(
+            f"malformed row {cells!r}; expected {','.join(METRICS_HEADER)} "
+            "with a known profile and finite numeric values"
+        ) from None
+    try:
+        HorizonSpec.from_duration(row.horizon_ms, dt)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; dt = {dt:g} s is set with --config") from None
+    return row
 
 
 def _cmd_analyze(args) -> int:
     config = _load_effective_config(args)
-    metric_rows = _read_metrics_csv(args.metrics_csv, config.dt)
+    path = args.metrics_csv
+    _, lines, metric_rows = read_csv_rows(path, [METRICS_HEADER], lambda cells: _metric_row(cells, config.dt))
+    first_lines = {}  # (subject_id, profile, horizon_ms) -> the line that first gave it
+    for line, row in zip(lines, metric_rows):
+        first = first_lines.setdefault((row.subject_id, row.profile, row.horizon_ms), line)
+        if first != line:
+            raise InputError(f"{path}:{line}: row repeats the subject, profile and horizon of line {first}")
     if not metric_rows:
-        raise InputError(f"{args.metrics_csv}: no metric rows")
+        raise InputError(f"{path}: no metric rows")
     horizons = tuple(sorted({r.horizon_ms for r in metric_rows}))
     profiles = tuple(dict.fromkeys(r.profile for r in metric_rows))
     config = replace(config, horizons_ms=horizons, profiles=profiles)

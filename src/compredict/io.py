@@ -7,6 +7,11 @@ File formats (flat CSV, one header line):
              is then used and flagged in the run notes)
   GRF file   time_s,fx,fy,fz            newtons, force-plate rate
 
+One reader, `read_csv_rows`, takes every CSV input: it checks the header,
+skips blank rows, hands each row to the caller's parser and names the
+physical `path:line` of a row of the wrong width or one the parser rejects.
+A recording is parsed in bulk first and re-read through it if that fails.
+
 A JSON manifest lists the trials: subject/activity/repeat identity, static
 flag, body mass, the two file paths (relative to the manifest), contact
 intervals at the force-plate rate, an axis mapping onto the X/Y-up/Z
@@ -24,6 +29,7 @@ import csv
 import itertools
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -55,7 +61,11 @@ class ManifestError(InputError):
 
 
 class ConfigError(InputError):
-    """Unknown or invalid configuration key/value."""
+    """Unknown or invalid configuration key/value; `key` names the setting at fault, if one does."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +104,11 @@ class RunConfig:
     out_format: str = "csv"
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "profiles", tuple(ProfileKind.parse(p).value for p in self.profiles))
-            object.__setattr__(self, "horizons_ms", tuple(map(float, self.horizons_ms)))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        for key, convert in (("profiles", lambda p: ProfileKind.parse(p).value), ("horizons_ms", float)):
+            try:
+                object.__setattr__(self, key, tuple(map(convert, getattr(self, key))))
+            except ValueError as exc:
+                raise ConfigError(str(exc), key) from exc
         limits = {  # key -> (whether its value is valid, what it must be)
             "dt": (0 < self.dt < np.inf, "positive and finite"),
             "horizons_ms": (0 < len(self.horizons_ms) == len(set(self.horizons_ms)), "non-empty with no repeats"),
@@ -119,7 +129,7 @@ class RunConfig:
         }
         for key, (valid, rule) in limits.items():
             if not valid:
-                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}", key)
         try:
             self.horizon_specs()
         except ValueError as exc:
@@ -163,7 +173,7 @@ def parse_value(key: str, text: str):
     a name. Config-file lines and CLI flags both go through here; an unknown
     key, an empty list item or unreadable text is a ConfigError."""
     if key not in _KEYS:
-        raise ConfigError(f"unknown configuration key {key!r}")
+        raise ConfigError(f"unknown configuration key {key!r}", key)
     default = getattr(DEFAULTS, key)
     try:
         if isinstance(default, tuple):
@@ -173,32 +183,36 @@ def parse_value(key: str, text: str):
             return tuple(map(type(default[0]), items))
         return (_parse_bool if isinstance(default, bool) else type(default))(text.strip())
     except ValueError as exc:
-        raise ConfigError(f"invalid value for {key}: {text!r} ({exc})") from None
+        raise ConfigError(f"invalid value for {key}: {text!r} ({exc})", key) from None
 
 
 def parse_config(text: str, base: RunConfig = DEFAULTS) -> RunConfig:
     """Parse "key = value" lines ('#' starts a comment) over the base config."""
     updates = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        try:
+    lines = {}  # key -> the line that last set it
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            lines[key] = lineno
             updates[key] = parse_value(key, raw)
-        except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-    return replace(base, **updates)
+        return replace(base, **updates)
+    except ConfigError as exc:  # an error about one key names the line that last set it
+        raise ConfigError(f"line {lines[exc.key]}: {exc}" if exc.key in lines else str(exc)) from None
 
 
 def load_config(path: str, base: RunConfig = DEFAULTS) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config(fh.read(), base)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +291,7 @@ def load_manifest(path: str) -> list[ManifestEntry]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
@@ -370,18 +384,44 @@ GRF_HEADER = ["time_s", "fx", "fy", "fz"]
 _BLANK_LINES = ("\n", "\r\n", "\r")  # lines that both csv and np.loadtxt skip
 
 
-def _read_header(path: str, reader, allowed_headers) -> list[str]:
+@contextmanager
+def _open_csv(path: str, allowed_headers):
+    """(file, csv reader, header) of a CSV file whose stripped first row is one
+    of allowed_headers; a file that cannot be read as CSV is a SchemaError."""
     try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
-    if header not in allowed_headers:
-        raise SchemaError(
-            f"{path}: header {','.join(header)} does not match any of: "
-            + " | ".join(",".join(h) for h in allowed_headers)
-        )
-    return header
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file") from None
+            if header not in allowed_headers:
+                raise SchemaError(
+                    f"{path}: header {','.join(header)} does not match any of: "
+                    + " | ".join(",".join(h) for h in allowed_headers)
+                )
+            yield fh, reader, header
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # csv.Error: an overlong field, or a NUL before 3.11
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+
+
+def read_csv_rows(path: str, allowed_headers, parse):
+    """(header, lines, values): parse(cells) of each non-blank row and the
+    line it ends on. A row of the wrong width, or one whose parse raises a
+    ValueError, is a SchemaError naming that `path:line`."""
+    lines, values = [], []
+    with _open_csv(path, allowed_headers) as (_, reader, header):
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise SchemaError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(cells)}")
+            try:
+                values.append(parse(cells))
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+            lines.append(reader.line_num)
+    return header, lines, values
 
 
 def _parse_body(lines, n_columns: int) -> np.ndarray | None:
@@ -413,12 +453,8 @@ def _read_csv(path: str, allowed_headers) -> tuple[list[str], np.ndarray]:
     re-read by `_read_csv_by_line`, which defines the result: its array, or
     its SchemaError naming `path:line`.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = _read_header(path, csv.reader(fh), allowed_headers)
-            data = _parse_body(fh, len(header))
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    with _open_csv(path, allowed_headers) as (fh, _, header):
+        data = _parse_body(fh, len(header))
     if data is None:
         return _read_csv_by_line(path, allowed_headers)
     return header, data
@@ -427,30 +463,14 @@ def _read_csv(path: str, allowed_headers) -> tuple[list[str], np.ndarray]:
 def _read_csv_by_line(path: str, allowed_headers) -> tuple[list[str], np.ndarray]:
     """`_read_csv` one row at a time through csv and float(): the reference
     for every file, and the reader that names the line of a bad row."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = _read_header(path, reader, allowed_headers)
-            rows, linenos = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-                try:
-                    rows.append([float(x) for x in row])
-                except ValueError:
-                    raise SchemaError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
-                linenos.append(lineno)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    header, lines, rows = read_csv_rows(path, allowed_headers, lambda cells: [float(x) for x in cells])
     if len(rows) < 2:
         raise SchemaError(f"{path}: need at least 2 samples, got {len(rows)}")
     data = np.asarray(rows, dtype=float)
     finite = np.isfinite(data)
     if not finite.all():
         bad = int(np.argmin(finite.all(axis=1)))
-        raise SchemaError(f"{path}:{linenos[bad]}: non-finite value in {rows[bad]!r}")
+        raise SchemaError(f"{path}:{lines[bad]}: non-finite value in {rows[bad]!r}")
     return header, data
 
 

@@ -366,10 +366,7 @@ TABLES = {
     ),
     "skips.csv": (
         ["subject_id", "activity_id", "repeat_index", "horizon_ms", "reason"],
-        lambda b: [
-            (r.subject_id, r.activity_id, r.repeat_index, r.horizon_ms, r.reason.replace(",", ";"))
-            for r in b.skip_rows
-        ],
+        lambda b: map(astuple, b.skip_rows),
     ),
 }
 

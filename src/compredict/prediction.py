@@ -149,8 +149,10 @@ class _Sweep:
             if trial.dt != dt:
                 raise ValueError(f"trial dt {trial.dt} does not match horizon dt {dt}")
         kinds = [ProfileKind(kind) for kind in kinds]
-        self.ns, self.n_kinds, self.stride = list(ns), len(kinds), stride
         self.lengths = np.array([trial.n_samples for trial in trials], dtype=int)
+        # a stride past the longest trial lays out and starts each trial as that length does
+        stride = min(stride, int(self.lengths.max(initial=1)))
+        self.ns, self.n_kinds, self.stride = list(ns), len(kinds), stride
         padded = -(-self.lengths // stride) * stride
         self.offsets = np.cumsum(padded) - padded
         self.rows = int(padded.sum()) // stride
@@ -324,7 +326,7 @@ def sweep_session(trials, specs, kinds, stride: int = 1, threads: int = 1):
         blocks = sweep.run(threads)
     else:  # nothing to sweep, but the blocks still hand every trial over
         blocks = itertools.repeat(None)
-    starts = (sweep.offsets // stride).tolist() + [sweep.rows]  # each trial's first row, then the end
+    starts = (sweep.offsets // sweep.stride).tolist() + [sweep.rows]  # each trial's first row, then the end
     t, vectors = 0, None
     for rows, block in zip(sweep.blocks, blocks):
         while starts[t] < rows.stop:

@@ -3,6 +3,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -117,6 +118,26 @@ def test_cli_config_value_that_fails_to_parse_exits_1_naming_the_line(tmp_path, 
     assert f"line {lineno}:" in capsys.readouterr().err
 
 
+def test_cli_config_errors_name_the_file_and_the_line(tmp_path, capsys):
+    # a key that fails to parse, and a value out of range, each name the file
+    # and the line that set it; a check across keys names the file only
+    cases = {
+        "stride = 2\nbogus = 1\n": "line 2: unknown configuration key 'bogus'",
+        "# filter\nfilter_order = 0\n": "line 2: filter_order must be >= 1, got 0",
+        "profiles = zero, ballistic\n": "line 1: unknown profile 'ballistic'",
+        "dt = 0.004\n": "horizon 125.0 ms is not a whole number of 4 ms samples",
+    }
+    config = tmp_path / "bad.cfg"
+    for text, message in cases.items():
+        config.write_text(text)
+        argv = ["run", "--manifest", str(tmp_path / "unused.json"), "--out", str(tmp_path / "x")]
+        assert main(argv + ["--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
+    # keys are checked together: a dt is not rejected before the horizons that fit it
+    config.write_text("dt = 0.004\nhorizons_ms = 128\n")
+    assert parse_config(config.read_text()).horizon_specs()[0].n_samples == 33
+
+
 # ---------------------------------------------------------------------------
 # CSV round trips
 
@@ -170,6 +191,21 @@ def test_read_csv_schema_errors(tmp_path):
     bad.write_text("time_s,fx,fy,fz\n0.0,1,2,3\n")
     with pytest.raises(SchemaError):  # a single sample is not a series
         read_grf_csv(bad)
+
+
+def test_csv_errors_name_the_physical_line_after_a_multi_line_cell(tmp_path, capsys):
+    # the quoted cell of line 3 runs on to line 4, so the bad row is line 5
+    grf = tmp_path / "grf.csv"
+    grf.write_text('time_s,fx,fy,fz\n0.0,1,2,3\n0.001,"2\n",2,3\n0.002,1,2,nope\n')
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(grf))}:5: "):
+        read_grf_csv(grf)
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(
+        ",".join(METRICS_HEADER) + '\ns00,zero,125.0,0.1,0.2,0.5,0.4\n"s\n01",zero,125.0,0.1,0.2,0.5,0.4\n'
+        "s02,zero,125.0,0.1,0.2\n"
+    )
+    assert main(["analyze", "--metrics-csv", str(metrics), "--out", str(tmp_path / "stats")]) == 1
+    assert capsys.readouterr().err == f"error: {metrics}:5: expected 7 fields, got 5\n"
 
 
 def test_read_csv_timestamp_errors(tmp_path):
@@ -800,6 +836,41 @@ def _tables(out_dir, names=("tests.csv", "fits.csv", "levels.csv")):
     return {name: (out_dir / name).read_bytes() for name in names}
 
 
+def test_cli_stride_longer_than_every_trial_gives_each_trial_its_first_start(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--subjects", "2", "--activities", "2", "--repeats", "1"]) == 0
+    trials, _ = load_all_trials(load_manifest(data / "manifest.json"), DEFAULTS)
+    longest = max(trial.n_samples for trial in trials)
+
+    def outputs(stride):
+        out = tmp_path / str(stride)
+        for command in ("run", "predict"):
+            args = ["--manifest", str(data / "manifest.json"), "--out", str(out), "--stride", str(stride)]
+            assert main([command, *args]) == 0
+        bundle = json.loads((out / "bundle.json").read_text())
+        assert bundle["config"].pop("stride") == stride
+        tables = {path.name: path.read_bytes() for path in out.glob("*.csv")}
+        return tables, bundle
+
+    expected = outputs(longest)
+    assert len(expected[0]) == 6
+    for stride in (10**6, 2**63 - 1, 10**20):
+        assert outputs(stride) == expected
+
+
+def test_cli_skips_csv_quotes_its_reasons(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--subjects", "2", "--activities", "2", "--repeats", "1"]) == 0
+    args = ["run", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "out"), "--horizons", "125,60000"]
+    assert main(args) == 0
+    skips = json.loads((tmp_path / "out" / "bundle.json").read_text())["skip_rows"]
+    with open(tmp_path / "out" / "skips.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(skips) == 4 and all("," in skip["reason"] for skip in skips)
+    assert rows[0][-1] == "reason"
+    assert [row[-1] for row in rows[1:]] == [skip["reason"] for skip in skips]
+
+
 def test_cli_trend_fits_do_not_depend_on_horizon_order(tmp_path, small_synth_session, capsys):
     for name, horizons in (("up", "125,250,375,500,625"), ("shuffled", "625,125,250,375,500")):
         args = ["run", "--manifest", str(small_synth_session), "--out", str(tmp_path / name), "--horizons", horizons]
@@ -1015,6 +1086,32 @@ def test_cli_malformed_input_exits_1_naming_the_file(tmp_path, capsys, file_key,
         where = f"{path}:{lineno}:"
     assert main(args) == 1
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("file_key", ["com_file", "grf_file", "metrics", "config", "manifest"])
+def test_cli_file_that_cannot_be_read_as_text_or_csv_exits_1_naming_it(tmp_path, capsys, file_key):
+    # a byte that is not UTF-8, or (grf_file) a field past csv's size limit
+    _, manifest_path = _write_single_trial_dataset(tmp_path)
+    raw = json.loads(Path(manifest_path).read_text())
+    args = ["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out")]
+    if file_key == "metrics":
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(",".join(METRICS_HEADER).encode() + b"\ns\xff,zero,125.0,0.1,0.2,0.5,0.4\n")
+        args = ["analyze", "--metrics-csv", str(path), "--out", str(tmp_path / "out")]
+    elif file_key == "config":
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"stride = \xff\n")
+        args += ["--config", str(path)]
+    elif file_key == "manifest":
+        path = Path(manifest_path)
+        path.write_bytes(path.read_bytes().replace(b'"s00"', b'"s\xff"'))
+    else:
+        path = os.path.join(os.path.dirname(manifest_path), raw["trials"][0][file_key])
+        tail = b'9,1,2,"' + b"1" * 200_000 + b'"\n' if file_key == "grf_file" else b"9,1,2,3,\xff\n"
+        Path(path).write_bytes(Path(path).read_bytes() + tail)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and f" {path}: " in err
 
 
 @pytest.mark.parametrize("file_key", ["com_file", "grf_file"])

@@ -506,6 +506,26 @@ def test_horizon_longer_than_every_trial_takes_no_memory():
     assert sum(r.horizon_ms == 60000.0 for r in bundle.skip_rows) == len(trials)
 
 
+def test_stride_longer_than_every_trial_takes_no_memory():
+    # a stride of 10^5 samples starts each trial once, as a stride of the
+    # longest trial's length does, and lays the session out no wider
+    trials = ragged_session()[:4]
+    config = replace(DEFAULTS, horizons_ms=(125.0, 250.0), stride=max(trial.n_samples for trial in trials))
+
+    def peak_and_rows(stride):
+        tracemalloc.start()
+        try:
+            bundle = run_pipeline(replace(config, stride=stride), trials)
+            return tracemalloc.get_traced_memory()[1], bundle.metric_rows
+        finally:
+            tracemalloc.stop()
+
+    peak, expected = peak_and_rows(config.stride)
+    long_peak, rows = peak_and_rows(10**5)
+    assert rows == expected
+    assert long_peak < peak + 2**20
+
+
 def test_run_memory_beyond_layout_does_not_grow_with_trial_length():
     # Beyond the layout's arrays (with the oracle's prefix sums) and the one
     # trial whose per-start vectors are being handed over, run_pipeline's
