@@ -8,8 +8,8 @@ with Welch's ANOVA, Welch's t-tests under a Bonferroni correction, and
 Cohen's d effect sizes. Every test returns a `TestResult` of one shape:
 statistic, df1, df2 (None for a t-test) and p-value.
 
-The t and F tail probabilities and the t quantile are evaluated through
-the regularized incomplete beta function.
+The t and F tail probabilities and the t quantile come from
+`scipy.special` (`stdtr`, `fdtrc`, `stdtrit`).
 """
 
 from __future__ import annotations
@@ -22,37 +22,6 @@ from scipy import special
 
 class DegenerateVarianceError(ValueError):
     """A variance-based test received data with no variance."""
-
-
-# ---------------------------------------------------------------------------
-# distribution functions (regularized incomplete beta)
-
-
-def t_sf_two_sided(x: float, df: float) -> float:
-    """Two-sided tail probability P(|T| >= |x|)."""
-    return float(special.betainc(df / 2.0, 0.5, df / (df + float(x) ** 2)))
-
-
-def f_sf(x: float, df1: float, df2: float) -> float:
-    """Upper tail P(F >= x), computed from the complementary beta ratio."""
-    if df1 <= 0 or df2 <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got ({df1}, {df2})")
-    x = float(x)
-    if x <= 0:
-        return 1.0
-    return float(special.betainc(df2 / 2.0, df1 / 2.0, df2 / (df1 * x + df2)))
-
-
-def t_ppf(q: float, df: float) -> float:
-    """Quantile of Student's t (inverse CDF), via the inverse beta ratio."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {q}")
-    if q == 0.5:
-        return 0.0
-    tail = 2.0 * (1.0 - q) if q > 0.5 else 2.0 * q
-    y = special.betaincinv(df / 2.0, 0.5, tail)
-    mag = float(np.sqrt(df * (1.0 - y) / y))
-    return mag if q > 0.5 else -mag
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +144,7 @@ def nested_f_test(fit_reduced: FitResult, fit_full: FitResult) -> TestResult:
     if fit_full.wrss <= 0.0:
         return TestResult(statistic=float("inf"), df1=df1, df2=df2, p_value=0.0, perfect_fit=True)
     stat = (drop / df1) / (fit_full.wrss / df2)
-    return TestResult(statistic=float(stat), df1=df1, df2=df2, p_value=f_sf(stat, df1, df2))
+    return TestResult(statistic=float(stat), df1=df1, df2=df2, p_value=float(special.fdtrc(df1, df2, stat)))
 
 
 @dataclass(frozen=True)
@@ -229,7 +198,7 @@ def welch_t_test(a, b) -> TestResult:
     se_b = var_b / b.size
     stat = (float(np.mean(a)) - float(np.mean(b))) / np.sqrt(se_a + se_b)
     df = (se_a + se_b) ** 2 / (se_a**2 / (a.size - 1) + se_b**2 / (b.size - 1))
-    return TestResult(statistic=float(stat), df1=float(df), df2=None, p_value=t_sf_two_sided(stat, df))
+    return TestResult(statistic=float(stat), df1=float(df), df2=None, p_value=float(2.0 * special.stdtr(df, -abs(stat))))
 
 
 def welch_anova(groups) -> TestResult:
@@ -256,7 +225,7 @@ def welch_anova(groups) -> TestResult:
     spread = float((((1.0 - w / w_total) ** 2) / (n - 1.0)).sum() / (k**2 - 1.0))
     stat = between / (1.0 + 2.0 * (k - 2.0) * spread)
     df2 = 1.0 / (3.0 * spread)
-    return TestResult(statistic=float(stat), df1=float(k - 1), df2=df2, p_value=f_sf(stat, k - 1, df2))
+    return TestResult(statistic=float(stat), df1=float(k - 1), df2=df2, p_value=float(special.fdtrc(k - 1, df2, stat)))
 
 
 def bonferroni(p_values, m: int) -> list[float]:
@@ -296,5 +265,5 @@ def confidence_interval(values, level: float = 0.95) -> tuple[float, float]:
         raise ValueError(f"level must be in (0, 1), got {level}")
     mean = float(np.mean(values))
     sd = float(np.std(values, ddof=1))
-    half = t_ppf(0.5 + level / 2.0, values.size - 1) * sd / np.sqrt(values.size)
+    half = special.stdtrit(values.size - 1, 0.5 + level / 2.0) * sd / np.sqrt(values.size)
     return (float(mean - half), float(mean + half))

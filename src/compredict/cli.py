@@ -24,15 +24,12 @@ from dataclasses import astuple, replace
 
 from . import __version__
 from .io import (
-    DEFAULTS,
-    ConfigError,
     InputError,
     ManifestError,
     RunConfig,
     format_row,
     load_config,
     load_manifest,
-    parse_value,
     read_csv_rows,
     timed_lines,
     write_dataset,
@@ -119,17 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_effective_config(args) -> RunConfig:
-    """The config file or defaults under the flags, each read as its config
-    key's value would be; a bad flag is a ConfigError that names it."""
-    config = load_config(args.config) if getattr(args, "config", None) else DEFAULTS
-    for flag, (key, _) in FLAGS.items():
-        text = getattr(args, flag[2:], None)
-        if text is not None:
-            try:
-                config = replace(config, **{key: parse_value(key, text)})
-            except ConfigError as exc:
-                raise ConfigError(f"{flag}: {exc}") from None
-    return config
+    """The config file's lines and then the flags, each flag read as its
+    config key's value would be, checked together as one RunConfig; an
+    error names the file's line or the flag that set the key at fault."""
+    texts = {flag: getattr(args, flag[2:], None) for flag in FLAGS}
+    flags = [(flag, FLAGS[flag][0], text) for flag, text in texts.items() if text is not None]
+    return load_config(getattr(args, "config", None), flags)
 
 
 def _cmd_synth(args) -> int:

@@ -8,11 +8,12 @@ instead of going through a matrix exponential:
     p[k+1] = p[k] + dt*v[k] + 0.5*dt**2 * u[k]
     v[k+1] = v[k] + dt*u[k]
 
-`zoh_update` is that update. `zoh_trajectory` repeats it over a whole
-input sequence as two sequential `np.cumsum` scans, equal bit for bit to
-repeated `zoh_update` calls; `synth.make_trial` builds every synthetic
-reference trajectory with it. Horizon sweeps evaluate the same dynamics in
-closed form instead (see `prediction._Sweep`).
+`zoh_trajectory` repeats that update over a whole input sequence as two
+sequential `np.cumsum` scans, equal bit for bit to stepping it one sample
+at a time; `synth.make_trial` builds every synthetic reference trajectory
+with it. Horizon sweeps evaluate the same dynamics in closed form instead
+(see `prediction._Sweep`), which agrees with stepped updates to rounding
+error rather than bit for bit.
 
 Axis convention: X and Z horizontal, Y vertical (against gravity).
 """
@@ -42,29 +43,15 @@ def grf_to_acceleration(grf, mass: float, g: float = STANDARD_GRAVITY) -> np.nda
     return accel
 
 
-def zoh_update(positions, velocities, accelerations, dt: float):
-    """One exact ZOH sample update; broadcasts over any leading dimensions.
-
-    `synth.make_trial` repeats this update over a whole trial through
-    `zoh_trajectory`, which gives the same bits. Horizon sweeps do not call
-    it: they evaluate the same dynamics in closed form (see
-    `prediction._Sweep`), which agrees with repeated updates to rounding
-    error rather than bit for bit.
-    """
-    new_p = positions + dt * velocities + (0.5 * dt * dt) * accelerations
-    new_v = velocities + dt * accelerations
-    return new_p, new_v
-
-
 def zoh_trajectory(position, velocity, accelerations, dt: float):
-    """States after repeated `zoh_update` calls from (position, velocity),
-    one per row of accelerations; returns (positions, velocities), each with
+    """States after stepping the ZOH update from (position, velocity) once
+    per row of accelerations; returns (positions, velocities), each with
     one more row than accelerations and the initial state first.
 
     np.cumsum adds strictly in sequence, so each velocity is v + dt*u and
-    each position is (p + dt*v) + c*u with c = 0.5*dt*dt, in
-    `zoh_update`'s own order: the result is equal to repeated updates bit
-    for bit, with no Python loop over samples.
+    each position is (p + dt*v) + c*u with c = 0.5*dt*dt, in the update's
+    own order: the result is equal to stepped updates bit for bit, with no
+    Python loop over samples.
     """
     accelerations = np.asarray(accelerations, dtype=float)
     n = len(accelerations)

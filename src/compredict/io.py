@@ -30,7 +30,7 @@ import itertools
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -133,7 +133,7 @@ class RunConfig:
         try:
             self.horizon_specs()
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(str(exc), "horizons_ms") from exc
 
     def horizon_specs(self) -> list[HorizonSpec]:
         return [HorizonSpec.from_duration(t, self.dt) for t in self.horizons_ms]
@@ -186,10 +186,13 @@ def parse_value(key: str, text: str):
         raise ConfigError(f"invalid value for {key}: {text!r} ({exc})", key) from None
 
 
-def parse_config(text: str, base: RunConfig = DEFAULTS) -> RunConfig:
-    """Parse "key = value" lines ('#' starts a comment) over the base config."""
-    updates = {}
-    lines = {}  # key -> the line that last set it
+def parse_config(text: str, flags=(), path: str = "") -> RunConfig:
+    """One RunConfig from "key = value" lines ('#' starts a comment) and then
+    the (flag, key, value text) settings of flags, checked together; a later
+    setting of a key overrides an earlier one. An error about one key names
+    the line or the flag that last set it, and a line names `path` if given."""
+    prefix = f"{path}: " if path else ""
+    updates, places = {}, {}  # key -> its value, and the line or flag that last set it
     try:
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -198,21 +201,26 @@ def parse_config(text: str, base: RunConfig = DEFAULTS) -> RunConfig:
             if "=" not in stripped:
                 raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
             key, raw = (part.strip() for part in stripped.split("=", 1))
-            lines[key] = lineno
+            places[key] = f"{prefix}line {lineno}"
             updates[key] = parse_value(key, raw)
-        return replace(base, **updates)
-    except ConfigError as exc:  # an error about one key names the line that last set it
-        raise ConfigError(f"line {lines[exc.key]}: {exc}" if exc.key in lines else str(exc)) from None
-
-
-def load_config(path: str, base: RunConfig = DEFAULTS) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read(), base)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        for flag, key, raw in flags:
+            places[key] = flag
+            updates[key] = parse_value(key, raw)
+        return RunConfig(**updates)
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{places[exc.key]}: {exc}" if exc.key in places else f"{prefix}{exc}") from None
+
+
+def load_config(path: str | None, flags=()) -> RunConfig:
+    """`parse_config` of the file at path (of no lines without one) and the flags."""
+    text = ""
+    if path:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text, flags, path)
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +482,14 @@ def _read_csv_by_line(path: str, allowed_headers) -> tuple[list[str], np.ndarray
     return header, data
 
 
-def _check_timestamps(path: str, times: np.ndarray) -> float:
-    """Validate monotone uniform timestamps; returns the sample period."""
+def _check_timestamps(path: str, header, times: np.ndarray) -> float:
+    """Validate monotone uniform timestamps; returns the sample period. A
+    timestamp that does not increase names its `path:line`, which only the
+    by-line reader knows."""
     diffs = np.diff(times)
     if np.any(diffs <= 0):
-        bad = int(np.argmax(diffs <= 0))
-        raise TimestampError(f"{path}: timestamps not strictly increasing at row {bad + 2}")
+        line = read_csv_rows(path, [header], len)[1][int(np.argmax(diffs <= 0)) + 1]
+        raise TimestampError(f"{path}:{line}: timestamps not strictly increasing")
     dt = float(np.median(diffs))
     if np.any(np.abs(diffs - dt) > 1e-6 * max(dt, 1e-12) + 1e-9):
         raise TimestampError(f"{path}: timestamps are not uniformly spaced")
@@ -489,7 +499,7 @@ def _check_timestamps(path: str, times: np.ndarray) -> float:
 def read_com_csv(path: str):
     """Returns (dt, positions, velocities-or-None)."""
     header, data = _read_csv(path, [COM_HEADER, COM_HEADER_NO_VEL])
-    dt = _check_timestamps(path, data[:, 0])
+    dt = _check_timestamps(path, header, data[:, 0])
     positions = data[:, 1:4]
     velocities = data[:, 4:7] if len(header) == 7 else None
     return dt, positions, velocities
@@ -497,8 +507,8 @@ def read_com_csv(path: str):
 
 def read_grf_csv(path: str):
     """Returns (sample_rate, forces)."""
-    _, data = _read_csv(path, [GRF_HEADER])
-    dt = _check_timestamps(path, data[:, 0])
+    header, data = _read_csv(path, [GRF_HEADER])
+    dt = _check_timestamps(path, header, data[:, 0])
     return 1.0 / dt, data[:, 1:4]
 
 

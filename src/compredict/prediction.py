@@ -11,8 +11,8 @@ the sign of the reference displacement along the reference's largest axis.
 Prediction uses the closed-form ZOH response: initial position, plus elapsed
 time times initial velocity, plus the input response from `_input_kernel`
 (or, for the oracle, from per-trial prefix sums of the recorded inputs).
-This path does not step through `dynamics.zoh_update`, so it matches stepped
-propagation to rounding error only.
+This path does not step the ZOH update sample by sample, so it matches
+stepped propagation to rounding error only.
 
 One object, `_Sweep`, lays a session out, cuts its starts into blocks and
 evaluates every profile and horizon a block at a time, on up to

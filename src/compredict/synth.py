@@ -121,9 +121,9 @@ def make_trial(
     The stored acceleration inputs are exactly the ZOH inputs used to build
     the reference (midpoint samples of the continuous acceleration), so the
     oracle profile reproduces the reference bit for bit. The reference is
-    propagated by `dynamics.zoh_trajectory`, which equals repeated
-    `zoh_update` calls bit for bit. Identical arguments give identical
-    trials.
+    propagated by `dynamics.zoh_trajectory`, which equals stepping the ZOH
+    update one sample at a time bit for bit. Identical arguments give
+    identical trials.
     """
     n = spec.n_samples
     dt = spec.dt

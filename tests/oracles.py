@@ -28,6 +28,17 @@ def brute_force_trajectory(p0, v0, accels, dt):
     return positions, velocities
 
 
+def zoh_update(positions, velocities, accelerations, dt):
+    """One exact ZOH sample update; broadcasts over any leading dimensions.
+
+    The stepped reference for `dynamics.zoh_trajectory`, which must equal
+    repeated calls bit for bit.
+    """
+    new_p = positions + dt * velocities + (0.5 * dt * dt) * accelerations
+    new_v = velocities + dt * accelerations
+    return new_p, new_v
+
+
 def convolution_position(p1, v1, inputs, dt):
     """Closed-form position after len(inputs) steps:
     p = p1 + (k-1)*dt*v1 + sum_i (k-i-1/2)*dt^2*u[i] with i = 1..k-1."""

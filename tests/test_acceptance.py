@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from compredict.analysis import bonferroni, cohens_d, f_sf, t_ppf, t_sf_two_sided, welch_t_test
+from compredict.analysis import bonferroni, cohens_d, welch_t_test
 from compredict.io import RunConfig
 from compredict.metrics import Outcome, summarize
 from compredict.pipeline import run_pipeline
@@ -27,7 +27,8 @@ from compredict.profiles import HorizonSpec, ProfileKind
 from compredict.signal import butterworth_lowpass
 from compredict.synth import SyntheticSpec, make_trial, sign_reversal_spec
 
-from oracles import analytic_error, expected_ae, expected_me, mp_f_sf, mp_t_cdf
+from oracles import analytic_error, expected_ae, expected_me, mp_t_cdf
+from test_analysis import f_tail_error, nested_f_at, t_quantiles, t_tail_error, welch_anova_at, welch_t_at
 
 DT = 0.005
 HORIZONS_MS = (125, 250, 375, 500, 625)
@@ -175,17 +176,18 @@ def test_criterion_07_statistics_golden_values():
         assert welch.df1 == pytest.approx(8.0, rel=1e-12)
         assert abs(welch.p_value - 0.3466) <= 0.0005
 
-        # the tail probabilities and quantile the pipeline's tests and CIs use
+        # the tail probabilities and quantile the pipeline's tests and CIs use,
+        # read through those tests and that interval
         worst = 0.0
         for df in (1, 2, 5, 20, 80, 140, 200):
             for x in (0.0, 0.3, 1.0, 2.5, 7.0, 20.0, 50.0):
-                two_sided = float(2 * (1 - mp_t_cdf(x, df)))
-                worst = max(worst, abs(t_sf_two_sided(x, df) - two_sided))
-                worst = max(worst, abs(t_sf_two_sided(-x, df) - two_sided))
+                worst = max(worst, t_tail_error(welch_t_at(x, df)), t_tail_error(welch_t_at(-x, df)))
+                worst = max(worst, f_tail_error(welch_anova_at(x, df)))
                 for df2 in (1, 9, 48, 200):
-                    worst = max(worst, abs(f_sf(x, df, df2) - float(mp_f_sf(x, df, df2))))
-            for q in (0.005, 0.1, 0.4, 0.6, 0.9, 0.975, 0.995):
-                worst = max(worst, abs(float(mp_t_cdf(t_ppf(q, df), df)) - q))
+                    worst = max(worst, f_tail_error(nested_f_at(x, df, df2)))
+            for level in (0.2, 0.8, 0.95, 0.99):  # q = 0.5 -+ level/2 covers 0.005 ... 0.995
+                for q, t in zip((0.5 - level / 2, 0.5 + level / 2), t_quantiles(level, df)):
+                    worst = max(worst, abs(float(mp_t_cdf(t, df)) - q))
         assert worst <= 1e-10
 
         assert bonferroni([0.004], 6) == [0.024]

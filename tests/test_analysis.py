@@ -8,10 +8,7 @@ from compredict.analysis import (
     bonferroni,
     cohens_d,
     confidence_interval,
-    f_sf,
     nested_f_test,
-    t_ppf,
-    t_sf_two_sided,
     trend_cascade,
     welch_anova,
     welch_t_test,
@@ -22,42 +19,84 @@ from oracles import mp_f_sf, mp_t_cdf, mp_t_quantile, mp_wls_polyfit, mp_weighte
 
 
 # ---------------------------------------------------------------------------
-# distribution functions
+# distribution functions, through the tests and the interval that use them
 
 DF_GRID = [1, 2, 3, 5, 10, 25, 50, 120, 200]
 STAT_GRID = [0.0, 0.1, 0.5, 1.0, 2.0, 4.26, 10.0, 25.0, 50.0]
+
+
+def welch_t_at(x, df):
+    """welch_t_test with statistic x on df degrees of freedom: df + 1 values
+    against a constant pair, which adds nothing to the standard error."""
+    a = np.arange(df + 1.0)
+    return welch_t_test(a, np.full(2, a.mean() - x * np.sqrt(np.var(a, ddof=1) / a.size)))
+
+
+def nested_f_at(x, df1, df2):
+    """nested_f_test with statistic x on (df1, df2) degrees of freedom."""
+    n_points = df1 + df2 + 1
+    return nested_f_test(_fit_stub(0, 1.0 + x * df1 / df2, n_points), _fit_stub(df1, 1.0, n_points))
+
+
+def welch_anova_at(x, df1):
+    """welch_anova with statistic x across df1 + 1 groups of three values:
+    shifting one group by s scales the statistic by s**2."""
+
+    def groups(s):
+        return [[-1.0, 0.0, 1.0]] * df1 + [[s - 1.0, s, s + 1.0]]
+
+    return welch_anova(groups(np.sqrt(x / welch_anova(groups(1.0)).statistic)))
+
+
+def t_quantiles(level, df):
+    """The t quantiles at 0.5 - level/2 and 0.5 + level/2 on df degrees of
+    freedom, read back from confidence_interval on df + 1 values of mean 0."""
+    values = np.arange(df + 1.0) - df / 2.0
+    low, high = confidence_interval(values, level)
+    scale = np.std(values, ddof=1) / np.sqrt(values.size)
+    return low / scale, high / scale
+
+
+def t_tail_error(result):
+    """|p - P(|T| >= |t|)| of a t-test result, against the mpmath oracle."""
+    return abs(result.p_value - float(2 * (1 - mp_t_cdf(abs(result.statistic), result.df1))))
+
+
+def f_tail_error(result):
+    """|p - P(F >= f)| of an F-test result, against the mpmath oracle."""
+    return abs(result.p_value - float(mp_f_sf(result.statistic, result.df1, result.df2)))
 
 
 def test_t_sf_matches_high_precision_beta_oracle():
     worst = 0.0
     for df in DF_GRID:
         for x in STAT_GRID:
-            want = float(2 * (1 - mp_t_cdf(x, df)))
             for sign in (1.0, -1.0):
-                worst = max(worst, abs(t_sf_two_sided(sign * x, df) - want))
+                worst = max(worst, t_tail_error(welch_t_at(sign * x, df)))
     assert worst < 1e-10
 
 
 def test_f_sf_matches_high_precision_beta_oracle():
     worst = 0.0
     for df1 in DF_GRID:
-        for df2 in DF_GRID:
-            for x in STAT_GRID:
-                got = f_sf(x, df1, df2)
-                want = float(mp_f_sf(x, df1, df2))
-                worst = max(worst, abs(got - want))
+        for x in STAT_GRID:
+            worst = max(worst, f_tail_error(welch_anova_at(x, df1)))
+            for df2 in DF_GRID:
+                worst = max(worst, f_tail_error(nested_f_at(x, df1, df2)))
     assert worst < 1e-10
 
 
 def test_t_quantile_frozen_value_and_inverse():
     # t quantile at 97.5% with 9 degrees of freedom
-    assert_allclose(t_ppf(0.975, 9), float(mp_t_quantile(0.975, 9)), rtol=1e-10)
-    assert_allclose(t_ppf(0.975, 9), 2.2621571628, rtol=1e-9)
+    low, high = t_quantiles(0.95, 9)
+    assert_allclose(high, float(mp_t_quantile(0.975, 9)), rtol=1e-10)
+    assert_allclose(high, 2.2621571628, rtol=1e-9)
+    assert low == -high
     for q in (0.6, 0.9, 0.995):
         for df in (3, 9, 100):
-            assert_allclose(float(mp_t_cdf(t_ppf(q, df), df)), q, rtol=1e-10)
-    assert t_ppf(0.5, 9) == 0.0
-    assert t_ppf(0.025, 9) == pytest.approx(-t_ppf(0.975, 9), rel=1e-12)
+            low, high = t_quantiles(2 * q - 1, df)
+            assert_allclose(float(mp_t_cdf(high, df)), q, rtol=1e-10)
+            assert_allclose(float(mp_t_cdf(low, df)), 1 - q, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from compredict.dynamics import grf_to_acceleration, zoh_trajectory, zoh_update
+from compredict.dynamics import grf_to_acceleration, zoh_trajectory
 from compredict.profiles import HorizonSpec
 from compredict.synth import SyntheticSpec, make_trial
 
-from oracles import brute_force_trajectory, convolution_position
+from oracles import brute_force_trajectory, convolution_position, zoh_update
 
 
 def zoh_matrices(dt):

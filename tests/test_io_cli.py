@@ -138,6 +138,21 @@ def test_cli_config_errors_name_the_file_and_the_line(tmp_path, capsys):
     assert parse_config(config.read_text()).horizon_specs()[0].n_samples == 33
 
 
+def test_cli_config_file_and_flags_are_checked_together(tmp_path, capsys):
+    # the file's dt fits the flag's horizons, though not the default ones
+    synth = ["synth", "--out", str(tmp_path / "data"), "--subjects", "2", "--activities", "2", "--repeats", "1"]
+    assert main(synth + ["--dt", "0.004"]) == 0
+    config = tmp_path / "dt4.cfg"
+    config.write_text("dt = 0.004\n")
+    argv = ["run", "--manifest", str(tmp_path / "data" / "manifest.json"), "--config", str(config)]
+    assert main(argv + ["--out", str(tmp_path / "out"), "--horizons", "128"]) == 0
+    assert json.loads((tmp_path / "out" / "bundle.json").read_text())["config"]["horizons_ms"] == [128.0]
+    # a flag whose value does not fit the file's is named
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "bad"), "--horizons", "125"]) == 1
+    assert capsys.readouterr().err == "error: --horizons: horizon 125.0 ms is not a whole number of 4 ms samples\n"
+
+
 # ---------------------------------------------------------------------------
 # CSV round trips
 
@@ -211,7 +226,11 @@ def test_csv_errors_name_the_physical_line_after_a_multi_line_cell(tmp_path, cap
 def test_read_csv_timestamp_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("time_s,fx,fy,fz\n0.0,1,2,3\n0.002,1,2,3\n0.001,1,2,3\n")
-    with pytest.raises(TimestampError):
+    with pytest.raises(TimestampError, match=f"^{re.escape(str(bad))}:4: timestamps not strictly increasing$"):
+        read_grf_csv(bad)
+    # a blank line before the backwards step: the error names the line, not the sample
+    bad.write_text("time_s,fx,fy,fz\n0.0,1,2,3\n\n0.001,1,2,3\n0.0005,1,2,3\n")
+    with pytest.raises(TimestampError, match=f"^{re.escape(str(bad))}:5: "):
         read_grf_csv(bad)
     bad.write_text("time_s,fx,fy,fz\n0.0,1,2,3\n0.001,1,2,3\n0.005,1,2,3\n")
     with pytest.raises(TimestampError):
