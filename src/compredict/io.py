@@ -212,9 +212,10 @@ def parse_config(text: str, flags=(), path: str = "") -> RunConfig:
 
 
 def load_config(path: str | None, flags=()) -> RunConfig:
-    """`parse_config` of the file at path (of no lines without one) and the flags."""
+    """`parse_config` of the file at path (of no lines when path is None) and
+    the flags; an empty path is a path, and one that cannot be read."""
     text = ""
-    if path:
+    if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()

@@ -5,10 +5,11 @@ processes when the run has two or more workers, so `scipy.signal` is
 imported only by them and the process that sweeps the session stays small.
 
 `run_pipeline` sweeps the whole session at once with every profile and
-horizon (`prediction.sweep_session`), which hands each trial's per-start
-mean error, max error and score over as soon as the trial is swept. Each
-trial is reduced at once to one `metrics.Outcome` per profile and horizon it
-fits, and each (subject, profile, horizon)'s outcomes to a row (`summarize`).
+horizon (`prediction.sweep_session`, reduced), which hands each trial's
+per-start mean errors over as soon as the trial is swept, with its largest
+max error and sum of scores folded block by block. Each trial is reduced at
+once to one `metrics.Outcome` per profile and horizon it fits, and each
+(subject, profile, horizon)'s outcomes to a row (`summarize`).
 `compute_statistics` groups the metric rows' values by (metric, profile,
 horizon) once and runs the trend fits and the per-horizon tests on them.
 One function, `_test_row`, turns every test (trend F-test, ANOVA or pairwise
@@ -179,13 +180,14 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
 
     # (subject, profile index, horizon index) -> one Outcome per trial
     outcomes = defaultdict(list)
-    for i, vectors in sweep_session(trials, specs, config.profiles, config.stride, config.threads):
+    session = sweep_session(trials, specs, config.profiles, config.stride, config.threads, reduced=True)
+    for i, vectors in session:
         trial = trials[i]
         # per horizon the trial fits, its start count and each profile's sum
         # of means (a row's sum is the np.sum of that row bit for bit), max
         # and sum of scores
         sums = [
-            (j, m.shape[1], m.sum(axis=1).tolist(), x.max(axis=1).tolist(), s.sum(axis=1).tolist())
+            (j, m.shape[1], m.sum(axis=1).tolist(), x.tolist(), s.tolist())
             for j, (m, x, s) in enumerate(vectors)
             if m.size
         ]

@@ -22,7 +22,8 @@ no gather and no per-start copy. Every element is the same expression
 whatever the block, so a sweep is bit-identical to evaluating each start on
 its own. `sweep_errors` returns one trial's (h, n) error matrix and (h,)
 scores; `sweep_session` hands a session over trial by trial, with each
-start's mean error, max error and score.
+start's mean error, max error and score, or, reduced, with each start's
+mean error and only the trial's largest max error and sum of scores.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .profiles import HorizonSpec, ProfileKind, cubic_decay
 
-BLOCK_STARTS = 1024  # starts per kernel block; each work array is (BLOCK_STARTS, n)
+BLOCK_STARTS = 512  # starts per kernel block; each work array is (BLOCK_STARTS, n)
 
 
 class TrialTooShortError(ValueError):
@@ -300,7 +301,7 @@ class _Sweep:
                 yield from list(pool.map(block, self.blocks[i : i + 4 * workers]))
 
 
-def sweep_session(trials, specs, kinds, stride: int = 1, threads: int = 1):
+def sweep_session(trials, specs, kinds, stride: int = 1, threads: int = 1, reduced: bool = False):
     """Sweep every trial with every profile in `kinds` at every horizon in
     `specs`, starts `stride` samples apart, and yield (trial index, vectors)
     in trial order, as soon as the trial's last block of starts is swept on
@@ -311,8 +312,11 @@ def sweep_session(trials, specs, kinds, stride: int = 1, threads: int = 1):
     vectors[j] holds the (means, maxima, int8 scores) of specs[j], each
     (len(kinds), starts): none for a trial shorter than the spec. A mean is
     the row mean of that start's error series, as `errors.mean(axis=1)` of
-    the trial's `sweep_errors` matrix. Nothing here keeps a trial's vectors
-    once they are handed over.
+    the trial's `sweep_errors` matrix. `reduced` hands the means whole, but
+    folds the rest block by block into each profile's largest max error
+    (-inf with no start) and int64 sum of scores, each (len(kinds),): a max
+    and an integer sum are exact in any order. Nothing here keeps a trial's
+    vectors once they are handed over.
     """
     dts = {spec.dt for spec in specs}
     if len(dts) != 1:
@@ -327,16 +331,29 @@ def sweep_session(trials, specs, kinds, stride: int = 1, threads: int = 1):
     else:  # nothing to sweep, but the blocks still hand every trial over
         blocks = itertools.repeat(None)
     starts = (sweep.offsets // sweep.stride).tolist() + [sweep.rows]  # each trial's first row, then the end
+
+    def empty(count):  # a trial's vectors at one horizon, before its first block
+        if reduced:
+            return np.empty((len(kinds), count)), np.full(len(kinds), -np.inf), np.zeros(len(kinds), np.int64)
+        return tuple(np.empty((len(kinds), count), d) for d in (float, float, np.int8))
+
     t, vectors = 0, None
     for rows, block in zip(sweep.blocks, blocks):
         while starts[t] < rows.stop:
             if vectors is None:  # trial t's vectors, filled block by block
-                vectors = [tuple(np.empty((len(kinds), c[t]), d) for d in (float, float, np.int8)) for c in counts]
+                vectors = [empty(c[t]) for c in counts]
             for k, j in enumerate(live):
                 lo, hi = max(rows.start, starts[t]), min(rows.stop, starts[t] + counts[j][t])
                 if lo < hi:
-                    for out, values in zip(vectors[j], block):
-                        out[:, lo - starts[t] : hi - starts[t]] = values[:, k, lo - rows.start : hi - rows.start]
+                    means, maxima, scores = vectors[j]
+                    into = slice(lo - starts[t], hi - starts[t])
+                    got_means, got_maxima, got_scores = (v[:, k, lo - rows.start : hi - rows.start] for v in block)
+                    means[:, into] = got_means
+                    if reduced:
+                        np.maximum(maxima, got_maxima.max(axis=1), out=maxima)
+                        scores += got_scores.sum(axis=1)
+                    else:
+                        maxima[:, into], scores[:, into] = got_maxima, got_scores
             if starts[t + 1] > rows.stop:
                 break  # the trial runs on into the next block
             yield t, vectors

@@ -153,6 +153,21 @@ def test_cli_config_file_and_flags_are_checked_together(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --horizons: horizon 125.0 ms is not a whole number of 4 ms samples\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--manifest", "m.json", "--out", "o"],
+        ["preprocess", "--manifest", "m.json", "--out", "o"],
+        ["analyze", "--metrics-csv", "metrics.csv", "--out", "o"],
+    ],
+)
+def test_cli_empty_config_path_is_a_file_that_cannot_be_read(tmp_path, monkeypatch, capsys, argv):
+    # `--config ""` names a file, not the defaults; it fails before the inputs are read
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--config", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config : ")
+
+
 # ---------------------------------------------------------------------------
 # CSV round trips
 

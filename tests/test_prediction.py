@@ -368,7 +368,7 @@ def ragged_session(seed=11):
 
 
 @pytest.mark.parametrize("stride", [1, 3])
-@pytest.mark.parametrize("block", [prediction.BLOCK_STARTS, 64])
+@pytest.mark.parametrize("block", [1024, 512, 64])
 def test_session_sweep_equals_per_trial_sweeps_bitwise(monkeypatch, stride, block):
     monkeypatch.setattr(prediction, "BLOCK_STARTS", block)
     trials = ragged_session()
@@ -395,7 +395,7 @@ def test_session_sweep_equals_per_trial_sweeps_bitwise(monkeypatch, stride, bloc
 
 
 @pytest.mark.parametrize("stride", [1, 3])
-@pytest.mark.parametrize("block", [prediction.BLOCK_STARTS, 64])
+@pytest.mark.parametrize("block", [1024, 512, 64])
 def test_pipeline_batched_reduction_equals_per_trial_sweeps(monkeypatch, stride, block):
     monkeypatch.setattr(prediction, "BLOCK_STARTS", block)
     trials = ragged_session()
@@ -463,6 +463,38 @@ def test_session_that_no_horizon_fits_hands_every_trial_over_empty():
     ]
 
 
+def long_session():
+    """`ragged_session` and two trials that each span several 512-start blocks."""
+    rng = np.random.default_rng(12)
+    longer = [
+        Trial(f"s{s}", "long", 0, False, 70.0, DT, *(rng.normal(size=(n, 3)) for _ in range(3)))
+        for s, n in ((0, 1500), (1, 2600))
+    ]
+    return ragged_session() + longer
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("block", [64, 512, 1024])
+def test_reduced_session_sweep_folds_the_full_vectors_bitwise(monkeypatch, block, threads):
+    monkeypatch.setattr(prediction, "BLOCK_STARTS", block)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two threads make a pool on any host
+    trials = long_session()
+    specs = [HorizonSpec.from_duration(t, DT) for t in (125, 250, 375, 1000)]
+    kinds = list(ProfileKind)
+    full = list(sweep_session(trials, specs, kinds, threads=threads))
+    reduced = list(sweep_session(trials, specs, kinds, threads=threads, reduced=True))
+    assert [i for i, _ in reduced] == [i for i, _ in full] == list(range(len(trials)))
+    for (_, ours), (_, theirs) in zip(reduced, full):
+        for (means, top, total), (all_means, maxima, scores) in zip(ours, theirs):
+            assert means.shape == all_means.shape and means.tobytes() == all_means.tobytes()
+            assert top.shape == total.shape == (len(kinds),) and total.dtype == np.int64
+            if means.size:
+                assert top.tobytes() == maxima.max(axis=1).tobytes()
+                assert total.tobytes() == scores.sum(axis=1, dtype=np.int64).tobytes()
+            else:  # a trial shorter than the horizon
+                assert np.all(top == -np.inf) and np.all(total == 0)
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_sweep_threads_are_capped_at_the_cpu_count(monkeypatch, cpus):
     monkeypatch.setattr(prediction, "BLOCK_STARTS", 64)  # 13 blocks, more than the threads asked for
@@ -528,7 +560,7 @@ def test_stride_longer_than_every_trial_takes_no_memory():
 
 def test_run_memory_beyond_layout_does_not_grow_with_trial_length():
     # Beyond the layout's arrays (with the oracle's prefix sums) and the one
-    # trial whose per-start vectors are being handed over, run_pipeline's
+    # trial whose per-start means are being handed over, run_pipeline's
     # tracemalloc peak is the same for two 30 s trials as for two 2 min ones
     rng = np.random.default_rng(5)
     config = replace(DEFAULTS, threads=1)
@@ -550,7 +582,7 @@ def test_run_memory_beyond_layout_does_not_grow_with_trial_length():
         # positions, velocities, inputs and the oracle's two prefix sums, and its half-sample column
         held = 5 * sweep.v0s.nbytes + sweep.v0s.nbytes // 3
         starts = sum(int(sweep.starts(spec.n_samples)[0]) for spec in config.horizon_specs())
-        handed = starts * len(config.profiles) * (8 + 8 + 1)  # means, maxima, int8 scores
+        handed = starts * len(config.profiles) * 8  # the means; maxima and scores come folded
         return peak - held - handed
 
     assert extra(120) <= extra(30) + 2**20

@@ -133,6 +133,26 @@ def test_refiltering_constant_is_stable():
     assert np.max(np.abs(twice - once)) < 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.integers(1, 8),
+    padlen=st.one_of(st.just(0), st.none(), st.integers(1, 60)),
+    extra=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(order=5, padlen=None, extra=1, seed=0)  # the default padlen, one sample below the length
+def test_zero_phase_filter_is_sosfiltfilt_bit_for_bit(order, padlen, extra, seed):
+    from scipy.signal import butter, sosfiltfilt
+
+    p = 3 * (2 * order + 1) if padlen is None else padlen
+    samples = np.random.default_rng(seed).normal(size=(p + extra, 3)) * 300.0
+    sos = butter(order, 20.0, btype="low", fs=FS, output="sos")
+    expected = sosfiltfilt(sos, samples, axis=0, padtype="odd", padlen=p)
+    filtered = butterworth_lowpass(samples, FS, order=order, padlen=padlen)
+    assert filtered.shape == expected.shape
+    assert filtered.tobytes() == expected.tobytes()
+
+
 def test_filter_rejects_cutoff_at_nyquist():
     samples = tone(5.0, seconds=1.0)
     with pytest.raises(ValueError, match="Nyquist"):
