@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .dynamics import grf_to_acceleration
 from .metrics import MetricSummary
-from .prediction import Trial, sweep_errors
+from .prediction import Trial, sweep_session
 from .profiles import HorizonSpec, ProfileKind
 
 __all__ = [
@@ -19,6 +19,6 @@ __all__ = [
     "ProfileKind",
     "HorizonSpec",
     "Trial",
-    "sweep_errors",
+    "sweep_session",
     "MetricSummary",
 ]

@@ -10,10 +10,10 @@ length:
        as for ae, over the non-static trials
   mda  min direction accuracy: the lowest non-static trial's mean score
 
-Each trial that fits the horizon length gives one `Outcome`, reduced from
-its per-start vectors as soon as the sweep hands them over. A trial's mean,
-sum / n, is the `np.mean` of its values bit for bit (numpy's mean is the
-same pairwise sum over the count).
+Each trial that fits the horizon length gives one `Outcome`, read off the
+record the reduced sweep folds it to: no per-start vector reaches here. A
+trial's mean, sum / n, is the `np.mean` of its values bit for bit (numpy's
+mean is the same pairwise sum over the count).
 """
 
 from __future__ import annotations

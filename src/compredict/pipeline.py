@@ -5,11 +5,12 @@ processes when the run has two or more workers, so `scipy.signal` is
 imported only by them and the process that sweeps the session stays small.
 
 `run_pipeline` sweeps the whole session at once with every profile and
-horizon (`prediction.sweep_session`, reduced), which hands each trial's
-per-start mean errors over as soon as the trial is swept, with its largest
-max error and sum of scores folded block by block. Each trial is reduced at
-once to one `metrics.Outcome` per profile and horizon it fits, and each
-(subject, profile, horizon)'s outcomes to a row (`summarize`).
+horizon (`prediction.sweep_session`, reduced), which hands each trial over
+as soon as it is swept, folded per horizon to its start count and each
+profile's sum of mean errors, largest max error and sum of scores. One pass
+over that record makes each trial's `metrics.Outcome` per profile and
+horizon it fits and its skip row per horizon it does not, and each
+(subject, profile, horizon)'s outcomes become a row (`summarize`).
 `compute_statistics` groups the metric rows' values by (metric, profile,
 horizon) once and runs the trend fits and the per-horizon tests on them.
 One function, `_test_row`, turns every test (trend F-test, ANOVA or pairwise
@@ -178,38 +179,29 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
         raise PipelineError("no trials to process")
     specs = config.horizon_specs()
 
-    # (subject, profile index, horizon index) -> one Outcome per trial
-    outcomes = defaultdict(list)
+    # (subject, profile index, horizon index) -> one Outcome per trial, and
+    # (subject, horizon index) -> one SkipRow per trial too short for it
+    outcomes, skips = defaultdict(list), defaultdict(list)
     session = sweep_session(trials, specs, config.profiles, config.stride, config.threads, reduced=True)
-    for i, vectors in session:
+    for i, record in session:
         trial = trials[i]
-        # per horizon the trial fits, its start count and each profile's sum
-        # of means (a row's sum is the np.sum of that row bit for bit), max
-        # and sum of scores
-        sums = [
-            (j, m.shape[1], m.sum(axis=1).tolist(), x.tolist(), s.tolist())
-            for j, (m, x, s) in enumerate(vectors)
-            if m.size
-        ]
-        del vectors  # before the next trial is swept
         labels = (trial.activity_id, trial.repeat_index, trial.is_static)
-        for j, n, *columns in sums:
-            for p, values in enumerate(zip(*columns)):
-                outcomes[trial.subject_id, p, j].append(Outcome(*labels, n, *values))
+        for j, (n, *columns) in enumerate(record):
+            if n:
+                for p, values in enumerate(zip(*(column.tolist() for column in columns))):
+                    outcomes[trial.subject_id, p, j].append(Outcome(*labels, n, *values))
+            else:
+                reason = str(TrialTooShortError.for_horizon(trial, specs[j]))
+                skips[trial.subject_id, j].append(SkipRow(*trial.key(), config.horizons_ms[j], reason))
 
-    # fixed-order per-subject metric rows; a subject none of whose trials
-    # fits a horizon has no row for it
-    metric_rows = []
-    for (subject, p, j), own in sorted(outcomes.items()):
-        profile, t_ms = config.profiles[p], config.horizons_ms[j]
-        metric_rows.append(summarize(subject, profile, t_ms, own, aggregation=config.aggregation))
-    skip_rows = []
-    for subject in sorted({t.subject_id for t in trials}):
-        for t_ms, spec in zip(config.horizons_ms, specs):
-            for trial in trials:
-                if trial.subject_id == subject and trial.n_samples < spec.n_samples:
-                    reason = str(TrialTooShortError.for_horizon(trial, spec))
-                    skip_rows.append(SkipRow(subject, trial.activity_id, trial.repeat_index, t_ms, reason))
+    # fixed-order per-subject metric rows, and skip rows in subject, then
+    # configured horizon, then trial order; a subject none of whose trials
+    # fits a horizon has no metric row for it
+    metric_rows = [
+        summarize(subject, config.profiles[p], config.horizons_ms[j], own, aggregation=config.aggregation)
+        for (subject, p, j), own in sorted(outcomes.items())
+    ]
+    skip_rows = [row for _, rows in sorted(skips.items()) for row in rows]
     return result_bundle(config, metric_rows, skip_rows)
 
 

@@ -22,8 +22,8 @@ no gather and no per-start copy. Every element is the same expression
 whatever the block, so a sweep is bit-identical to evaluating each start on
 its own. `sweep_errors` returns one trial's (h, n) error matrix and (h,)
 scores; `sweep_session` hands a session over trial by trial, with each
-start's mean error, max error and score, or, reduced, with each start's
-mean error and only the trial's largest max error and sum of scores.
+start's mean error, max error and score, or, reduced, folded to each
+horizon's start count and each profile's error sum, error max and score sum.
 """
 
 from __future__ import annotations
@@ -312,11 +312,13 @@ def sweep_session(trials, specs, kinds, stride: int = 1, threads: int = 1, reduc
     vectors[j] holds the (means, maxima, int8 scores) of specs[j], each
     (len(kinds), starts): none for a trial shorter than the spec. A mean is
     the row mean of that start's error series, as `errors.mean(axis=1)` of
-    the trial's `sweep_errors` matrix. `reduced` hands the means whole, but
-    folds the rest block by block into each profile's largest max error
-    (-inf with no start) and int64 sum of scores, each (len(kinds),): a max
-    and an integer sum are exact in any order. Nothing here keeps a trial's
-    vectors once they are handed over.
+    the trial's `sweep_errors` matrix. `reduced` folds vectors[j] to
+    (starts, sums, maxima, scores): the trial's start count (0 when it is
+    shorter than the spec) and, each (len(kinds),), every profile's `np.sum`
+    of means, largest max error (-inf with no start) and int64 sum of scores.
+    Maxima and scores fold block by block, exact in any order; the means,
+    whose sum is not, are summed whole and dropped before the hand-off.
+    Nothing here keeps a trial's vectors once they are handed over.
     """
     dts = {spec.dt for spec in specs}
     if len(dts) != 1:
@@ -356,6 +358,8 @@ def sweep_session(trials, specs, kinds, stride: int = 1, threads: int = 1, reduc
                         maxima[:, into], scores[:, into] = got_maxima, got_scores
             if starts[t + 1] > rows.stop:
                 break  # the trial runs on into the next block
+            if reduced:  # the means go, summed whole, before the trial is handed over
+                vectors = [(c[t], m.sum(axis=1), x, s) for c, (m, x, s) in zip(counts, vectors)]
             yield t, vectors
             t, vectors = t + 1, None
 

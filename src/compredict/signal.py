@@ -87,6 +87,8 @@ def butterworth_lowpass(
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    if padlen is not None and padlen < 0:
+        raise ValueError(f"padlen must be >= 0, got {padlen}")
     if not cutoff_hz > 0:
         raise ValueError(f"cutoff must be positive, got {cutoff_hz}")
     if cutoff_hz >= sample_rate / 2.0:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import compredict
+from compredict import prediction
 from compredict.io import DEFAULTS, RunConfig, parse_config
 from compredict.prediction import sweep_errors
 from compredict.profiles import ProfileKind
@@ -19,6 +20,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_every_exported_name_resolves():
     for name in compredict.__all__:
         assert getattr(compredict, name) is not None, name
+    # the package exports the session sweep the README documents; the
+    # one-trial reference `sweep_errors` stays in `prediction`
+    assert compredict.sweep_session is prediction.sweep_session
+    assert "sweep_errors" not in compredict.__all__
 
 
 def test_readme_library_example_runs():

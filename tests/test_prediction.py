@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from compredict import prediction
@@ -463,6 +465,31 @@ def test_session_that_no_horizon_fits_hands_every_trial_over_empty():
     ]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    # (subject, samples) of each trial in manifest order: "s10" sorts before
+    # "s9", and the lengths straddle the horizons (26 to 126 samples)
+    entries=st.lists(st.tuples(st.sampled_from(["s9", "s10", "s2"]), st.integers(2, 140)), min_size=1, max_size=8),
+    horizons_ms=st.lists(st.sampled_from([125.0, 250.0, 375.0, 500.0, 625.0]), min_size=1, max_size=5, unique=True),
+    stride=st.integers(1, 3),
+)
+def test_skip_rows_list_every_too_short_pair_in_subject_horizon_trial_order(entries, horizons_ms, stride):
+    rng = np.random.default_rng(3)
+    trials = [
+        Trial(subject, f"a{i}", i % 2, False, 70.0, DT, *(rng.normal(size=(n, 3)) for _ in range(3)))
+        for i, (subject, n) in enumerate(entries)
+    ]
+    config = replace(DEFAULTS, horizons_ms=tuple(sorted(horizons_ms, reverse=True)), stride=stride)
+    expected = [
+        SkipRow(subject, trial.activity_id, trial.repeat_index, t_ms, str(TrialTooShortError.for_horizon(trial, spec)))
+        for subject in sorted({trial.subject_id for trial in trials})
+        for t_ms, spec in zip(config.horizons_ms, config.horizon_specs())
+        for trial in trials
+        if trial.subject_id == subject and trial.n_samples < spec.n_samples
+    ]
+    assert run_pipeline(config, trials).skip_rows == expected
+
+
 def long_session():
     """`ragged_session` and two trials that each span several 512-start blocks."""
     rng = np.random.default_rng(12)
@@ -485,14 +512,16 @@ def test_reduced_session_sweep_folds_the_full_vectors_bitwise(monkeypatch, block
     reduced = list(sweep_session(trials, specs, kinds, threads=threads, reduced=True))
     assert [i for i, _ in reduced] == [i for i, _ in full] == list(range(len(trials)))
     for (_, ours), (_, theirs) in zip(reduced, full):
-        for (means, top, total), (all_means, maxima, scores) in zip(ours, theirs):
-            assert means.shape == all_means.shape and means.tobytes() == all_means.tobytes()
-            assert top.shape == total.shape == (len(kinds),) and total.dtype == np.int64
-            if means.size:
+        for (starts, sums, top, total), (means, maxima, scores) in zip(ours, theirs):
+            assert starts == means.shape[1]
+            assert sums.shape == top.shape == total.shape == (len(kinds),) and total.dtype == np.int64
+            # each profile's sum is the np.sum of its whole means vector, bit for bit
+            assert sums.tobytes() == np.array([np.sum(row) for row in means]).tobytes()
+            if starts:
                 assert top.tobytes() == maxima.max(axis=1).tobytes()
                 assert total.tobytes() == scores.sum(axis=1, dtype=np.int64).tobytes()
             else:  # a trial shorter than the horizon
-                assert np.all(top == -np.inf) and np.all(total == 0)
+                assert np.all(sums == 0) and np.all(top == -np.inf) and np.all(total == 0)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -559,9 +588,10 @@ def test_stride_longer_than_every_trial_takes_no_memory():
 
 
 def test_run_memory_beyond_layout_does_not_grow_with_trial_length():
-    # Beyond the layout's arrays (with the oracle's prefix sums) and the one
-    # trial whose per-start means are being handed over, run_pipeline's
-    # tracemalloc peak is the same for two 30 s trials as for two 2 min ones
+    # Beyond the layout's arrays (with the oracle's prefix sums) and the
+    # per-start means of the one trial being swept, which the sweep sums and
+    # drops before it hands the trial over folded, run_pipeline's tracemalloc
+    # peak is the same for two 30 s trials as for two 2 min ones
     rng = np.random.default_rng(5)
     config = replace(DEFAULTS, threads=1)
     n_max = max(spec.n_samples for spec in config.horizon_specs())
@@ -582,7 +612,7 @@ def test_run_memory_beyond_layout_does_not_grow_with_trial_length():
         # positions, velocities, inputs and the oracle's two prefix sums, and its half-sample column
         held = 5 * sweep.v0s.nbytes + sweep.v0s.nbytes // 3
         starts = sum(int(sweep.starts(spec.n_samples)[0]) for spec in config.horizon_specs())
-        handed = starts * len(config.profiles) * 8  # the means; maxima and scores come folded
+        handed = starts * len(config.profiles) * 8  # the means; maxima and scores fold block by block
         return peak - held - handed
 
     assert extra(120) <= extra(30) + 2**20

@@ -163,6 +163,15 @@ def test_filter_rejects_cutoff_at_nyquist():
         butterworth_lowpass(samples, FS, order=5, cutoff_hz=float("nan"))
 
 
+@pytest.mark.parametrize("zero_phase", [True, False])
+def test_filter_rejects_a_negative_padlen(zero_phase):
+    # a negative pad once filtered unpadded, as padlen=0 does, without a word
+    samples = tone(5.0, seconds=1.0)
+    with pytest.raises(ValueError, match="padlen must be >= 0, got -5"):
+        butterworth_lowpass(samples, FS, zero_phase=zero_phase, padlen=-5)
+    assert butterworth_lowpass(samples, FS, padlen=0).shape == samples.shape
+
+
 def test_downsample_identity_and_phase():
     samples = np.arange(30, dtype=float).reshape(10, 3)
     out = preprocess(samples, FS, ((0, 9),), downsample_factor=5, apply_filter=False)
