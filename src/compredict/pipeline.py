@@ -1,8 +1,10 @@
 """End-to-end orchestration: trials -> sweeps -> metrics -> statistics.
 
-`loaded_entries` loads the manifest's entries in order, on forked worker
-processes when the run has two or more workers, so `scipy.signal` is
-imported only by them and the process that sweeps the session stays small.
+`load_all_trials` loads the manifest's entries in order on forked worker
+processes, one or more, so `scipy.signal` and the GRF chain's buffers stay
+in them and the process that sweeps the session stays small.
+`loaded_entries`, which `preprocess` iterates directly, forks only for two
+or more workers.
 
 `run_pipeline` sweeps the whole session at once with every profile and
 horizon (`prediction.sweep_session`, reduced), which hands each trial over
@@ -133,18 +135,19 @@ def _load_entry(entry, config: RunConfig):
     return load_trial(entry, config)
 
 
-def loaded_entries(entries, config: RunConfig):
+def loaded_entries(entries, config: RunConfig, *, smallest_pool: int = 2):
     """Each manifest entry's (trials, notes) from `load_trial`, in order.
 
-    With two or more workers (`worker_count`, the rule the sweep's threads
-    follow too) and the fork start method, entries load on a pool of forked
-    processes: parsing and the GRF chain, and with it the `scipy.signal`
-    import, stay out of the caller. Otherwise they load in the caller.
-    Either way the first failing entry's error is raised, and no worker
-    outlives the iterator.
+    With at least `smallest_pool` workers (`worker_count`, the rule the
+    sweep's threads follow too) and the fork start method, entries load on a
+    pool of forked processes: parsing and the GRF chain, and with it the
+    `scipy.signal` import, stay out of the caller. Otherwise they load in the
+    caller. Either way the first failing entry's error is raised, and no
+    worker outlives the iterator. The default suits `preprocess`, which
+    writes each trial and drops it, so a lone worker would lower no peak.
     """
     workers = worker_count(config.threads, len(entries))
-    if workers >= 2:
+    if workers >= smallest_pool:
         # imported here, so a run that loads in the caller never pays for them
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -164,10 +167,16 @@ def loaded_entries(entries, config: RunConfig):
 
 
 def load_all_trials(entries, config: RunConfig):
-    """Load every manifest entry; returns (trials, notes)."""
+    """Load every manifest entry; returns (trials, notes).
+
+    Entries load on forked processes even when the run has one worker, so
+    the caller, which goes on to sweep, holds only the trials: a lone
+    worker's import of `scipy.signal` and the GRF chain's buffers leave
+    with it.
+    """
     trials: list[Trial] = []
     notes: list[str] = []
-    for built, entry_notes in loaded_entries(entries, config):
+    for built, entry_notes in loaded_entries(entries, config, smallest_pool=1):
         trials.extend(built)
         notes.extend(entry_notes)
     return trials, notes

@@ -292,8 +292,10 @@ class _Sweep:
             return self.block(rows, local.work)
 
         if workers == 1:
-            # a lone pool worker would allocate the sweep's work arrays in its own
-            # malloc arena instead of reusing what loading freed, raising peak RSS
+            # a lone pool worker would allocate the sweep's work arrays in a
+            # malloc arena of its own, raising peak RSS; the calling thread
+            # reuses the main arena, with what loading freed there when a
+            # library caller loaded in-process
             yield from map(block, self.blocks)
             return
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -16,10 +16,10 @@ the marker-derived kinematics; note the two passes square the magnitude
 response, so single-pass mode is what matches the nominal -3 dB cutoff.
 A filter design is computed once per (order, cutoff, rate) and reused.
 `scipy.signal` takes about a second to import, so it is imported on first
-use and commands that never filter (synth, analyze, report) skip it. With
-two or more workers, trials load on forked processes
-(`pipeline.loaded_entries`), so only those import it and the process that
-sweeps never does.
+use and commands that never filter (synth, analyze, report) skip it.
+`run`, `metrics` and `predict` load trials on forked processes at any
+worker count (`pipeline.load_all_trials`), so only those import it and the
+process that sweeps never does; `preprocess` forks only for two or more.
 """
 
 from __future__ import annotations

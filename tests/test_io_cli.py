@@ -44,6 +44,7 @@ from compredict.pipeline import (
     export_results,
     load_all_trials,
     load_bundle,
+    loaded_entries,
     run_pipeline,
 )
 from compredict.prediction import sweep_errors
@@ -568,11 +569,12 @@ def test_loading_workers_are_capped_by_entries_and_cpus(tmp_path, monkeypatch):
 
     real_pool = concurrent.futures.ProcessPoolExecutor
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    serial, _ = load_all_trials(entries, DEFAULTS)
+    serial = [trial for trials, _ in loaded_entries(entries, replace(DEFAULTS, threads=1)) for trial in trials]
+    assert pools == []  # `preprocess`'s loader at one worker: load in the caller
     for cpus, threads, start_methods, workers in [
-        (1, 2, None, None),  # one CPU: load in the caller
-        (None, 2, None, None),  # an unknown CPU count counts as one
-        (2, 1, None, None),
+        (1, 2, None, 1),  # one CPU: still a forked worker, so the sweep never loads
+        (None, 2, None, 1),  # an unknown CPU count counts as one
+        (2, 1, None, 1),
         (3, 8, None, 3),  # capped by the CPU count
         (8, 8, None, 3),  # capped by the entry count
         (2, 2, ["spawn"], None),  # no fork: load in the caller
@@ -632,6 +634,25 @@ def test_threaded_command_never_imports_scipy_signal(tmp_path, command):
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split()[-2:] == ["0", "False"]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork: every command loads in the caller")
+@pytest.mark.parametrize("threads, cpus", [("1", None), ("2", 1)])  # None: the host's CPU count
+@pytest.mark.parametrize("command", ["run", "metrics", "predict", "preprocess"])
+def test_one_worker_command_imports_scipy_signal_only_to_preprocess(tmp_path, command, threads, cpus):
+    # at one worker, every command that sweeps loads on a forked process;
+    # `preprocess` sweeps nothing and keeps loading in the caller
+    manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=2, n_repeats=1)
+    script = (
+        "import os, sys\n"
+        + ("" if cpus is None else f"os.cpu_count = lambda: {cpus}\n")
+        + "from compredict.cli import main\n"
+        f"code = main([{command!r}, '--manifest', {str(manifest_path)!r}, '--out', {str(tmp_path / 'out')!r}, '--threads', {threads!r}])\n"
+        "print(code, 'scipy.signal' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-2:] == ["0", str(command == "preprocess")]
 
 
 def test_cli_profile_names_are_case_insensitive(tmp_path):
