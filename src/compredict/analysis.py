@@ -14,7 +14,7 @@ The t and F tail probabilities and the t quantile come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -35,16 +35,14 @@ class FitResult:
     """Weighted polynomial fit of metric values against horizon length.
 
     Coefficients are lowest order first, with the horizon regressor in
-    milliseconds. weights maps each level to the fitted weight; wrss/wtss
-    are the weighted residual and total sums of squares behind r_squared.
+    milliseconds. wrss is the weighted residual sum of squares behind
+    r_squared.
     """
 
     degree: int
     coefficients: np.ndarray
     r_squared: float
-    weights: dict[float, float] = field(repr=False)
     wrss: float = 0.0
-    wtss: float = 0.0
     n_points: int = 0
     degenerate_weights: bool = False
 
@@ -66,7 +64,6 @@ def wls_polyfit(levels, degree: int) -> FitResult:
         raise ValueError(f"degree must be >= 0, got {degree}")
 
     degenerate = False
-    weights: dict[float, float] = {}
     ts, ys, ws = [], [], []
     for t, values in levels:
         if values.size < 1:
@@ -75,7 +72,6 @@ def wls_polyfit(levels, degree: int) -> FitResult:
         if var <= 0.0:
             var = ZERO_VARIANCE_EPS
             degenerate = True
-        weights[t] = 1.0 / var
         ts.append(np.full(values.size, t))
         ys.append(values)
         ws.append(np.full(values.size, 1.0 / var))
@@ -99,9 +95,7 @@ def wls_polyfit(levels, degree: int) -> FitResult:
         degree=degree,
         coefficients=coef,
         r_squared=float(r_squared),
-        weights=weights,
         wrss=wrss,
-        wtss=wtss,
         n_points=int(y_all.size),
         degenerate_weights=degenerate,
     )

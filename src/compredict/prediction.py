@@ -278,11 +278,12 @@ class _Sweep:
         return means, maxima, scores
 
     def run(self, threads: int):
-        """`block` of every one of `blocks` in order, on `worker_count`
-        threads, four blocks per thread at a time. A batch is swept whole
-        before any of it is handed on: a slow consumer holds the threads back
-        instead of piling up results, and never runs while they do, so
-        neither waits for the GIL held by the other."""
+        """`block` of every one of `blocks` in order, on a pool of
+        `worker_count` threads (a pool of one at one worker), four blocks per
+        thread at a time. A batch is swept whole before any of it is handed
+        on: a slow consumer holds the threads back instead of piling up
+        results, and never runs while they do, so neither waits for the GIL
+        held by the other."""
         workers = worker_count(threads, len(self.blocks))
         spare, local = [self.work() for _ in range(workers)], threading.local()
 
@@ -291,13 +292,6 @@ class _Sweep:
                 local.work = spare.pop()
             return self.block(rows, local.work)
 
-        if workers == 1:
-            # a lone pool worker would allocate the sweep's work arrays in a
-            # malloc arena of its own, raising peak RSS; the calling thread
-            # reuses the main arena, with what loading freed there when a
-            # library caller loaded in-process
-            yield from map(block, self.blocks)
-            return
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for i in range(0, len(self.blocks), 4 * workers):
                 yield from list(pool.map(block, self.blocks[i : i + 4 * workers]))
@@ -374,7 +368,9 @@ def sweep_errors(trial: Trial, spec: HorizonSpec, kind: ProfileKind, stride: int
     shorter than one horizon is an error so callers can report the skip.
     """
     n = spec.n_samples
-    sweep = _Sweep([trial], spec.dt, [kind], [n], stride)
+    # dt, kind and stride are checked first; as in `sweep_session`, a horizon
+    # the trial cannot fit gets no columns
+    sweep = _Sweep([trial], spec.dt, [kind], [n] if n <= trial.n_samples else [], stride)
     if trial.n_samples < n:
         raise TrialTooShortError.for_horizon(trial, spec)
     h = int(sweep.starts(n)[0])

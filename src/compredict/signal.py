@@ -17,9 +17,8 @@ response, so single-pass mode is what matches the nominal -3 dB cutoff.
 A filter design is computed once per (order, cutoff, rate) and reused.
 `scipy.signal` takes about a second to import, so it is imported on first
 use and commands that never filter (synth, analyze, report) skip it.
-`run`, `metrics` and `predict` load trials on forked processes at any
-worker count (`pipeline.load_all_trials`), so only those import it and the
-process that sweeps never does; `preprocess` forks only for two or more.
+Which process loads trials, and so imports it, is `pipeline.loaded_entries`'
+rule.
 """
 
 from __future__ import annotations

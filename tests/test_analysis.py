@@ -154,8 +154,11 @@ def test_wls_rejects_too_high_degree():
 def test_wls_weights_are_inverse_level_variance():
     levels = [(1.0, [0.0, 2.0]), (2.0, [0.0, 4.0]), (3.0, [0.0, 8.0])]
     fit = wls_polyfit(levels, degree=1)
-    assert fit.weights[1.0] == pytest.approx(1.0 / np.var([0.0, 2.0], ddof=1))
-    assert fit.weights[3.0] == pytest.approx(1.0 / np.var([0.0, 8.0], ddof=1))
+    # polyfit's w multiplies the residuals, so w = 1/sd weighs squares by 1/var;
+    # weighing squares by 1/sd instead would give [-0.4615, 1.3846]
+    t, y = np.repeat([1.0, 2.0, 3.0], 2), np.array([0.0, 2.0, 0.0, 4.0, 0.0, 8.0])
+    sd = np.repeat([np.std(v, ddof=1) for _, v in levels], 2)
+    assert_allclose(fit.coefficients, np.polynomial.polynomial.polyfit(t, y, 1, w=1 / sd), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +170,7 @@ def _fit_stub(degree, wrss, n_points):
         degree=degree,
         coefficients=np.zeros(degree + 1),
         r_squared=0.0,
-        weights={},
         wrss=wrss,
-        wtss=1.0,
         n_points=n_points,
     )
 

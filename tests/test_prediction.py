@@ -1,4 +1,5 @@
 import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -141,6 +142,20 @@ def test_sweep_too_short_names_trial_and_horizon():
     assert "s00" in message and "125" in message
 
 
+@pytest.mark.parametrize("kind", list(ProfileKind))
+def test_sweep_too_short_raises_before_laying_out_the_horizon(kind):
+    # a 1e6 ms horizon is 200,001 samples: laying it out would take tens of MiB
+    trial = coasting_trial(n=50)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TrialTooShortError):
+            sweep_errors(trial, HorizonSpec.from_duration(1e6, DT), kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_sweep_stride():
     trial = make_trial(SyntheticSpec(kind="sinusoid", duration=59 * DT, dt=DT, amplitude=1.0))
     hspec = HorizonSpec.from_duration(125, DT)
@@ -196,8 +211,8 @@ def test_profiles_collapse_when_measured_acceleration_is_zero():
 
 def test_sweep_errors_dt_check():
     trial = coasting_trial(n=50)
-    wrong_dt = HorizonSpec.from_duration(125, 0.0025)
-    with pytest.raises(ValueError):
+    wrong_dt = HorizonSpec.from_duration(125, 0.0025)  # 51 samples, longer than the trial
+    with pytest.raises(ValueError, match="does not match"):  # the period, not the length, is named
         sweep_errors(trial, wrong_dt, ProfileKind.ZERO)
     with pytest.raises(ValueError):
         next(sweep_session([trial], [wrong_dt], [ProfileKind.ZERO]))
@@ -547,6 +562,35 @@ def test_sweep_threads_are_capped_at_the_cpu_count(monkeypatch, cpus):
         for a, b in zip(ours, theirs):
             for x, y in zip(a, b):
                 assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_pool_leaves_no_thread_behind(monkeypatch, threads):
+    monkeypatch.setattr(prediction, "BLOCK_STARTS", 64)  # 13 blocks
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    trials = ragged_session()
+    specs = [HorizonSpec.from_duration(t, DT) for t in (125, 250)]
+    kinds = list(ProfileKind)
+    before = threading.active_count()
+
+    handed = sweep_session(trials, specs, kinds, threads=threads)
+    assert next(handed)[0] == 0
+    handed.close()  # a consumer that stops after the first trial
+    assert threading.active_count() == before
+
+    calls, lock, block = [], threading.Lock(), _Sweep.block
+
+    def failing_block(self, rows, work):
+        with lock:
+            calls.append(rows)
+            if len(calls) == 3:
+                raise RuntimeError("third block fails")
+        return block(self, rows, work)
+
+    monkeypatch.setattr(_Sweep, "block", failing_block)
+    with pytest.raises(RuntimeError, match="third block"):
+        list(sweep_session(trials, specs, kinds, threads=threads))
+    assert threading.active_count() == before
 
 
 def test_horizon_longer_than_every_trial_takes_no_memory():
