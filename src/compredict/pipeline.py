@@ -1,10 +1,10 @@
 """End-to-end orchestration: trials -> sweeps -> metrics -> statistics.
 
-`load_all_trials` loads the manifest's entries in order on forked worker
+`loaded_entries` loads the manifest's entries in order on forked worker
 processes, one or more, so `scipy.signal` and the GRF chain's buffers stay
-in them and the process that sweeps the session stays small.
-`loaded_entries`, which `preprocess` iterates directly, forks only for two
-or more workers.
+in them and the calling process stays small: `load_all_trials` collects
+them for the commands that sweep, and `preprocess` writes each trial as it
+arrives.
 
 `run_pipeline` sweeps the whole session at once with every profile and
 horizon (`prediction.sweep_session`, reduced), which hands each trial over
@@ -135,48 +135,40 @@ def _load_entry(entry, config: RunConfig):
     return load_trial(entry, config)
 
 
-def loaded_entries(entries, config: RunConfig, *, smallest_pool: int = 2):
+def loaded_entries(entries, config: RunConfig):
     """Each manifest entry's (trials, notes) from `load_trial`, in order.
 
-    With at least `smallest_pool` workers (`worker_count`, the rule the
-    sweep's threads follow too) and the fork start method, entries load on a
-    pool of forked processes: parsing and the GRF chain, and with it the
-    `scipy.signal` import, stay out of the caller. Otherwise they load in the
-    caller. Either way the first failing entry's error is raised, and no
-    worker outlives the iterator. The default suits `preprocess`, which
-    writes each trial and drops it, so a lone worker would lower no peak.
+    Where the platform has the fork start method, entries load on a pool of
+    `worker_count` forked processes (the rule the sweep's threads follow
+    too), one or more: parsing and the GRF chain, and with it the
+    `scipy.signal` import, stay out of the caller. Elsewhere they load in
+    the caller. Either way the first failing entry's error is raised, and no
+    worker outlives the iterator.
     """
-    workers = worker_count(config.threads, len(entries))
-    if workers >= smallest_pool:
-        # imported here, so a run that loads in the caller never pays for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    # imported here, so commands that load no trials (synth, analyze, report) skip them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            # fork, not spawn: loading runs before any sweep thread starts, and
-            # a forked worker starts with the caller's imports instead of
-            # redoing them
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                yield from pool.map(_load_entry, entries, itertools.repeat(config))
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-            return
-    for entry in entries:
-        yield load_trial(entry, config)
+    if "fork" not in multiprocessing.get_all_start_methods():
+        for entry in entries:
+            yield load_trial(entry, config)
+        return
+    # fork, not spawn: loading runs before any sweep thread starts, and a
+    # forked worker starts with the caller's imports instead of redoing them
+    workers = worker_count(config.threads, len(entries))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield from pool.map(_load_entry, entries, itertools.repeat(config))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def load_all_trials(entries, config: RunConfig):
-    """Load every manifest entry; returns (trials, notes).
-
-    Entries load on forked processes even when the run has one worker, so
-    the caller, which goes on to sweep, holds only the trials: a lone
-    worker's import of `scipy.signal` and the GRF chain's buffers leave
-    with it.
-    """
+    """Load every manifest entry with `loaded_entries`; returns (trials,
+    notes). The caller, which goes on to sweep, holds only the trials."""
     trials: list[Trial] = []
     notes: list[str] = []
-    for built, entry_notes in loaded_entries(entries, config, smallest_pool=1):
+    for built, entry_notes in loaded_entries(entries, config):
         trials.extend(built)
         notes.extend(entry_notes)
     return trials, notes

@@ -14,7 +14,11 @@ at low normalized cutoffs. Zero-phase (forward-backward) filtering with
 odd-reflection padding is the default so filtered forces stay aligned with
 the marker-derived kinematics; note the two passes square the magnitude
 response, so single-pass mode is what matches the nominal -3 dB cutoff.
-A filter design is computed once per (order, cutoff, rate) and reused.
+The zero-phase path is `scipy.signal.sosfiltfilt` bit for bit, run here
+step by step: the padding is built in numpy, and each pass's input is
+dropped before the next, so a call peaks at two copies of its input.
+A filter design and its initial state are computed once per (order,
+cutoff, rate) and reused.
 `scipy.signal` takes about a second to import, so it is imported on first
 use and commands that never filter (synth, analyze, report) skip it.
 Which process loads trials, and so imports it, is `pipeline.loaded_entries`'
@@ -70,6 +74,15 @@ def _butter_sos(order: int, cutoff_hz: float, sample_rate: float) -> np.ndarray:
     return butter(order, cutoff_hz, btype="low", fs=sample_rate, output="sos")
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _sos_zi(order: int, cutoff_hz: float, sample_rate: float) -> np.ndarray:
+    """The design's step-response initial state, (sections, 2, 1), which a
+    pass scales by its first (1, 3) sample."""
+    from scipy.signal import sosfilt_zi
+
+    return sosfilt_zi(_butter_sos(order, cutoff_hz, sample_rate))[:, :, None]
+
+
 def butterworth_lowpass(
     samples: np.ndarray, sample_rate: float, order: int = 5, cutoff_hz: float = 20.0,
     zero_phase: bool = True, padlen: int | None = None,
@@ -92,17 +105,29 @@ def butterworth_lowpass(
         raise ValueError(f"cutoff must be positive, got {cutoff_hz}")
     if cutoff_hz >= sample_rate / 2.0:
         raise ValueError(f"cutoff {cutoff_hz} Hz is at or above Nyquist ({sample_rate / 2.0} Hz)")
-    from scipy.signal import sosfilt, sosfiltfilt
+    from scipy.signal import sosfilt
 
     # each call gets its own copy of the shared design
     sos = _butter_sos(order, cutoff_hz, sample_rate).copy()
-    if zero_phase:
-        if padlen is None:
-            padlen = 3 * (2 * order + 1)
-        filtered = sosfiltfilt(sos, samples, axis=0, padtype="odd", padlen=padlen)
-    else:
-        filtered = sosfilt(sos, samples, axis=0)
-    return np.ascontiguousarray(filtered)
+    if not zero_phase:
+        return np.ascontiguousarray(sosfilt(sos, samples, axis=0))
+    if padlen is None:
+        padlen = 3 * (2 * order + 1)
+    n = len(samples)
+    if padlen >= n:
+        raise ValueError(f"padlen {padlen} must be below the signal length {n}")
+    # sosfiltfilt(sos, samples, axis=0, padtype="odd", padlen=padlen), step
+    # by step, so the design's initial state is computed once and each pass's
+    # input is dropped before the next pass
+    head = 2 * samples[:1] - samples[padlen:0:-1]
+    tail = 2 * samples[-1:] - samples[-2 : -padlen - 2 : -1]
+    padded = np.concatenate((head, samples, tail))
+    zi = _sos_zi(order, cutoff_hz, sample_rate)
+    forward = sosfilt(sos, padded, axis=0, zi=zi * padded[:1])[0]
+    del padded
+    backward = sosfilt(sos, forward[::-1], axis=0, zi=zi * forward[-1:])[0]
+    del forward
+    return np.ascontiguousarray(backward[::-1][padlen : padlen + n])
 
 
 def detect_contact(samples: np.ndarray, rise_threshold: float, hold_samples: int = 5) -> list[tuple[int, int]]:

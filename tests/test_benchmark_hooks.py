@@ -44,18 +44,29 @@ def test_traced_preprocess_sees_every_grf_sample(tmp_path):
         json.dump(raw, fh)
     grf_rows = sum(len(read_grf_csv(entry.grf_file)[1]) for entry in load_manifest(manifest))
 
-    spans_path = tmp_path / "spans.json"
-    command = ["preprocess", "--manifest", manifest, "--out", str(tmp_path / "accel")]
+    # the commands load on forked processes, whose spans stay there, so this
+    # process calls the name that `pipeline._load_entry` looks up itself
+    script = (
+        "import json, sys\n"
+        "import spans\n"
+        "from compredict import pipeline\n"
+        "from compredict.io import DEFAULTS, load_manifest\n"
+        "recorder = spans.Recorder()\n"
+        "spans.install(recorder)\n"
+        "for entry in load_manifest(sys.argv[1]):\n"
+        "    pipeline.load_trial(entry, DEFAULTS)\n"
+        "json.dump(recorder.spans, sys.stdout)\n"
+    )
     result = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "traced_cli.py"), str(spans_path), *command],
+        [sys.executable, "-c", script, manifest],
         capture_output=True,
         text=True,
         env=perfbench_env(),
         cwd=ROOT,
     )
     assert result.returncode == 0, result.stderr
-    with open(spans_path) as fh:
-        spans = json.load(fh)["spans"]
+    spans = json.loads(result.stdout)
+    assert sum(s["name"] == "io.load_trial" for s in spans) == 2
     preprocessed = [s for s in spans if s["name"] == "signal.preprocess"]
     assert len(preprocessed) == 2
     assert sum(s["samples"] for s in preprocessed) == grf_rows

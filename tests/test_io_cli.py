@@ -561,6 +561,7 @@ def test_loading_is_identical_at_any_thread_count(tmp_path, monkeypatch):
 
 def test_loading_workers_are_capped_by_entries_and_cpus(tmp_path, monkeypatch):
     entries = load_manifest(_small_dataset(tmp_path, n_subjects=1, n_activities=3, n_repeats=1))
+    serial = [trial for entry in entries for trial in load_trial(entry, DEFAULTS)[0]]
     pools = []
 
     def pool(workers, **kwargs):
@@ -569,12 +570,10 @@ def test_loading_workers_are_capped_by_entries_and_cpus(tmp_path, monkeypatch):
 
     real_pool = concurrent.futures.ProcessPoolExecutor
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    serial = [trial for trials, _ in loaded_entries(entries, replace(DEFAULTS, threads=1)) for trial in trials]
-    assert pools == []  # `preprocess`'s loader at one worker: load in the caller
     for cpus, threads, start_methods, workers in [
-        (1, 2, None, 1),  # one CPU: still a forked worker, so the sweep never loads
+        (2, 1, None, 1),  # one worker still forks, so the caller never loads
+        (1, 2, None, 1),  # one CPU: capped at one forked worker
         (None, 2, None, 1),  # an unknown CPU count counts as one
-        (2, 1, None, 1),
         (3, 8, None, 3),  # capped by the CPU count
         (8, 8, None, 3),  # capped by the entry count
         (2, 2, ["spawn"], None),  # no fork: load in the caller
@@ -583,7 +582,8 @@ def test_loading_workers_are_capped_by_entries_and_cpus(tmp_path, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         if start_methods is not None:
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: start_methods)
-        trials, _ = load_all_trials(entries, replace(DEFAULTS, threads=threads))
+        loaded = loaded_entries(entries, replace(DEFAULTS, threads=threads))
+        trials = [trial for built, _ in loaded for trial in built]
         assert pools == ([] if workers is None else [workers])
         assert [t.accel_inputs.tobytes() for t in trials] == [t.accel_inputs.tobytes() for t in serial]
         assert multiprocessing.active_children() == []
@@ -594,13 +594,13 @@ def test_malformed_grf_row_in_a_middle_entry_exits_1_at_any_thread_count(tmp_pat
     path = load_manifest(manifest_path)[2].grf_file
     _set_cell(path, 9, 3, "x")
     errors = []
-    for threads in ("1", "2", "8"):
-        args = ["run", "--manifest", str(manifest_path), "--out", str(tmp_path / "out"), "--threads", threads]
+    for command, threads in [("run", "1"), ("run", "2"), ("run", "8"), ("preprocess", "1"), ("preprocess", "2")]:
+        args = [command, "--manifest", str(manifest_path), "--out", str(tmp_path / "out"), "--threads", threads]
         assert main(args) == 1
         errors.append(capsys.readouterr().err)
         assert multiprocessing.active_children() == []
     assert f"{path}:9:" in errors[0]
-    assert errors == [errors[0]] * 3
+    assert errors == [errors[0]] * 5
 
 
 def test_loading_fault_exits_2_and_leaves_no_worker(tmp_path, capsys, monkeypatch):
@@ -621,27 +621,11 @@ def test_loading_fault_exits_2_and_leaves_no_worker(tmp_path, capsys, monkeypatc
         assert multiprocessing.active_children() == []
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="with one CPU, trials load in the caller")
-@pytest.mark.parametrize("command", ["run", "preprocess"])
-def test_threaded_command_never_imports_scipy_signal(tmp_path, command):
-    manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=2, n_repeats=1)
-    script = (
-        "import sys\n"
-        "from compredict.cli import main\n"
-        f"code = main([{command!r}, '--manifest', {str(manifest_path)!r}, '--out', {str(tmp_path / 'out')!r}, '--threads', '2'])\n"
-        "print(code, 'scipy.signal' in sys.modules)\n"
-    )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split()[-2:] == ["0", "False"]
-
-
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork: every command loads in the caller")
-@pytest.mark.parametrize("threads, cpus", [("1", None), ("2", 1)])  # None: the host's CPU count
+@pytest.mark.parametrize("threads, cpus", [("1", None), ("2", 1), ("2", None)])  # None: the host's CPU count
 @pytest.mark.parametrize("command", ["run", "metrics", "predict", "preprocess"])
-def test_one_worker_command_imports_scipy_signal_only_to_preprocess(tmp_path, command, threads, cpus):
-    # at one worker, every command that sweeps loads on a forked process;
-    # `preprocess` sweeps nothing and keeps loading in the caller
+def test_no_command_leaves_scipy_signal_in_the_caller(tmp_path, command, threads, cpus):
+    # every command that loads trials loads them on forked processes, at one worker too
     manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=2, n_repeats=1)
     script = (
         "import os, sys\n"
@@ -652,7 +636,7 @@ def test_one_worker_command_imports_scipy_signal_only_to_preprocess(tmp_path, co
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split()[-2:] == ["0", str(command == "preprocess")]
+    assert result.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_cli_profile_names_are_case_insensitive(tmp_path):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,24 +134,56 @@ def test_refiltering_constant_is_stable():
     assert np.max(np.abs(twice - once)) < 1e-9
 
 
-@settings(max_examples=60, deadline=None)
+# a length, and a padlen below it or None (the default, 3*(2*order+1), which may not be)
+LENGTH_AND_PADLEN = st.integers(1, 400).flatmap(
+    lambda n: st.tuples(st.just(n), st.one_of(st.none(), st.integers(0, n - 1)))
+)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     order=st.integers(1, 8),
-    padlen=st.one_of(st.just(0), st.none(), st.integers(1, 60)),
-    extra=st.integers(1, 200),
+    rate=st.sampled_from([FS, 999.9999999999991, 2000.0, 240.0]),  # 999.99...: the written GRF files' rate
+    shape=LENGTH_AND_PADLEN,
     seed=st.integers(0, 2**32 - 1),
 )
-@example(order=5, padlen=None, extra=1, seed=0)  # the default padlen, one sample below the length
-def test_zero_phase_filter_is_sosfiltfilt_bit_for_bit(order, padlen, extra, seed):
-    from scipy.signal import butter, sosfiltfilt
+@example(order=5, rate=FS, shape=(34, None), seed=0)  # the default padlen, one sample below the length
+@example(order=5, rate=FS, shape=(33, None), seed=0)  # the default padlen at the length
+@example(order=8, rate=999.9999999999991, shape=(400, 399), seed=0)
+@example(order=1, rate=FS, shape=(1, 0), seed=0)
+def test_zero_phase_filter_is_sosfiltfilt_bit_for_bit(order, rate, shape, seed):
+    from scipy.signal import butter, sosfilt, sosfiltfilt
 
+    length, padlen = shape
     p = 3 * (2 * order + 1) if padlen is None else padlen
-    samples = np.random.default_rng(seed).normal(size=(p + extra, 3)) * 300.0
-    sos = butter(order, 20.0, btype="low", fs=FS, output="sos")
+    samples = np.random.default_rng(seed).normal(size=(length, 3)) * 300.0
+    sos = butter(order, 20.0, btype="low", fs=rate, output="sos")
+    single = butterworth_lowpass(samples, rate, order=order, zero_phase=False)
+    assert single.tobytes() == sosfilt(sos, samples, axis=0).tobytes()
+    if p >= length:  # both reject a pad that reaches the signal's length
+        with pytest.raises(ValueError):
+            sosfiltfilt(sos, samples, axis=0, padtype="odd", padlen=p)
+        with pytest.raises(ValueError, match=f"padlen {p} must be below the signal length {length}"):
+            butterworth_lowpass(samples, rate, order=order, padlen=padlen)
+        return
     expected = sosfiltfilt(sos, samples, axis=0, padtype="odd", padlen=p)
-    filtered = butterworth_lowpass(samples, FS, order=order, padlen=padlen)
-    assert filtered.shape == expected.shape
+    filtered = butterworth_lowpass(samples, rate, order=order, padlen=padlen)
+    assert filtered.shape == expected.shape and filtered.flags.c_contiguous
     assert filtered.tobytes() == expected.tobytes()
+
+
+def test_zero_phase_filter_peaks_at_two_copies_of_its_input():
+    # the padded input is dropped before the backward pass, and that pass's
+    # input before the trimmed result is copied out
+    samples = np.random.default_rng(6).normal(size=(60_000, 3)) * 300.0
+    butterworth_lowpass(samples, FS)  # designs the filter and imports scipy.signal first
+    tracemalloc.start()
+    try:
+        butterworth_lowpass(samples, FS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * samples.nbytes
 
 
 def test_filter_rejects_cutoff_at_nyquist():
