@@ -15,8 +15,10 @@ odd-reflection padding is the default so filtered forces stay aligned with
 the marker-derived kinematics; note the two passes square the magnitude
 response, so single-pass mode is what matches the nominal -3 dB cutoff.
 The zero-phase path is `scipy.signal.sosfiltfilt` bit for bit, run here
-step by step: the padding is built in numpy, and each pass's input is
-dropped before the next, so a call peaks at two copies of its input.
+step by step in one padded buffer: the odd extension is built in place, and
+each pass's input is dropped before the next, so a call peaks at two copies
+of its input. In `preprocess` the clamp, too, writes into that buffer, and
+only the kept rows are copied out, so the whole chain peaks there as well.
 A filter design and its initial state are computed once per (order,
 cutoff, rate) and reused.
 `scipy.signal` takes about a second to import, so it is imported on first
@@ -58,12 +60,23 @@ def check_contact_intervals(intervals, n_samples: int) -> tuple:
     return intervals
 
 
+def _noncontact_rows(intervals, n_samples: int) -> list[slice]:
+    """The row slices of a series of n_samples samples that lie outside the
+    contact intervals, which are checked first."""
+    rows, last = [], 0
+    for start, end in check_contact_intervals(intervals, n_samples):
+        rows.append(slice(last, start))
+        last = end + 1
+    rows.append(slice(last, n_samples))
+    return rows
+
+
 def clamp_noncontact(samples: np.ndarray, intervals) -> np.ndarray:
     """Zero every sample outside the contact intervals; contact samples are
     passed through untouched. No intervals means no contact anywhere."""
-    keep = np.zeros(len(samples), dtype=bool)
-    for start, end in check_contact_intervals(intervals, len(samples)):
-        keep[start : end + 1] = True
+    keep = np.ones(len(samples), dtype=bool)
+    for rows in _noncontact_rows(intervals, len(samples)):
+        keep[rows] = False
     return np.where(keep[:, None], samples, 0.0)
 
 
@@ -83,6 +96,58 @@ def _sos_zi(order: int, cutoff_hz: float, sample_rate: float) -> np.ndarray:
     return sosfilt_zi(_butter_sos(order, cutoff_hz, sample_rate))[:, :, None]
 
 
+def _check_filter(sample_rate: float, order: int, cutoff_hz: float, padlen: int | None) -> None:
+    if not sample_rate > 0:
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if padlen is not None and padlen < 0:
+        raise ValueError(f"padlen must be >= 0, got {padlen}")
+    if not cutoff_hz > 0:
+        raise ValueError(f"cutoff must be positive, got {cutoff_hz}")
+    if cutoff_hz >= sample_rate / 2.0:
+        raise ValueError(f"cutoff {cutoff_hz} Hz is at or above Nyquist ({sample_rate / 2.0} Hz)")
+
+
+def _zero_phase(
+    samples: np.ndarray, sample_rate: float, order: int, cutoff_hz: float, padlen: int | None,
+    zero_rows=(), step: int = 1,
+) -> np.ndarray:
+    """sosfiltfilt(sos, samples, axis=0, padtype="odd", padlen=padlen)[::step]
+    of the checked design, bit for bit and C-contiguous, after the rows in
+    zero_rows are set to +0.0 as clamp_noncontact sets them.
+
+    All of it runs in one padded buffer that only this frame refers to
+    (CPython 3.10 would hold a passed-in buffer until the call returns), so
+    each pass's input is freed before the next, and a call peaks at two
+    copies of the buffer.
+    """
+    from scipy.signal import sosfilt
+
+    if padlen is None:
+        padlen = 3 * (2 * order + 1)
+    n = len(samples)
+    if padlen >= n:
+        raise ValueError(f"padlen {padlen} must be below the signal length {n}")
+    # each call gets its own copy of the shared design
+    sos = _butter_sos(order, cutoff_hz, sample_rate).copy()
+    zi = _sos_zi(order, cutoff_hz, sample_rate)
+    padded = np.empty((n + 2 * padlen, 3))
+    middle = padded[padlen : padlen + n]
+    middle[...] = samples
+    for rows in zero_rows:
+        middle[rows] = 0.0
+    # scipy.signal's odd extension, written into the buffer's ends
+    np.subtract(2 * middle[:1], middle[padlen:0:-1], out=padded[:padlen])
+    np.subtract(2 * middle[-1:], middle[-2 : -padlen - 2 : -1], out=padded[padlen + n :])
+    del middle
+    forward = sosfilt(sos, padded, axis=0, zi=zi * padded[:1])[0]
+    del padded
+    backward = sosfilt(sos, forward[::-1], axis=0, zi=zi * forward[-1:])[0]
+    del forward
+    return np.ascontiguousarray(backward[::-1][padlen : padlen + n : step])
+
+
 def butterworth_lowpass(
     samples: np.ndarray, sample_rate: float, order: int = 5, cutoff_hz: float = 20.0,
     zero_phase: bool = True, padlen: int | None = None,
@@ -95,39 +160,14 @@ def butterworth_lowpass(
     used. The cutoff must lie below the Nyquist frequency, sample_rate / 2.
     """
     samples = _as_forces(samples)
-    if not sample_rate > 0:
-        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if padlen is not None and padlen < 0:
-        raise ValueError(f"padlen must be >= 0, got {padlen}")
-    if not cutoff_hz > 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff_hz}")
-    if cutoff_hz >= sample_rate / 2.0:
-        raise ValueError(f"cutoff {cutoff_hz} Hz is at or above Nyquist ({sample_rate / 2.0} Hz)")
+    _check_filter(sample_rate, order, cutoff_hz, padlen)
+    if zero_phase:
+        return _zero_phase(samples, sample_rate, order, cutoff_hz, padlen)
     from scipy.signal import sosfilt
 
     # each call gets its own copy of the shared design
     sos = _butter_sos(order, cutoff_hz, sample_rate).copy()
-    if not zero_phase:
-        return np.ascontiguousarray(sosfilt(sos, samples, axis=0))
-    if padlen is None:
-        padlen = 3 * (2 * order + 1)
-    n = len(samples)
-    if padlen >= n:
-        raise ValueError(f"padlen {padlen} must be below the signal length {n}")
-    # sosfiltfilt(sos, samples, axis=0, padtype="odd", padlen=padlen), step
-    # by step, so the design's initial state is computed once and each pass's
-    # input is dropped before the next pass
-    head = 2 * samples[:1] - samples[padlen:0:-1]
-    tail = 2 * samples[-1:] - samples[-2 : -padlen - 2 : -1]
-    padded = np.concatenate((head, samples, tail))
-    zi = _sos_zi(order, cutoff_hz, sample_rate)
-    forward = sosfilt(sos, padded, axis=0, zi=zi * padded[:1])[0]
-    del padded
-    backward = sosfilt(sos, forward[::-1], axis=0, zi=zi * forward[-1:])[0]
-    del forward
-    return np.ascontiguousarray(backward[::-1][padlen : padlen + n])
+    return np.ascontiguousarray(sosfilt(sos, samples, axis=0))
 
 
 def detect_contact(samples: np.ndarray, rise_threshold: float, hold_samples: int = 5) -> list[tuple[int, int]]:
@@ -158,7 +198,13 @@ def preprocess(
     band-limit the forces below the new Nyquist frequency."""
     if downsample_factor < 1:
         raise ValueError(f"factor must be >= 1, got {downsample_factor}")
-    out = clamp_noncontact(_as_forces(samples), intervals)
+    samples = _as_forces(samples)
+    if apply_filter and zero_phase:
+        # the clamp writes into the filter's padded buffer
+        zero_rows = _noncontact_rows(intervals, len(samples))
+        _check_filter(sample_rate, order, cutoff_hz, padlen)
+        return _zero_phase(samples, sample_rate, order, cutoff_hz, padlen, zero_rows, downsample_factor)
+    out = clamp_noncontact(samples, intervals)
     if apply_filter:
-        out = butterworth_lowpass(out, sample_rate, order, cutoff_hz, zero_phase=zero_phase, padlen=padlen)
-    return out[::downsample_factor]
+        out = butterworth_lowpass(out, sample_rate, order, cutoff_hz, zero_phase=False, padlen=padlen)
+    return np.ascontiguousarray(out[::downsample_factor])

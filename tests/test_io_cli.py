@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -290,6 +291,24 @@ def test_dataset_round_trip_with_filter_is_close_for_smooth_input(tmp_path):
     # away from the edge transients the 20 Hz lowpass passes a 1 Hz
     # acceleration essentially unchanged
     assert_allclose(loaded.accel_inputs[20:-20], trial.accel_inputs[20:-20], atol=5e-3)
+
+
+def test_load_trial_peaks_below_four_copies_of_its_forces(tmp_path):
+    # a 1-min recording at 1000 Hz: the parsed force array, the filter's padded
+    # buffer with the clamp written into it and one pass's output, and the
+    # kept fifth (4.41 copies when the clamp and the result were copies too)
+    _, manifest_path = _write_single_trial_dataset(tmp_path, duration=60.0)
+    (entry,) = load_manifest(manifest_path)
+    _, forces = read_grf_csv(entry.grf_file)
+    assert len(forces) >= 60_000
+    load_trial(entry, DEFAULTS)  # designs the filter and imports scipy.signal first
+    tracemalloc.start()
+    try:
+        load_trial(entry, DEFAULTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6 * forces.nbytes
 
 
 def test_manifest_requires_mass(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import subprocess
 import sys
 import tracemalloc
@@ -173,8 +174,9 @@ def test_zero_phase_filter_is_sosfiltfilt_bit_for_bit(order, rate, shape, seed):
 
 
 def test_zero_phase_filter_peaks_at_two_copies_of_its_input():
-    # the padded input is dropped before the backward pass, and that pass's
-    # input before the trimmed result is copied out
+    # the samples are copied into one padded buffer, which is dropped once the
+    # forward pass has read it; that pass's output is dropped before the
+    # trimmed result is copied out
     samples = np.random.default_rng(6).normal(size=(60_000, 3)) * 300.0
     butterworth_lowpass(samples, FS)  # designs the filter and imports scipy.signal first
     tracemalloc.start()
@@ -183,6 +185,22 @@ def test_zero_phase_filter_peaks_at_two_copies_of_its_input():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 2.1 * samples.nbytes
+
+
+def test_zero_phase_chain_peaks_at_two_copies_of_its_input():
+    # the clamp writes into the filter's padded buffer, and only every fifth
+    # row of the trimmed result is copied out: no clamped copy and no
+    # full-length result (3.01 copies when each step made its own)
+    samples = np.random.default_rng(7).normal(size=(60_000, 3)) * 300.0
+    preprocess(samples, FS, ((100, 59_000),), downsample_factor=5)  # designs the filter first
+    tracemalloc.start()
+    try:
+        out = preprocess(samples, FS, ((100, 59_000),), downsample_factor=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (12_000, 3)
     assert peak <= 2.1 * samples.nbytes
 
 
@@ -288,12 +306,69 @@ def test_lowpassed_tone_survives_downsampling_without_artifacts():
     assert np.max(spectrum[off_tone]) < 1e-4
 
 
-def test_preprocess_order_matches_manual_chain():
-    rng = np.random.default_rng(3)
-    samples = rng.normal(size=(2000, 3)) * 100.0
-    manual = butterworth_lowpass(clamp_noncontact(samples, ((200, 1500),)), FS)[::5]
-    auto = preprocess(samples, FS, ((200, 1500),), downsample_factor=5)
-    assert_array_equal(auto, manual)
+def reference_chain(samples, rate, intervals, factor, order, mode, padlen):
+    """np.where clamp -> scipy.signal's filter for the mode -> every factor-th row."""
+    from scipy.signal import butter, sosfilt, sosfiltfilt
+
+    keep = np.zeros(len(samples), dtype=bool)
+    for start, end in intervals:
+        keep[start : end + 1] = True
+    clamped = np.where(keep[:, None], samples, 0.0)
+    if mode == "none":
+        return clamped[::factor]
+    sos = butter(order, 20.0, btype="low", fs=rate, output="sos")
+    if mode == "causal":
+        return sosfilt(sos, clamped, axis=0)[::factor]
+    p = 3 * (2 * order + 1) if padlen is None else padlen
+    return sosfiltfilt(sos, clamped, axis=0, padtype="odd", padlen=p)[::factor]
+
+
+@st.composite
+def chain_inputs(draw):
+    """Forces with stretches of exact +0.0 and -0.0, sorted contact intervals,
+    and a padlen that may reach the length or pass it."""
+    length = draw(st.integers(1, 400))
+    samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(length, 3)) * 300.0
+    for start, size, zero, column in draw(st.lists(st.tuples(
+        st.integers(0, length - 1), st.integers(1, 60), st.sampled_from([0.0, -0.0]), st.integers(-1, 2),
+    ), max_size=4)):
+        samples[start : start + size, slice(None) if column < 0 else column] = zero
+    cuts = sorted(draw(st.lists(st.integers(0, length - 1), unique=True, max_size=6)))
+    intervals = tuple(zip(cuts[::2], cuts[1::2]))
+    padlen = draw(st.one_of(st.none(), st.integers(0, length + 2)))
+    return samples, intervals, padlen
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inputs=chain_inputs(),
+    mode=st.sampled_from(["zero_phase", "causal", "none"]),
+    factor=st.integers(1, 7),
+    order=st.integers(1, 8),
+    rate=st.sampled_from([FS, 999.9999999999991, 200.0]),  # 999.99...: the written GRF files' rate
+)
+@example(inputs=(np.full((50, 3), -0.0), ((10, 30),), None), mode="zero_phase", factor=5, order=5, rate=FS)
+@example(inputs=(np.full((50, 3), -0.0), ((0, 49),), 0), mode="none", factor=3, order=5, rate=FS)
+@example(inputs=(np.ones((33, 3)), ((0, 32),), None), mode="zero_phase", factor=1, order=5, rate=FS)
+@example(inputs=(np.ones((40, 3)), (), 40), mode="zero_phase", factor=2, order=2, rate=200.0)
+def test_preprocess_is_the_reference_chain_byte_for_byte(inputs, mode, factor, order, rate):
+    # tobytes() tells +0.0 from -0.0, which assert_array_equal does not
+    samples, intervals, padlen = inputs
+    call = functools.partial(
+        preprocess, samples, rate, intervals, downsample_factor=factor, order=order,
+        zero_phase=mode == "zero_phase", padlen=padlen, apply_filter=mode != "none",
+    )
+    p = 3 * (2 * order + 1) if padlen is None else padlen
+    if mode == "zero_phase" and p >= len(samples):  # both reject a pad that reaches the length
+        with pytest.raises(ValueError):
+            reference_chain(samples, rate, intervals, factor, order, mode, padlen)
+        with pytest.raises(ValueError, match=f"^padlen {p} must be below the signal length {len(samples)}$"):
+            call()
+        return
+    expected = reference_chain(samples, rate, intervals, factor, order, mode, padlen)
+    out = call()
+    assert out.shape == expected.shape and out.flags.c_contiguous
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_preprocess_can_skip_filter():
