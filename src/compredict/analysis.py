@@ -230,23 +230,14 @@ def bonferroni(p_values, m: int) -> list[float]:
     return [float(np.minimum(1.0, m * float(p))) for p in p_values]
 
 
-def cohens_d(a, b, variant: str = "pooled") -> float:
-    """Standardized mean difference.
-
-    "pooled" uses the df-weighted pooled standard deviation (the convention
-    reported alongside Welch tests); "unequal" divides by
-    sqrt((s_a^2 + s_b^2)/2) instead.
-    """
+def cohens_d(a, b) -> float:
+    """Standardized mean difference over the df-weighted pooled standard
+    deviation, the convention reported alongside Welch tests."""
     a = _clean_group(a, "a")
     b = _clean_group(b, "b")
     var_a = float(np.var(a, ddof=1))
     var_b = float(np.var(b, ddof=1))
-    if variant == "pooled":
-        denom2 = ((a.size - 1) * var_a + (b.size - 1) * var_b) / (a.size + b.size - 2)
-    elif variant == "unequal":
-        denom2 = 0.5 * (var_a + var_b)
-    else:
-        raise ValueError(f"unknown Cohen's d variant {variant!r}")
+    denom2 = ((a.size - 1) * var_a + (b.size - 1) * var_b) / (a.size + b.size - 2)
     if denom2 <= 0.0:
         raise DegenerateVarianceError("pooled variance is zero")
     return float((np.mean(a) - np.mean(b)) / np.sqrt(denom2))

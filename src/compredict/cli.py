@@ -8,7 +8,9 @@ Subcommands:
   metrics     compute per-subject metric rows only
   analyze     run the statistics layer on an existing metrics.csv
   run         everything end to end: load, sweep, metrics, statistics, export
-  report      re-export the tables from a saved bundle.json
+
+run and analyze write bundle.json and every table (metrics, tests, fits,
+levels, skips).
 
 Exit codes: 0 on success, 1 for input errors (files, manifest, config),
 2 for pipeline failures.
@@ -42,7 +44,6 @@ from .pipeline import (
     export_results,
     export_table,
     load_all_trials,
-    load_bundle,
     loaded_entries,
     result_bundle,
     run_pipeline,
@@ -66,7 +67,6 @@ FLAGS = {
     "--horizons": ("horizons_ms", "comma-separated horizon lengths in ms"),
     "--stride": ("stride", "samples between horizon starts"),
     "--threads": ("threads", "workers, capped at the CPU count: sweep threads, and processes that load trials"),
-    "--format": ("out_format", "output format: csv or json"),
 }
 
 
@@ -100,18 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_session(sub.add_parser("preprocess", help="run the GRF chain only"), "--threads")
     add_session(sub.add_parser("predict", help="write per-horizon sweep summaries"), *sweep)
     add_session(sub.add_parser("metrics", help="write per-subject metric rows"), *sweep)
-    add_session(sub.add_parser("run", help="full pipeline with all outputs"), *sweep, "--format")
+    add_session(sub.add_parser("run", help="full pipeline with all outputs"), *sweep)
 
     p = sub.add_parser("analyze", help="statistics from an existing metrics.csv")
     p.add_argument("--config", help="run configuration file")
     p.add_argument("--metrics-csv", required=True, dest="metrics_csv")
     p.add_argument("--out", required=True)
-    add_flags(p, "--format")
-
-    p = sub.add_parser("report", help="re-export tables from a saved bundle")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--out", required=True)
-    add_flags(p, "--format")
     return parser
 
 
@@ -207,9 +201,9 @@ def _run_bundle(args, config: RunConfig):
     return bundle
 
 
-def _export(bundle, args, config: RunConfig) -> int:
-    """Write the bundle into --out in the configured format: the tail of run, analyze and report."""
-    written = export_results(bundle, args.out, out_format=config.out_format)
+def _export(bundle, args) -> int:
+    """Write the bundle and its tables into --out: the tail of run and analyze."""
+    written = export_results(bundle, args.out)
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 
@@ -224,7 +218,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_effective_config(args)
-    return _export(_run_bundle(args, config), args, config)
+    return _export(_run_bundle(args, config), args)
 
 
 def _metric_row(cells, dt: float) -> MetricSummary:
@@ -269,12 +263,7 @@ def _cmd_analyze(args) -> int:
     horizons = tuple(sorted({r.horizon_ms for r in metric_rows}))
     profiles = tuple(dict.fromkeys(r.profile for r in metric_rows))
     config = replace(config, horizons_ms=horizons, profiles=profiles)
-    return _export(result_bundle(config, metric_rows), args, config)
-
-
-def _cmd_report(args) -> int:
-    config = _load_effective_config(args)
-    return _export(load_bundle(args.bundle), args, config)
+    return _export(result_bundle(config, metric_rows), args)
 
 
 _COMMANDS = {
@@ -284,7 +273,6 @@ _COMMANDS = {
     "metrics": _cmd_metrics,
     "run": _cmd_run,
     "analyze": _cmd_analyze,
-    "report": _cmd_report,
 }
 
 

@@ -77,10 +77,11 @@ class RunConfig:
 
     dt is the prediction sample period (seconds); every horizon length must
     be a whole number of sample periods. Profile names are stored lower-case
-    and horizons as floats, and neither list may repeat an entry.
-    bonferroni_m of 0 means "use the size of each pairwise family". Settings
+    and horizons as floats, and neither list may repeat an entry. Settings
     that depend on a GRF file (a cutoff below its Nyquist frequency, a padlen
-    shorter than it) are checked when that file is loaded.
+    shorter than it) are checked when that file is loaded. The statistics
+    have one form, set by alpha alone: hierarchical per-subject means,
+    Bonferroni within each pairwise family, and a pooled-SD Cohen's d.
     """
 
     dt: float = 0.005
@@ -94,14 +95,10 @@ class RunConfig:
     filter_padlen: int = 0  # 0 = default 3*(2*order+1)
     contact_threshold_n: float = 20.0
     contact_hold_samples: int = 5
-    aggregation: str = "hierarchical"
     alpha: float = 0.05
-    bonferroni_m: int = 0
-    cohens_d_variant: str = "pooled"
     gravity: float = STANDARD_GRAVITY
     velocity_fallback: bool = True
     threads: int = 1
-    out_format: str = "csv"
 
     def __post_init__(self):
         for key, convert in (("profiles", lambda p: ProfileKind.parse(p).value), ("horizons_ms", float)):
@@ -116,16 +113,12 @@ class RunConfig:
             "stride": (self.stride >= 1, ">= 1"),
             "threads": (self.threads >= 1, ">= 1"),
             "alpha": (0.0 < self.alpha < 1.0, "in (0, 1)"),
-            "bonferroni_m": (self.bonferroni_m >= 0, ">= 0"),
             "filter_order": (self.filter_order >= 1, ">= 1"),
             "filter_cutoff_hz": (self.filter_cutoff_hz > 0, "positive"),
             "filter_padlen": (self.filter_padlen >= 0, ">= 0"),
             "contact_threshold_n": (self.contact_threshold_n > 0, "positive"),
             "contact_hold_samples": (self.contact_hold_samples >= 1, ">= 1"),
-            "aggregation": (self.aggregation in ("hierarchical", "pooled"), "hierarchical or pooled"),
-            "cohens_d_variant": (self.cohens_d_variant in ("pooled", "unequal"), "pooled or unequal"),
             "gravity": (np.isfinite(self.gravity), "finite"),
-            "out_format": (self.out_format in ("csv", "json"), "csv or json"),
         }
         for key, (valid, rule) in limits.items():
             if not valid:

@@ -18,7 +18,6 @@ mean is the same pairwise sum over the count).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple
@@ -52,29 +51,16 @@ class MetricSummary:
     mda: float | None
 
 
-def summarize(
-    subject_id: str,
-    profile: str,
-    horizon_ms: float,
-    outcomes: list[Outcome],
-    aggregation: str = "hierarchical",
-) -> MetricSummary:
+def summarize(subject_id: str, profile: str, horizon_ms: float, outcomes: list[Outcome]) -> MetricSummary:
     """Reduce one subject's outcomes, in any order, to a MetricSummary.
 
-    A subject whose trials are all static gets ada = mda = None. "pooled"
-    aggregation takes grand means over every horizon instead, ignoring the
-    hierarchy: a sensitivity check, equal to the mean over every sample up
-    to rounding, since all horizons of one length have the same samples.
+    A subject whose trials are all static gets ada = mda = None.
     """
-    if aggregation not in ("hierarchical", "pooled"):
-        raise ValueError(f"unknown aggregation mode {aggregation!r}")
     if not outcomes:
         raise ValueError(f"no trials to summarize for {subject_id} {profile} {horizon_ms:g} ms")
     outcomes = sorted(outcomes, key=lambda o: (o.activity_id, o.repeat_index))
 
     def mean(rows, field):
-        if aggregation == "pooled":
-            return math.fsum(getattr(o, field) for o in rows) / sum(o.n for o in rows)
         activities = groupby(rows, key=lambda o: o.activity_id)
         return float(np.mean([np.mean([getattr(o, field) / o.n for o in repeats]) for _, repeats in activities]))
 

@@ -46,8 +46,8 @@ from .analysis import (
     welch_anova,
     welch_t_test,
 )
-from .io import InputError, RunConfig, format_row, load_trial, write_table
-from .metrics import MetricSummary, Outcome, summarize
+from .io import RunConfig, format_row, load_trial, write_table
+from .metrics import Outcome, summarize
 from .prediction import Trial, TrialTooShortError, sweep_session, worker_count
 from .prediction import sweep_errors  # noqa: F401  perfbench/spans.py wraps this name here
 from .profiles import ProfileKind
@@ -145,7 +145,7 @@ def loaded_entries(entries, config: RunConfig):
     the caller. Either way the first failing entry's error is raised, and no
     worker outlives the iterator.
     """
-    # imported here, so commands that load no trials (synth, analyze, report) skip them
+    # imported here, so commands that load no trials (synth, analyze) skip them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -199,7 +199,7 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
     # configured horizon, then trial order; a subject none of whose trials
     # fits a horizon has no metric row for it
     metric_rows = [
-        summarize(subject, config.profiles[p], config.horizons_ms[j], own, aggregation=config.aggregation)
+        summarize(subject, config.profiles[p], config.horizons_ms[j], own)
         for (subject, p, j), own in sorted(outcomes.items())
     ]
     skip_rows = [row for _, rows in sorted(skips.items()) for row in rows]
@@ -293,13 +293,13 @@ def compute_statistics(metric_rows, config: RunConfig):
                         t_ms,
                         f"{a}-{b}",
                         lambda: welch_t_test(usable[a], usable[b]),
-                        lambda: cohens_d(usable[a], usable[b], variant=config.cohens_d_variant),
+                        lambda: cohens_d(usable[a], usable[b]),
                     )
                     for a, b in pairs
                 ]
                 tested = [row.p_value for row in rows if row.p_value is not None]
-                # the family's size, raised to the number of pairs tested
-                adjusted = iter(bonferroni(tested, max(config.bonferroni_m or len(pairs), len(tested))))
+                # m is the family's size, never below the number of pairs tested
+                adjusted = iter(bonferroni(tested, len(pairs)))
                 stat_rows.extend(row if row.p_value is None else replace(row, adjusted_p=next(adjusted)) for row in rows)
     return fit_rows, level_rows, stat_rows, notes
 
@@ -374,8 +374,8 @@ def export_table(bundle: ResultBundle, out_dir: str, name: str) -> str:
     return path
 
 
-def export_results(bundle: ResultBundle, out_dir: str, out_format: str = "csv") -> list[str]:
-    """Write the bundle: JSON always, plus the CSV tables unless json-only.
+def export_results(bundle: ResultBundle, out_dir: str) -> list[str]:
+    """Write the bundle as bundle.json and every one of the TABLES.
 
     Outputs are deterministic: fixed row order, fixed float formatting.
     Returns the list of files written.
@@ -385,30 +385,4 @@ def export_results(bundle: ResultBundle, out_dir: str, out_format: str = "csv") 
     with open(bundle_path, "w", encoding="utf-8") as fh:
         json.dump(asdict(bundle), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if out_format == "json":
-        return [bundle_path]
     return [bundle_path] + [export_table(bundle, out_dir, name) for name in TABLES]
-
-
-def bundle_from_dict(data: dict) -> ResultBundle:
-    return ResultBundle(
-        version=data["version"],
-        config=data["config"],
-        metric_rows=[MetricSummary(**r) for r in data["metric_rows"]],
-        fit_rows=[
-            FitRow(**{**r, "coefficients": tuple(r["coefficients"])}) for r in data["fit_rows"]
-        ],
-        level_rows=[LevelRow(**r) for r in data["level_rows"]],
-        stat_rows=[StatRow(**r) for r in data["stat_rows"]],
-        skip_rows=[SkipRow(**r) for r in data["skip_rows"]],
-        notes=list(data["notes"]),
-    )
-
-
-def load_bundle(path: str) -> ResultBundle:
-    """Read a saved bundle.json; one that cannot be read is an InputError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return bundle_from_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON
-        raise InputError(f"cannot read bundle {path}: {exc!r}") from exc

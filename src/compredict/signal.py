@@ -22,7 +22,7 @@ only the kept rows are copied out, so the whole chain peaks there as well.
 A filter design and its initial state are computed once per (order,
 cutoff, rate) and reused.
 `scipy.signal` takes about a second to import, so it is imported on first
-use and commands that never filter (synth, analyze, report) skip it.
+use and commands that never filter (synth, analyze) skip it.
 Which process loads trials, and so imports it, is `pipeline.loaded_entries`'
 rule.
 """

@@ -121,15 +121,6 @@ def _nested_mean(grouped):
     return sum(activity_means) / len(activity_means)
 
 
-def _pooled_mean(grouped):
-    """Mean of every value, ignoring the hierarchy."""
-    values = []
-    for repeats in grouped.values():
-        for trial_values in repeats.values():
-            values.extend(trial_values)
-    return sum(values) / len(values)
-
-
 def _start_outcomes(trial, kind, n, dt, stride):
     """(mean error, max error, direction score) of each horizon of n samples
     in a trial, stepping the profile's accelerations one sample at a time."""
@@ -158,8 +149,8 @@ def reference_metric_rows(trials, config):
 
     trials carry subject_id, activity_id, repeat_index, is_static and (n, 3)
     positions, velocities and accel_inputs; config carries dt, stride,
-    profiles, horizons_ms and aggregation. Subjects go in sorted order,
-    then profiles and horizons in config order. A trial shorter than a
+    profiles and horizons_ms. Subjects go in sorted order, then profiles
+    and horizons in config order. A trial shorter than a
     horizon is skipped once per (subject, activity, repeat, horizon), with
     the pipeline's reason; static trials give no direction scores. Returns
     (rows, skips): rows are (subject, profile, horizon_ms, ae, me, ada, mda)
@@ -192,13 +183,12 @@ def reference_metric_rows(trials, config):
                         scores.setdefault(trial.activity_id, {})[trial.repeat_index] = [o[2] for o in outcomes]
                 if not means:
                     continue
-                mean = _pooled_mean if config.aggregation == "pooled" else _nested_mean
                 me = max(max(values) for repeats in maxima.values() for values in repeats.values())
                 ada = mda = None
                 if scores:
-                    ada = mean(scores)
+                    ada = _nested_mean(scores)
                     mda = min(sum(v) / len(v) for repeats in scores.values() for v in repeats.values())
-                rows.append((subject, profile, t_ms, mean(means), me, ada, mda))
+                rows.append((subject, profile, t_ms, _nested_mean(means), me, ada, mda))
     return rows, skips
 
 
@@ -230,12 +220,9 @@ def _welch_t(a, b):
     return t, df, None, 2.0 * scipy_stats.t.sf(abs(t), df)
 
 
-def _cohens_d(a, b, variant):
+def _cohens_d(a, b):
     va, vb = _variance(a), _variance(b)
-    if variant == "pooled":
-        spread = ((len(a) - 1) * va + (len(b) - 1) * vb) / (len(a) + len(b) - 2)
-    else:
-        spread = (va + vb) / 2.0
+    spread = ((len(a) - 1) * va + (len(b) - 1) * vb) / (len(a) + len(b) - 2)
     if spread <= 0.0:
         return "pooled variance is zero"
     return (_mean(a) - _mean(b)) / math.sqrt(spread)
@@ -299,16 +286,15 @@ def reference_statistics(metric_rows, config):
     equations for the weighted fits.
 
     metric_rows carry subject_id, profile, horizon_ms and the four metrics
-    (ada and mda may be None); config carries profiles, horizons_ms, alpha,
-    bonferroni_m and cohens_d_variant. A group of values counts as without
-    variance when its values are all equal. Per (metric, profile), each
-    horizon with two or more values gives a level row with a t-based 95% CI;
-    four or more such levels give the cubic -> quadratic -> linear fits and
-    their F-tests. Per (metric, horizon), the profiles with two or more
-    values get a Welch ANOVA; when p <= alpha, Welch t-tests with Cohen's d
-    follow in two Bonferroni families: the pairs of non-oracle profiles, and
-    the oracle against each of them. A family's m is bonferroni_m (its own
-    number of pairs when 0), raised to the number of its pairs tested.
+    (ada and mda may be None); config carries profiles, horizons_ms and
+    alpha. A group of values counts as without variance when its values are
+    all equal. Per (metric, profile), each horizon with two or more values
+    gives a level row with a t-based 95% CI; four or more such levels give
+    the cubic -> quadratic -> linear fits and their F-tests. Per (metric,
+    horizon), the profiles with two or more values get a Welch ANOVA; when
+    p <= alpha, Welch t-tests with a pooled-SD Cohen's d follow in two
+    Bonferroni families: the pairs of non-oracle profiles, and the oracle
+    against each of them. A family's m is its number of pairs.
     """
     if len({row.subject_id for row in metric_rows}) < 2:
         return [], [], [], ["insufficient subjects for inference (n < 2); statistics skipped"]
@@ -369,14 +355,13 @@ def reference_statistics(metric_rows, config):
                 rows = []
                 for a, b in pairs:
                     result = _welch_t(groups[a], groups[b])
-                    d = result if isinstance(result, str) else _cohens_d(groups[a], groups[b], config.cohens_d_variant)
+                    d = result if isinstance(result, str) else _cohens_d(groups[a], groups[b])
                     if isinstance(d, str):  # the note of the test, or else of the effect size
                         rows.append((metric, t, f"{a}-{b}", None, None, None, None, None, None, d))
                     else:
                         rows.append((metric, t, f"{a}-{b}", *result, None, d, ""))
-                m = max(config.bonferroni_m or len(pairs), sum(row[6] is not None for row in rows))
                 for row in rows:
-                    adjusted = None if row[6] is None else min(1.0, m * row[6])
+                    adjusted = None if row[6] is None else min(1.0, len(pairs) * row[6])
                     tests.append(row[:7] + (adjusted,) + row[8:])
     return fits, levels, trends + tests, notes
 

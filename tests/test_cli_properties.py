@@ -98,7 +98,10 @@ BOUNDED_VALUES = {
     "threads": st.one_of(st.integers(-2, 4).map(str), st.text("abx.-+ ,", max_size=4)),
     "filter_order": st.one_of(st.integers(-2, 8).map(str), st.text("abx.-+ ,", max_size=4)),
 }
-CONFIG_KEYS = [f.name for f in fields(DEFAULTS)] + ["colour", "Threads", "horizons"]
+# unknown keys: misspelt ones, and the retired statistics and output settings
+CONFIG_KEYS = [f.name for f in fields(DEFAULTS)] + [
+    "colour", "Threads", "horizons", "aggregation", "bonferroni_m", "cohens_d_variant", "out_format"
+]
 
 
 def default_text(key):
@@ -150,7 +153,7 @@ def test_cli_run_exit_codes_on_generated_input(session, overrides, mutation):
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh)
     with tempfile.TemporaryDirectory() as out:
-        argv = ["run", "--manifest", manifest_path, "--out", out, "--format", "json"]
+        argv = ["run", "--manifest", manifest_path, "--out", out]
         argv += [f"{flag}={text}" for flag, text in overrides.items()]
         code, err = run_cli(argv)
     assert code in (0, 1, 2), err

@@ -40,11 +40,8 @@ from compredict.io import (
 from compredict.pipeline import (
     METRICS_HEADER,
     PipelineError,
-    ResultBundle,
-    bundle_from_dict,
     export_results,
     load_all_trials,
-    load_bundle,
     loaded_entries,
     run_pipeline,
 )
@@ -97,7 +94,7 @@ def test_parse_config_rejects_unknown_or_invalid():
     with pytest.raises(ConfigError):
         parse_config("profiles = ballistic")
     with pytest.raises(ConfigError):
-        RunConfig(aggregation="median")
+        RunConfig(contact_hold_samples=0)
 
 
 @pytest.mark.parametrize(
@@ -471,8 +468,7 @@ def test_static_only_subject_round_trips_with_empty_direction_cells(tmp_path):
     export_results(bundle, out_dir)
     lines = (out_dir / "metrics.csv").read_text().splitlines()
     assert lines[1].endswith(",,")  # empty ada and mda cells
-    reloaded = load_bundle(out_dir / "bundle.json")
-    assert reloaded.metric_rows == bundle.metric_rows
+    assert json.loads((out_dir / "bundle.json").read_text()) == json.loads(json.dumps(asdict(bundle)))
 
 
 def test_too_short_trials_land_in_skip_report(tmp_path):
@@ -515,11 +511,9 @@ def test_bundle_json_round_trip(tmp_path):
     bundle = run_pipeline(config, trials)
     out_dir = tmp_path / "out"
     export_results(bundle, out_dir)
-    reloaded = load_bundle(out_dir / "bundle.json")
-    assert asdict(reloaded) == asdict(bundle)
-    assert reloaded.metric_rows == bundle.metric_rows
-    assert reloaded.stat_rows == bundle.stat_rows
-    assert bundle_from_dict(json.loads(json.dumps(asdict(bundle)))) == bundle
+    assert bundle.metric_rows and bundle.stat_rows
+    # bundle.json holds every row of the bundle, None as null
+    assert json.loads((out_dir / "bundle.json").read_text()) == json.loads(json.dumps(asdict(bundle)))
 
 
 def test_thread_count_does_not_change_outputs(tmp_path):
@@ -699,25 +693,11 @@ def test_cli_synth_run_report_round_trip(tmp_path):
     for name in ("bundle.json", "metrics.csv", "tests.csv", "fits.csv", "levels.csv", "skips.csv"):
         assert (tmp_path / "results" / name).exists()
 
-    report = run_cli(
-        "report", "--bundle", tmp_path / "results" / "bundle.json", "--out", tmp_path / "replay"
-    )
-    assert report.returncode == 0, report.stderr
-    for name in ("metrics.csv", "tests.csv", "fits.csv", "levels.csv", "skips.csv"):
+    # analyze reads the run's metrics.csv back and writes the same statistics
+    analyze = run_cli("analyze", "--metrics-csv", tmp_path / "results" / "metrics.csv", "--out", tmp_path / "replay")
+    assert analyze.returncode == 0, analyze.stderr
+    for name in ("metrics.csv", "tests.csv", "fits.csv", "levels.csv"):
         assert (tmp_path / "replay" / name).read_bytes() == (tmp_path / "results" / name).read_bytes()
-
-
-def test_cli_json_format_writes_bundle_only(tmp_path):
-    run_cli("synth", "--out", tmp_path / "data", "--subjects", 2, "--activities", 2, "--repeats", 1)
-    result = run_cli(
-        "run",
-        "--manifest", tmp_path / "data" / "manifest.json",
-        "--out", tmp_path / "results",
-        "--horizons", "125",
-        "--format", "json",
-    )
-    assert result.returncode == 0, result.stderr
-    assert os.listdir(tmp_path / "results") == ["bundle.json"]
 
 
 def test_cli_metrics_and_analyze(tmp_path):
@@ -973,17 +953,12 @@ def test_cli_analyze_rejects_malformed_metrics_row_naming_file_and_line(tmp_path
         assert "dt = 0.005 s is set with --config" in err
 
 
-@pytest.mark.parametrize("command", ["synth", "preprocess", "predict", "metrics", "run", "analyze", "report"])
+@pytest.mark.parametrize("command", ["synth", "preprocess", "predict", "metrics", "run", "analyze"])
 def test_cli_out_naming_an_existing_file_is_an_input_error(tmp_path, capsys, command):
     _, manifest_path = _write_single_trial_dataset(tmp_path)
     metrics_path = tmp_path / "metrics.csv"
     write_table(metrics_path, METRICS_HEADER, map(format_row, [("s00", "zero", 125.0, 0.1, 0.2, 0.5, 0.4)]))
-    bundle_path = export_results(ResultBundle(version="0", config={}), str(tmp_path / "bundle"), "json")[0]
-    inputs = {
-        "synth": [],
-        "analyze": ["--metrics-csv", str(metrics_path)],
-        "report": ["--bundle", bundle_path],
-    }
+    inputs = {"synth": [], "analyze": ["--metrics-csv", str(metrics_path)]}
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     # the file itself, and a directory that would have to be made below it
@@ -1007,6 +982,10 @@ def test_cli_out_naming_an_existing_file_is_an_input_error(tmp_path, capsys, com
         (["preprocess", "--manifest", "m.json", "--out", "o", "--profiles", "zero"], "unrecognized arguments"),
         (["preprocess", "--manifest", "m.json", "--out", "o", "--stride", "2"], "unrecognized arguments"),
         (["preprocess", "--manifest", "m.json", "--out", "o", "--format", "csv"], "unrecognized arguments"),
+        # the retired --format flag and report subcommand
+        (["run", "--manifest", "m.json", "--out", "o", "--format", "csv"], "unrecognized arguments: --format csv"),
+        (["analyze", "--metrics-csv", "m.csv", "--out", "o", "--format", "json"], "unrecognized arguments: --format"),
+        (["report", "--bundle", "bundle.json", "--out", "o"], "invalid choice: 'report'"),
     ],
 )
 def test_cli_usage_errors_exit_1_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
@@ -1027,7 +1006,7 @@ def test_cli_help_and_version_exit_0(capsys, argv):
 
 def test_cli_help_lists_only_the_flags_each_subcommand_reads(capsys):
     taken = {}
-    for command in ("preprocess", "predict", "metrics", "run", "analyze", "report"):
+    for command in ("preprocess", "predict", "metrics", "run", "analyze"):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         shown = capsys.readouterr().out
@@ -1037,9 +1016,8 @@ def test_cli_help_lists_only_the_flags_each_subcommand_reads(capsys):
         "preprocess": {"--threads"},
         "predict": sweep,
         "metrics": sweep,
-        "run": sweep | {"--format"},
-        "analyze": {"--format"},
-        "report": {"--format"},
+        "run": sweep,
+        "analyze": set(),
     }
 
 
@@ -1195,16 +1173,21 @@ def test_cli_header_only_file_prints_one_error_line(tmp_path, capsys, file_key):
         ("--profiles", "zero,zero"),
         ("--profiles", "zero,Zero"),
         ("--horizons", "125,125"),
-        ("--format", "xml"),
         # config-file settings, written as "key = value"
         ("horizons_ms", "125,"),
         ("filter_order", "0"),
         ("filter_cutoff_hz", "-1"),
         ("gravity", "nan"),
         ("filter_padlen", "-3"),
-        ("bonferroni_m", "-2"),
         ("contact_hold_samples", "0"),
         ("contact_threshold_n", "-5"),
+        # the retired flag and keys, rejected whatever their value
+        ("--format", "xml"),
+        ("bonferroni_m", "-2"),
+        ("aggregation", "pooled"),
+        ("bonferroni_m", "0"),
+        ("cohens_d_variant", "unequal"),
+        ("out_format", "csv"),
         # synth flags
         ("--dt", "0"),
         ("--dt", "nan"),
@@ -1234,14 +1217,8 @@ def test_cli_malformed_override_exits_1_naming_the_setting(tmp_path, capsys, fla
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert flag in err
-
-
-@pytest.mark.parametrize("text", ['{"version": 1', "{}", '{"version": 1, "config": {}, "metric_rows": 5}'])
-def test_cli_report_malformed_bundle_exits_1_naming_it(tmp_path, capsys, text):
-    path = tmp_path / "bundle.json"
-    path.write_text(text)
-    assert main(["report", "--bundle", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert f"bundle {path}" in capsys.readouterr().err
+    if flag in ("aggregation", "bonferroni_m", "cohens_d_variant", "out_format"):
+        assert f"unknown configuration key {flag!r}" in err
 
 
 def test_cli_exit_codes(tmp_path):

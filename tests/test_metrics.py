@@ -21,8 +21,8 @@ def outcome(activity, repeat, errors=(), scores=(), is_static=False):
     return Outcome(activity, repeat, is_static, len(means), float(np.sum(means)), peak, float(np.sum(scores)))
 
 
-def summary(outcomes, aggregation="hierarchical"):
-    return summarize("s01", "zero", 125.0, outcomes, aggregation)
+def summary(outcomes):
+    return summarize("s01", "zero", 125.0, outcomes)
 
 
 def test_average_error_single_horizon():
@@ -34,8 +34,6 @@ def test_average_error_weighs_activities_equally():
     # activity means 1 mm and 3 mm with very different horizon counts
     outcomes = [outcome("short", 0, [np.array([1e-3])]), outcome("long", 0, [np.array([3e-3])] * 50)]
     assert summary(outcomes).ae == pytest.approx(2e-3, rel=1e-12)
-    # a pooled mean is dominated by the long activity instead
-    assert summary(outcomes, "pooled").ae == pytest.approx((1e-3 + 50 * 3e-3) / 51, rel=1e-12)
 
 
 def test_average_error_all_zero():
@@ -137,11 +135,10 @@ def test_summarize_sorts_outcomes_by_activity_and_repeat():
     rng = np.random.default_rng(11)
     for _ in range(50):
         outcomes = _random_outcomes(rng)
-        for aggregation in ("hierarchical", "pooled"):
-            row = summary(outcomes, aggregation)
-            for _ in range(3):
-                shuffled = [outcomes[i] for i in rng.permutation(len(outcomes))]
-                assert summary(shuffled, aggregation) == row
+        row = summary(outcomes)
+        for _ in range(3):
+            shuffled = [outcomes[i] for i in rng.permutation(len(outcomes))]
+            assert summary(shuffled) == row
 
 
 def test_summarize_builds_metric_row():
@@ -171,14 +168,6 @@ def test_summarize_static_trials_count_toward_errors_only():
     assert row.mda == pytest.approx(0.5)
 
 
-def test_summarize_pooled_mode():
-    outcomes = [outcome("short", 0, [np.array([1e-3])]), outcome("long", 0, [np.array([3e-3])] * 50)]
-    row = summary(outcomes, "pooled")
-    assert row.ae == pytest.approx((1e-3 + 50 * 3e-3) / 51, rel=1e-12)
-    with pytest.raises(ValueError):
-        summary(outcomes, "median")
-
-
 def test_summarize_from_per_horizon_values_equals_per_sample_definition():
     # One subject at one horizon length: every horizon has the same number
     # of samples n, while activities, repeats and horizon counts are ragged.
@@ -195,7 +184,7 @@ def test_summarize_from_per_horizon_values_equals_per_sample_definition():
                 scores[activity][r] = rng.integers(0, 2, size=h)
 
         # the per-sample definition: sample -> horizon -> repeat -> activity
-        activity_ae, activity_ada, worst, repeat_ada, samples = [], [], 0.0, [], []
+        activity_ae, activity_ada, worst, repeat_ada = [], [], 0.0, []
         for activity in sorted(matrices):
             repeat_ae, this_ada = [], []
             for r in sorted(matrices[activity]):
@@ -204,7 +193,6 @@ def test_summarize_from_per_horizon_values_equals_per_sample_definition():
                     horizon_means.append(float(np.mean(series)))
                     for value in series:
                         worst = max(worst, float(value))
-                        samples.append(float(value))
                 repeat_ae.append(float(np.mean(horizon_means)))
                 mean_score = float(np.mean([float(x) for x in scores[activity][r]]))
                 this_ada.append(mean_score)
@@ -223,5 +211,3 @@ def test_summarize_from_per_horizon_values_equals_per_sample_definition():
         assert row.me == worst
         assert row.ada == float(np.mean(activity_ada))
         assert row.mda == min(repeat_ada)
-        pooled = summary(outcomes, "pooled")
-        assert pooled.ae == pytest.approx(float(np.mean(samples)), rel=1e-12)

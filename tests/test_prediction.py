@@ -448,7 +448,7 @@ def test_pipeline_batched_reduction_equals_per_trial_sweeps(monkeypatch, stride,
                         )
                     )
                 if outcomes:
-                    expected_rows.append(summarize(subject, kind.value, t_ms, outcomes, config.aggregation))
+                    expected_rows.append(summarize(subject, kind.value, t_ms, outcomes))
     assert bundle.metric_rows == expected_rows
     assert bundle.skip_rows == expected_skips
     skipped = {(r.subject_id, r.activity_id, r.horizon_ms) for r in bundle.skip_rows}

@@ -58,16 +58,14 @@ def sessions(draw):
     trials=sessions(),
     stride=st.integers(1, 3),
     profiles=st.permutations(["zero", "const", "cubic", "oracle"]),
-    aggregation=st.sampled_from(["hierarchical", "pooled"]),
     threads=st.integers(1, 2),
 )
-def test_metric_rows_equal_reference(trials, stride, profiles, aggregation, threads):
+def test_metric_rows_equal_reference(trials, stride, profiles, threads):
     config = replace(
         DEFAULTS,
         horizons_ms=HORIZONS_MS,
         profiles=tuple(profiles),
         stride=stride,
-        aggregation=aggregation,
         threads=threads,
     )
     with pytest.MonkeyPatch.context() as patch:
@@ -86,9 +84,9 @@ def test_metric_rows_equal_reference(trials, stride, profiles, aggregation, thre
 
 
 @settings(max_examples=50, deadline=None)
-@given(trials=sessions(), data=st.data(), aggregation=st.sampled_from(["hierarchical", "pooled"]))
-def test_trial_order_does_not_change_metric_rows(trials, data, aggregation):
-    config = replace(DEFAULTS, horizons_ms=HORIZONS_MS, aggregation=aggregation)
+@given(trials=sessions(), data=st.data())
+def test_trial_order_does_not_change_metric_rows(trials, data):
+    config = replace(DEFAULTS, horizons_ms=HORIZONS_MS)
     shuffled = data.draw(st.permutations(trials))
     bundle, expected = run_pipeline(config, shuffled), run_pipeline(config, trials)
     # repr shows every float to the last bit; skip rows follow trial order
@@ -111,7 +109,7 @@ def statistics_inputs(draw):
     such group: a degenerate ANOVA, a zero-variance trend level and a
     zero-width CI. Groups that are equal only up to rounding are left out:
     today's exact-zero variance test decides them by their last bits, which
-    ROADMAP item 2 replaces with a rule on the values."""
+    ROADMAP item 5 replaces with a rule on the values."""
     n_subjects = draw(st.integers(1, 6))
     profiles = draw(st.lists(st.sampled_from(["zero", "const", "cubic", "oracle"]), min_size=1, unique=True))
     horizons = sorted(draw(st.lists(st.sampled_from(STAT_HORIZONS_MS), min_size=1, max_size=6, unique=True)))
@@ -120,8 +118,6 @@ def statistics_inputs(draw):
         profiles=tuple(profiles),
         horizons_ms=tuple(horizons),
         alpha=draw(st.sampled_from([0.05, 0.01, 0.5])),
-        bonferroni_m=draw(st.sampled_from([0, 1, 2, 5])),
-        cohens_d_variant=draw(st.sampled_from(["pooled", "unequal"])),
     )
     constant = {(m, p): draw(st.none() | st.sampled_from(horizons)) for m in METRIC_NAMES for p in profiles}
     missing = draw(st.sampled_from([0.0, 0.1, 0.3]))

@@ -4,7 +4,6 @@ notes it leaves, and how it corrects each family of pairwise p-values."""
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from compredict import analysis, pipeline
 from compredict.analysis import cohens_d, confidence_interval, welch_anova, welch_t_test
@@ -115,16 +114,7 @@ def pairwise_row(ae, t_ms, a, b, m):
     )
 
 
-@pytest.mark.parametrize(
-    "bonferroni_m, plain_250, oracle_250, oracle_375",
-    [
-        (0, 3, 3, 1),  # each family's own size, the untested zero-const pair included
-        (2, 2, 3, 2),  # raised to the 3 tests of the oracle family at 250 ms
-    ],
-)
-def test_compute_statistics_corrects_each_pairwise_family_on_its_own(
-    monkeypatch, bonferroni_m, plain_250, oracle_250, oracle_375
-):
+def test_compute_statistics_corrects_each_pairwise_family_on_its_own(monkeypatch):
     # every ANOVA passes, so zero and const, both without variance at 250 ms,
     # reach a pairwise test
     monkeypatch.setattr(pipeline, "welch_anova", lambda groups: analysis.TestResult(5.0, 3.0, 6.0, 1e-4))
@@ -132,9 +122,11 @@ def test_compute_statistics_corrects_each_pairwise_family_on_its_own(
     ae[("zero", 250.0)], ae[("const", 250.0)] = [1.0] * len(SUBJECTS), [2.0] * len(SUBJECTS)
     # at 375 ms only zero and oracle have two subjects: one oracle pair, no plain pair
     ae[("const", 375.0)], ae[("cubic", 375.0)] = ae[("const", 375.0)][:1], ae[("cubic", 375.0)][:1]
-    _, _, stats, _ = compute_statistics(metric_rows(ae), replace(CONFIG, bonferroni_m=bonferroni_m))
+    _, _, stats, _ = compute_statistics(metric_rows(ae), CONFIG)
 
     anova = [StatRow("ae", t, "anova", 5.0, 3.0, 6.0, 1e-4) for t in (250.0, 375.0)]
+    # m is each family's own size, the untested zero-const pair included
+    plain_250, oracle_250, oracle_375 = 3, 3, 1
     assert [r for r in stats if r.metric == "ae" and r.horizon_ms in (250.0, 375.0)] == [
         anova[0],
         StatRow("ae", 250.0, "zero-const", None, None, None, None, note="both samples have zero variance"),
