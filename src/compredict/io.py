@@ -479,13 +479,20 @@ def _read_csv_by_line(path: str, allowed_headers) -> tuple[list[str], np.ndarray
 def _check_timestamps(path: str, header, times: np.ndarray) -> float:
     """Validate monotone uniform timestamps; returns the sample period. A
     timestamp that does not increase names its `path:line`, which only the
-    by-line reader knows."""
+    by-line reader knows. The one series-length buffer is the differences,
+    whose median is taken by partitioning them in place."""
     diffs = np.diff(times)
-    if np.any(diffs <= 0):
+    low, high = diffs.min(), diffs.max()
+    if low <= 0:
         line = read_csv_rows(path, [header], len)[1][int(np.argmax(diffs <= 0)) + 1]
         raise TimestampError(f"{path}:{line}: timestamps not strictly increasing")
-    dt = float(np.median(diffs))
-    if np.any(np.abs(diffs - dt) > 1e-6 * max(dt, 1e-12) + 1e-9):
+    # np.median: the middle value, or the mean of the two middle values
+    middle = len(diffs) // 2
+    diffs.partition((middle - 1, middle) if len(diffs) % 2 == 0 else middle)
+    dt = float(diffs[middle] if len(diffs) % 2 else (diffs[middle - 1] + diffs[middle]) / 2)
+    # every |diff - dt| is within the tolerance when the extremes' are
+    tolerance = 1e-6 * max(dt, 1e-12) + 1e-9
+    if high - dt > tolerance or dt - low > tolerance:
         raise TimestampError(f"{path}: timestamps are not uniformly spaced")
     return dt
 

@@ -1,10 +1,10 @@
 """End-to-end orchestration: trials -> sweeps -> metrics -> statistics.
 
 `loaded_entries` loads the manifest's entries in order on forked worker
-processes, one or more, so `scipy.signal` and the GRF chain's buffers stay
-in them and the calling process stays small: `load_all_trials` collects
-them for the commands that sweep, and `preprocess` writes each trial as it
-arrives.
+processes, one or more, so they parse in parallel and the GRF chain's
+buffers stay in them, and the calling process stays small:
+`load_all_trials` collects them for the commands that sweep, and
+`preprocess` writes each trial as it arrives.
 
 `run_pipeline` sweeps the whole session at once with every profile and
 horizon (`prediction.sweep_session`, reduced), which hands each trial over
@@ -140,9 +140,9 @@ def loaded_entries(entries, config: RunConfig):
 
     Where the platform has the fork start method, entries load on a pool of
     `worker_count` forked processes (the rule the sweep's threads follow
-    too), one or more: parsing and the GRF chain, and with it the
-    `scipy.signal` import, stay out of the caller. Elsewhere they load in
-    the caller. Either way the first failing entry's error is raised, and no
+    too), one or more: parsing and the GRF chain run in parallel, and their
+    buffers stay out of the caller. Elsewhere they load in the caller.
+    Either way the first failing entry's error is raised, and no
     worker outlives the iterator.
     """
     # imported here, so commands that load no trials (synth, analyze) skip them

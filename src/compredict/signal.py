@@ -14,22 +14,25 @@ at low normalized cutoffs. Zero-phase (forward-backward) filtering with
 odd-reflection padding is the default so filtered forces stay aligned with
 the marker-derived kinematics; note the two passes square the magnitude
 response, so single-pass mode is what matches the nominal -3 dB cutoff.
-The zero-phase path is `scipy.signal.sosfiltfilt` bit for bit, run here
-step by step in one padded buffer: the odd extension is built in place, and
-each pass's input is dropped before the next, so a call peaks at two copies
-of its input. In `preprocess` the clamp, too, writes into that buffer, and
-only the kept rows are copied out, so the whole chain peaks there as well.
-A filter design and its initial state are computed once per (order,
+The design and its initial state are a numpy port of scipy.signal's
+`butter(..., output="sos")` and `sosfilt_zi` for this one case, bit for
+bit; the recursion is scipy's own compiled sosfilt kernel, loaded without
+the `scipy.signal` package, whose import took about a second and ~50 MiB.
+The zero-phase path is `scipy.signal.sosfiltfilt` bit for bit, run here in
+place in one padded buffer in the kernel's (axes, samples) layout. In
+`preprocess` the clamp, too, writes into that buffer, and only the kept
+rows are copied out, so the whole chain peaks at that buffer, one axis's
+row and the kept rows. A design and its initial state are computed once per (order,
 cutoff, rate) and reused.
-`scipy.signal` takes about a second to import, so it is imported on first
-use and commands that never filter (synth, analyze) skip it.
-Which process loads trials, and so imports it, is `pipeline.loaded_entries`'
-rule.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
 
@@ -80,20 +83,122 @@ def clamp_noncontact(samples: np.ndarray, intervals) -> np.ndarray:
     return np.where(keep[:, None], samples, 0.0)
 
 
+def _cplxreal(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.signal's `_cplxreal` at its default tolerance: one value per
+    conjugate pair (the mean of the two, positive imaginary part), then the
+    real values, each group sorted by real part."""
+    tol = 100 * np.finfo(float).eps
+    z = z[np.lexsort((abs(z.imag), z.real))]
+    real = abs(z.imag) <= tol * abs(z)
+    zr = z[real].real
+    if len(zr) == len(z):
+        return np.array([]), zr
+    z = z[~real]
+    zp, zn = z[z.imag > 0], z[z.imag < 0]
+    # runs of (nearly) the same real part are sorted by imaginary part
+    same_real = np.diff(zp.real) <= tol * abs(zp[:-1])
+    edges = np.diff(np.concatenate(([0], same_real, [0])))
+    for start, stop in zip(np.nonzero(edges > 0)[0], np.nonzero(edges < 0)[0] + 1):
+        for chunk in (zp[start:stop], zn[start:stop]):
+            chunk[...] = chunk[np.lexsort([abs(chunk.imag)])]
+    return (zp + zn.conj()) / 2, zr
+
+
+def _poly(roots) -> np.ndarray:
+    """scipy.signal's `poly` for roots that are real or conjugate pairs: the
+    monic polynomial's real coefficients, highest power first."""
+    roots = np.asarray(roots)
+    coefficients = np.ones((1,), dtype=roots.dtype)
+    for root in roots:
+        coefficients = np.convolve(coefficients, np.stack((np.ones_like(roots[0]), -root)), mode="full")
+    return coefficients.real
+
+
 @functools.lru_cache(maxsize=32, typed=True)
 def _butter_sos(order: int, cutoff_hz: float, sample_rate: float) -> np.ndarray:
-    from scipy.signal import butter
-
-    return butter(order, cutoff_hz, btype="low", fs=sample_rate, output="sos")
+    """butter(order, cutoff_hz, btype="low", fs=sample_rate, output="sos")
+    bit for bit: scipy.signal's operations in its order, for this one case."""
+    # buttap's analog poles (the middle one exactly real), iirfilter's
+    # cutoff pre-warped at fs = 2, lp2lp_zpk, then bilinear_zpk
+    poles = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2, dtype=np.float64) / (2 * order))
+    warped = float(4.0 * np.tan(np.pi * (np.float64(cutoff_hz) / (float(sample_rate) / 2)) / 2.0))
+    poles = warped * poles
+    gain = warped**order * np.real(1.0 / np.prod(4.0 - poles))
+    poles = (4.0 + poles) / (4.0 - poles)
+    # zpk2sos with "nearest" pairing: an odd order gains a pole and a zero at
+    # 0; every other zero is at -1 (Nyquist)
+    zeros = np.array([-1.0] * order + [0.0] * (order % 2))
+    if order % 2:
+        poles = np.concatenate((poles, [0.0]))
+    poles = np.concatenate(_cplxreal(poles))
+    sos = np.zeros(((order + 1) // 2, 6))
+    # the sections are filled last to first, each from the pole nearest the
+    # unit circle, its conjugate (or the real pole nearest the circle after
+    # it) and the two zeros nearest it
+    for section in range(len(sos) - 1, -1, -1):
+        i = np.argmin(np.abs(1 - np.abs(poles)))
+        p1, poles = poles[i], np.delete(poles, i)
+        if np.isreal(p1):
+            real = np.flatnonzero(np.isreal(poles))
+            i = real[np.argmin(np.abs(1 - np.abs(poles[real])))]
+            p2, poles = poles[i], np.delete(poles, i)
+        else:
+            p2 = p1.conj()
+        pair = []
+        for _ in range(2):
+            i = np.argsort(np.abs(zeros - p1))[0]
+            pair.append(zeros[i])
+            zeros = np.delete(zeros, i)
+        sos[section, :3] = _poly(pair)
+        sos[section, 3:] = _poly([p1, p2])
+    sos[0, :3] *= gain
+    return sos
 
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _sos_zi(order: int, cutoff_hz: float, sample_rate: float) -> np.ndarray:
-    """The design's step-response initial state, (sections, 2, 1), which a
-    pass scales by its first (1, 3) sample."""
-    from scipy.signal import sosfilt_zi
+    """sosfilt_zi of the design, bit for bit, (sections, 2): each section's
+    step-response state (lfilter_zi) scaled by the DC gain before it. A pass
+    scales it by its first sample."""
+    sos = _butter_sos(order, cutoff_hz, sample_rate)
+    zi = np.empty((len(sos), 2))
+    scale = 1.0
+    for section, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        # zi = A zi + B for the section's companion matrix A; a[0] is 1
+        companion = np.array([[-a[1], -a[2]], [1.0, 0.0]])
+        zi[section] = scale * np.linalg.solve(np.eye(2) - companion.T, b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    return zi
 
-    return sosfilt_zi(_butter_sos(order, cutoff_hz, sample_rate))[:, :, None]
+
+_KERNEL = "scipy.signal._sosfilt"
+
+
+@functools.cache
+def _sosfilt():
+    """scipy's compiled `_sosfilt(sos, x, zi)`, which filters each row of a
+    C-contiguous (k, m) x in place from the (k, sections, 2) state zi. It
+    writes only x and zi, so every call can pass the cached design.
+
+    Its extension file is loaded on its own, without the `scipy.signal`
+    package, and registered under its name, so a later `import
+    scipy.signal` reuses it; an earlier one's module is used as is.
+    """
+    module = sys.modules.get(_KERNEL)
+    if module is None:
+        paths = [
+            os.path.join(base, "signal", "_sosfilt" + suffix)
+            for base in importlib.util.find_spec("scipy").submodule_search_locations
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        ]
+        path = next((path for path in paths if os.path.isfile(path)), None)
+        if path is None:
+            raise ImportError(f"scipy's sosfilt kernel not found; searched {', '.join(paths)}")
+        loader = importlib.machinery.ExtensionFileLoader(_KERNEL, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_KERNEL, loader))
+        sys.modules[_KERNEL] = module
+        loader.exec_module(module)
+    return module._sosfilt
 
 
 def _check_filter(sample_rate: float, order: int, cutoff_hz: float, padlen: int | None) -> None:
@@ -117,35 +222,33 @@ def _zero_phase(
     of the checked design, bit for bit and C-contiguous, after the rows in
     zero_rows are set to +0.0 as clamp_noncontact sets them.
 
-    All of it runs in one padded buffer that only this frame refers to
-    (CPython 3.10 would hold a passed-in buffer until the call returns), so
-    each pass's input is freed before the next, and a call peaks at two
-    copies of the buffer.
+    All of it runs in place in one padded (3, n + 2*padlen) buffer, the
+    kernel's own layout: each pass filters it, and between the passes each
+    axis's row is reversed in turn. A call peaks at that buffer, one row's
+    reversal temporary and the result.
     """
-    from scipy.signal import sosfilt
-
     if padlen is None:
         padlen = 3 * (2 * order + 1)
     n = len(samples)
     if padlen >= n:
         raise ValueError(f"padlen {padlen} must be below the signal length {n}")
-    # each call gets its own copy of the shared design
-    sos = _butter_sos(order, cutoff_hz, sample_rate).copy()
+    sos = _butter_sos(order, cutoff_hz, sample_rate)
     zi = _sos_zi(order, cutoff_hz, sample_rate)
-    padded = np.empty((n + 2 * padlen, 3))
-    middle = padded[padlen : padlen + n]
-    middle[...] = samples
+    padded = np.empty((3, n + 2 * padlen))
+    middle = padded[:, padlen : padlen + n]
+    middle[...] = samples.T
     for rows in zero_rows:
-        middle[rows] = 0.0
+        middle[:, rows] = 0.0
     # scipy.signal's odd extension, written into the buffer's ends
-    np.subtract(2 * middle[:1], middle[padlen:0:-1], out=padded[:padlen])
-    np.subtract(2 * middle[-1:], middle[-2 : -padlen - 2 : -1], out=padded[padlen + n :])
+    np.subtract(2 * middle[:, :1], middle[:, padlen:0:-1], out=padded[:, :padlen])
+    np.subtract(2 * middle[:, -1:], middle[:, -2 : -padlen - 2 : -1], out=padded[:, padlen + n :])
     del middle
-    forward = sosfilt(sos, padded, axis=0, zi=zi * padded[:1])[0]
-    del padded
-    backward = sosfilt(sos, forward[::-1], axis=0, zi=zi * forward[-1:])[0]
-    del forward
-    return np.ascontiguousarray(backward[::-1][padlen : padlen + n : step])
+    kernel = _sosfilt()
+    kernel(sos, padded, zi * padded[:, :1, None])
+    for row in padded:
+        row[...] = row[::-1]
+    kernel(sos, padded, zi * padded[:, :1, None])
+    return np.ascontiguousarray(padded[:, ::-1][:, padlen : padlen + n : step].T)
 
 
 def butterworth_lowpass(
@@ -163,11 +266,10 @@ def butterworth_lowpass(
     _check_filter(sample_rate, order, cutoff_hz, padlen)
     if zero_phase:
         return _zero_phase(samples, sample_rate, order, cutoff_hz, padlen)
-    from scipy.signal import sosfilt
-
-    # each call gets its own copy of the shared design
-    sos = _butter_sos(order, cutoff_hz, sample_rate).copy()
-    return np.ascontiguousarray(sosfilt(sos, samples, axis=0))
+    sos = _butter_sos(order, cutoff_hz, sample_rate)
+    out = np.array(samples.T, order="C")
+    _sosfilt()(sos, out, np.zeros((3, len(sos), 2)))
+    return np.ascontiguousarray(out.T)
 
 
 def detect_contact(samples: np.ndarray, rise_threshold: float, hold_samples: int = 5) -> list[tuple[int, int]]:

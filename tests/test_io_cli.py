@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from compredict import pipeline
+from compredict import io, pipeline
 from compredict.cli import FLAGS, HORIZONS_HEADER, main
 from compredict.io import (
     COM_HEADER,
@@ -237,6 +237,29 @@ def test_csv_errors_name_the_physical_line_after_a_multi_line_cell(tmp_path, cap
     assert capsys.readouterr().err == f"error: {metrics}:5: expected 7 fields, got 5\n"
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 1000, 1001])  # odd and even counts of differences
+def test_timestamp_period_is_the_median_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for times in (np.arange(n) / 999.9999999999991, np.cumsum(1e-3 * (1.0 + 1e-7 * rng.standard_normal(n)))):
+        expected = float(np.median(np.diff(times)))
+        assert io._check_timestamps("unused.csv", GRF_HEADER, times).hex() == expected.hex()
+
+
+def test_timestamp_check_peaks_at_one_series_of_differences():
+    # the differences are the only series-length buffer (~3 series when
+    # np.median copied them and |diffs - dt| made two more)
+    data = np.empty((600_005, 4))
+    data[:, 0] = np.arange(len(data)) / 1000.0
+    times = data[:, 0]
+    tracemalloc.start()
+    try:
+        io._check_timestamps("unused.csv", GRF_HEADER, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * len(times) * times.itemsize
+
+
 def test_read_csv_timestamp_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("time_s,fx,fy,fz\n0.0,1,2,3\n0.002,1,2,3\n0.001,1,2,3\n")
@@ -298,7 +321,7 @@ def test_load_trial_peaks_below_four_copies_of_its_forces(tmp_path):
     (entry,) = load_manifest(manifest_path)
     _, forces = read_grf_csv(entry.grf_file)
     assert len(forces) >= 60_000
-    load_trial(entry, DEFAULTS)  # designs the filter and imports scipy.signal first
+    load_trial(entry, DEFAULTS)  # designs the filter and loads the kernel first
     tracemalloc.start()
     try:
         load_trial(entry, DEFAULTS)
@@ -306,6 +329,19 @@ def test_load_trial_peaks_below_four_copies_of_its_forces(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 3.6 * forces.nbytes
+
+
+def test_load_trial_in_the_caller_filters_without_scipy_signal(tmp_path):
+    _, manifest_path = _write_single_trial_dataset(tmp_path)
+    script = (
+        "import sys\n"
+        "from compredict.io import DEFAULTS, load_manifest, load_trial\n"
+        f"load_trial(load_manifest({str(manifest_path)!r})[0], DEFAULTS)\n"
+        "print('scipy.signal' in sys.modules, 'scipy.signal._sosfilt' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
 
 
 def test_manifest_requires_mass(tmp_path):
@@ -634,22 +670,37 @@ def test_loading_fault_exits_2_and_leaves_no_worker(tmp_path, capsys, monkeypatc
         assert multiprocessing.active_children() == []
 
 
+def _caller_modules(tmp_path, command, threads, prelude=""):
+    """Whether scipy.signal and the sosfilt kernel are loaded in a process
+    that ran the command after the prelude's lines."""
+    manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=2, n_repeats=1)
+    script = (
+        "import multiprocessing, os, sys\n"
+        + prelude
+        + "from compredict.cli import main\n"
+        f"code = main([{command!r}, '--manifest', {str(manifest_path)!r}, '--out', {str(tmp_path / 'out')!r}, '--threads', {threads!r}])\n"
+        "print(code, 'scipy.signal' in sys.modules, 'scipy.signal._sosfilt' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()[-3:]
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork: every command loads in the caller")
 @pytest.mark.parametrize("threads, cpus", [("1", None), ("2", 1), ("2", None)])  # None: the host's CPU count
 @pytest.mark.parametrize("command", ["run", "metrics", "predict", "preprocess"])
 def test_no_command_leaves_scipy_signal_in_the_caller(tmp_path, command, threads, cpus):
-    # every command that loads trials loads them on forked processes, at one worker too
-    manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=2, n_repeats=1)
-    script = (
-        "import os, sys\n"
-        + ("" if cpus is None else f"os.cpu_count = lambda: {cpus}\n")
-        + "from compredict.cli import main\n"
-        f"code = main([{command!r}, '--manifest', {str(manifest_path)!r}, '--out', {str(tmp_path / 'out')!r}, '--threads', {threads!r}])\n"
-        "print(code, 'scipy.signal' in sys.modules)\n"
-    )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split()[-2:] == ["0", "False"]
+    # every command that loads trials loads them on forked processes, at one
+    # worker too, so the caller loads neither scipy.signal nor the kernel
+    prelude = "" if cpus is None else f"os.cpu_count = lambda: {cpus}\n"
+    assert _caller_modules(tmp_path, command, threads, prelude) == ["0", "False", "False"]
+
+
+@pytest.mark.parametrize("command", ["run", "metrics", "predict", "preprocess"])
+def test_without_fork_the_caller_filters_without_scipy_signal(tmp_path, command):
+    # a platform without fork loads in the caller, which loads the kernel alone
+    prelude = "multiprocessing.get_all_start_methods = lambda: ['spawn']\n"
+    assert _caller_modules(tmp_path, command, "2", prelude) == ["0", "False", "True"]
 
 
 def test_cli_profile_names_are_case_insensitive(tmp_path):

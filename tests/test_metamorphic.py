@@ -16,7 +16,6 @@ import json
 import os
 
 import pytest
-import scipy.signal  # noqa: F401  each run's forked loader inherits it instead of importing it again
 
 from compredict.cli import main
 from compredict.io import GRF_HEADER

@@ -1,4 +1,5 @@
 import functools
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +17,8 @@ from compredict.signal import (
     clamp_noncontact,
     detect_contact,
     preprocess,
+    _butter_sos,
+    _sos_zi,
 )
 
 from oracles import detect_contact_by_loop
@@ -173,12 +176,78 @@ def test_zero_phase_filter_is_sosfiltfilt_bit_for_bit(order, rate, shape, seed):
     assert filtered.tobytes() == expected.tobytes()
 
 
+RATES = [FS, 999.9999999999991, 1000.0000000005542, 200.0, 960.0, 2000.0, 240.0]  # the first three: written GRF rates
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_design_and_initial_state_are_scipy_signal_bit_for_bit(order):
+    from scipy.signal import butter, sosfilt_zi
+
+    for rate in RATES:
+        nyquist = rate / 2.0
+        below = np.nextafter(nyquist, 0.0)
+        for cutoff in (0.5, 6.0, 20.0, rate / 4.0, 0.3 * rate, 0.45 * rate, 0.499 * rate, np.nextafter(below, 0.0), below):
+            sos = butter(order, cutoff, btype="low", fs=rate, output="sos")
+            assert _butter_sos(order, cutoff, rate).tobytes() == sos.tobytes(), (rate, cutoff)
+            assert _sos_zi(order, cutoff, rate).tobytes() == sosfilt_zi(sos).tobytes(), (rate, cutoff)
+
+
+def _python(code):
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_filtering_loads_the_kernel_without_scipy_signal_and_a_later_import_shares_it():
+    code = (
+        "import sys, numpy as np\n"
+        "from compredict.signal import _sosfilt, butterworth_lowpass\n"
+        "x = np.random.default_rng(3).normal(size=(500, 3))\n"
+        "y = butterworth_lowpass(x, 1000.0)\n"
+        "print('scipy.signal' in sys.modules, 'scipy.signal._sosfilt' in sys.modules)\n"
+        "from scipy.signal import butter, sosfiltfilt\n"
+        "sos = butter(5, 20.0, fs=1000.0, output='sos')\n"
+        "print(sosfiltfilt(sos, x, axis=0, padlen=33).tobytes() == y.tobytes())\n"
+        "print(sys.modules['scipy.signal._signaltools']._sosfilt is _sosfilt())\n"
+    )
+    assert _python(code) == ["False", "True", "True", "True"]
+
+
+def test_filtering_after_scipy_signal_uses_its_kernel():
+    code = (
+        "import sys, numpy as np\n"
+        "from scipy.signal import butter, sosfiltfilt\n"
+        "from scipy.signal._sosfilt import _sosfilt as kernel\n"
+        "from compredict.signal import _sosfilt, butterworth_lowpass\n"
+        "x = np.random.default_rng(4).normal(size=(500, 3))\n"
+        "sos = butter(5, 20.0, fs=1000.0, output='sos')\n"
+        "print(sosfiltfilt(sos, x, axis=0, padlen=33).tobytes() == butterworth_lowpass(x, 1000.0).tobytes())\n"
+        "print(_sosfilt() is kernel)\n"
+    )
+    assert _python(code) == ["True", "True"]
+
+
+def test_a_missing_kernel_file_raises_naming_the_paths_searched():
+    code = (
+        "import importlib.machinery\n"
+        "importlib.machinery.EXTENSION_SUFFIXES[:] = ['.missing']\n"
+        "from compredict.signal import _sosfilt\n"
+        "try:\n"
+        "    _sosfilt()\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    message = " ".join(_python(code))
+    assert message.startswith("scipy's sosfilt kernel not found; searched ")
+    assert message.endswith(os.path.join("scipy", "signal", "_sosfilt.missing"))
+
+
 def test_zero_phase_filter_peaks_at_two_copies_of_its_input():
-    # the samples are copied into one padded buffer, which is dropped once the
-    # forward pass has read it; that pass's output is dropped before the
-    # trimmed result is copied out
+    # the samples are copied into one padded buffer that both passes filter
+    # in place; only one axis's row is copied to reverse it, and the trimmed
+    # result is copied out
     samples = np.random.default_rng(6).normal(size=(60_000, 3)) * 300.0
-    butterworth_lowpass(samples, FS)  # designs the filter and imports scipy.signal first
+    butterworth_lowpass(samples, FS)  # designs the filter and loads the kernel first
     tracemalloc.start()
     try:
         butterworth_lowpass(samples, FS)
