@@ -9,7 +9,10 @@ Cohen's d effect sizes. Every test returns a `TestResult` of one shape:
 statistic, df1, df2 (None for a t-test) and p-value.
 
 The t and F tail probabilities and the t quantile come from
-`scipy.special` (`stdtr`, `fdtrc`, `stdtrit`).
+`scipy.special` (`stdtr`, `fdtrc`, `stdtrit`). It is imported in the four
+functions that call it, on the first statistic: the import costs ~23 MiB and
+~0.18 s, so commands that compute no statistics (`preprocess`, `predict`,
+`synth`) and the forked trial loaders never pay for it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 class DegenerateVarianceError(ValueError):
@@ -120,6 +122,8 @@ def nested_f_test(fit_reduced: FitResult, fit_full: FitResult) -> TestResult:
     residual sums give F = 0, p = 1; a perfectly fitting full model (with a
     worse reduced one) reports p = 0 and sets perfect_fit.
     """
+    from scipy import special
+
     n = fit_full.n_points
     p_r = fit_reduced.degree + 1
     p_f = fit_full.degree + 1
@@ -182,6 +186,8 @@ def _clean_group(values, name: str, min_size: int = 2) -> np.ndarray:
 
 def welch_t_test(a, b) -> TestResult:
     """Two-sided Welch's t-test with Welch-Satterthwaite degrees of freedom."""
+    from scipy import special
+
     a = _clean_group(a, "a")
     b = _clean_group(b, "b")
     var_a = float(np.var(a, ddof=1))
@@ -202,6 +208,8 @@ def welch_anova(groups) -> TestResult:
     Welch-Satterthwaite denominator degrees of freedom. With two groups the
     p-value equals the two-sided Welch t-test on the same data.
     """
+    from scipy import special
+
     cleaned = [_clean_group(g, f"group {i}") for i, g in enumerate(groups)]
     k = len(cleaned)
     if k < 2:
@@ -245,6 +253,8 @@ def cohens_d(a, b) -> float:
 
 def confidence_interval(values, level: float = 0.95) -> tuple[float, float]:
     """t-based confidence interval for the mean: mean +/- t * s / sqrt(n)."""
+    from scipy import special
+
     values = _clean_group(values, "values")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")

@@ -671,19 +671,24 @@ def test_loading_fault_exits_2_and_leaves_no_worker(tmp_path, capsys, monkeypatc
 
 
 def _caller_modules(tmp_path, command, threads, prelude=""):
-    """Whether scipy.signal and the sosfilt kernel are loaded in a process
-    that ran the command after the prelude's lines."""
+    """Whether scipy.signal, the sosfilt kernel and scipy.special are loaded
+    in a process that ran the command after the prelude's lines."""
     manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=2, n_repeats=1)
     script = (
         "import multiprocessing, os, sys\n"
         + prelude
         + "from compredict.cli import main\n"
         f"code = main([{command!r}, '--manifest', {str(manifest_path)!r}, '--out', {str(tmp_path / 'out')!r}, '--threads', {threads!r}])\n"
-        "print(code, 'scipy.signal' in sys.modules, 'scipy.signal._sosfilt' in sys.modules)\n"
+        "print(code, 'scipy.signal' in sys.modules, 'scipy.signal._sosfilt' in sys.modules, 'scipy.special' in sys.modules)\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    return result.stdout.split()[-3:]
+    return result.stdout.split()[-4:]
+
+
+# run and metrics compute statistics, which import scipy.special; preprocess
+# and predict compute none, so they never import it
+STATISTICS = {"run": "True", "metrics": "True", "predict": "False", "preprocess": "False"}
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork: every command loads in the caller")
@@ -693,14 +698,14 @@ def test_no_command_leaves_scipy_signal_in_the_caller(tmp_path, command, threads
     # every command that loads trials loads them on forked processes, at one
     # worker too, so the caller loads neither scipy.signal nor the kernel
     prelude = "" if cpus is None else f"os.cpu_count = lambda: {cpus}\n"
-    assert _caller_modules(tmp_path, command, threads, prelude) == ["0", "False", "False"]
+    assert _caller_modules(tmp_path, command, threads, prelude) == ["0", "False", "False", STATISTICS[command]]
 
 
 @pytest.mark.parametrize("command", ["run", "metrics", "predict", "preprocess"])
 def test_without_fork_the_caller_filters_without_scipy_signal(tmp_path, command):
     # a platform without fork loads in the caller, which loads the kernel alone
     prelude = "multiprocessing.get_all_start_methods = lambda: ['spawn']\n"
-    assert _caller_modules(tmp_path, command, "2", prelude) == ["0", "False", "True"]
+    assert _caller_modules(tmp_path, command, "2", prelude) == ["0", "False", "True", STATISTICS[command]]
 
 
 def test_cli_profile_names_are_case_insensitive(tmp_path):
