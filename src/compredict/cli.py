@@ -5,7 +5,6 @@ Subcommands:
   synth       generate a synthetic validation dataset (CSV files + manifest)
   preprocess  run only the GRF chain and write per-trial acceleration CSVs
   predict     run the session sweep and write per-start horizon summaries
-  metrics     compute per-subject metric rows only
   analyze     run the statistics layer on an existing metrics.csv
   run         everything end to end: load, sweep, metrics, statistics, export
 
@@ -42,7 +41,6 @@ from .metrics import MetricSummary
 from .pipeline import (
     METRICS_HEADER,
     export_results,
-    export_table,
     load_all_trials,
     loaded_entries,
     result_bundle,
@@ -65,7 +63,6 @@ class _Parser(argparse.ArgumentParser):
 FLAGS = {
     "--profiles": ("profiles", "comma-separated profile names"),
     "--horizons": ("horizons_ms", "comma-separated horizon lengths in ms"),
-    "--stride": ("stride", "samples between horizon starts"),
     "--threads": ("threads", "workers, capped at the CPU count: sweep threads, and processes that load trials"),
 }
 
@@ -96,10 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", default="0.005")
 
     # each subcommand takes only the flags it reads
-    sweep = ("--profiles", "--horizons", "--stride", "--threads")
+    sweep = ("--profiles", "--horizons", "--threads")
     add_session(sub.add_parser("preprocess", help="run the GRF chain only"), "--threads")
     add_session(sub.add_parser("predict", help="write per-horizon sweep summaries"), *sweep)
-    add_session(sub.add_parser("metrics", help="write per-subject metric rows"), *sweep)
     add_session(sub.add_parser("run", help="full pipeline with all outputs"), *sweep)
 
     p = sub.add_parser("analyze", help="statistics from an existing metrics.csv")
@@ -176,29 +172,18 @@ def _cmd_predict(args) -> int:
     def lines():
         # each trial's rows as soon as it is swept; each (trial, profile,
         # horizon) formats its shared cells once
-        session = sweep_session(trials, config.horizon_specs(), config.profiles, config.stride, config.threads)
+        session = sweep_session(trials, config.horizon_specs(), config.profiles, threads=config.threads)
         for i, vectors in session:
             trial = trials[i]
             for p, profile in enumerate(config.profiles):
                 for t_ms, (means, peaks, scores) in zip(config.horizons_ms, vectors):
                     prefix = format_row((trial.subject_id, trial.activity_id, trial.repeat_index, profile, t_ms))
-                    starts = range(0, means.shape[1] * config.stride, config.stride)
-                    rows = zip(starts, means[p].tolist(), peaks[p].tolist(), scores[p].tolist())
+                    rows = zip(range(means.shape[1]), means[p].tolist(), peaks[p].tolist(), scores[p].tolist())
                     yield from map(prefix.__add__, map(",%d,%r,%r,%d".__mod__, rows))
 
     write_table(path, HORIZONS_HEADER, lines())
     print(f"wrote {path}")
     return 0
-
-
-def _run_bundle(args, config: RunConfig):
-    entries = load_manifest(args.manifest)
-    if not entries:
-        raise InputError(f"manifest {args.manifest} lists no trials")
-    trials, notes = load_all_trials(entries, config)
-    bundle = run_pipeline(config, trials)
-    bundle.notes = notes + bundle.notes
-    return bundle
 
 
 def _export(bundle, args) -> int:
@@ -208,17 +193,15 @@ def _export(bundle, args) -> int:
     return 0
 
 
-def _cmd_metrics(args) -> int:
-    bundle = _run_bundle(args, _load_effective_config(args))
-    os.makedirs(args.out, exist_ok=True)
-    path = export_table(bundle, args.out, "metrics.csv")
-    print(f"wrote {path}")
-    return 0
-
-
 def _cmd_run(args) -> int:
     config = _load_effective_config(args)
-    return _export(_run_bundle(args, config), args)
+    entries = load_manifest(args.manifest)
+    if not entries:
+        raise InputError(f"manifest {args.manifest} lists no trials")
+    trials, notes = load_all_trials(entries, config)
+    bundle = run_pipeline(config, trials)
+    bundle.notes = notes + bundle.notes
+    return _export(bundle, args)
 
 
 def _metric_row(cells, dt: float) -> MetricSummary:
@@ -270,7 +253,6 @@ _COMMANDS = {
     "synth": _cmd_synth,
     "preprocess": _cmd_preprocess,
     "predict": _cmd_predict,
-    "metrics": _cmd_metrics,
     "run": _cmd_run,
     "analyze": _cmd_analyze,
 }

@@ -87,7 +87,6 @@ class RunConfig:
     dt: float = 0.005
     horizons_ms: tuple = (125.0, 250.0, 375.0, 500.0, 625.0)
     profiles: tuple = tuple(k.value for k in ProfileKind)
-    stride: int = 1
     filter_enabled: bool = True
     filter_order: int = 5
     filter_cutoff_hz: float = 20.0
@@ -110,13 +109,12 @@ class RunConfig:
             "dt": (0 < self.dt < np.inf, "positive and finite"),
             "horizons_ms": (0 < len(self.horizons_ms) == len(set(self.horizons_ms)), "non-empty with no repeats"),
             "profiles": (0 < len(self.profiles) == len(set(self.profiles)), "non-empty with no repeats"),
-            "stride": (self.stride >= 1, ">= 1"),
             "threads": (self.threads >= 1, ">= 1"),
             "alpha": (0.0 < self.alpha < 1.0, "in (0, 1)"),
             "filter_order": (self.filter_order >= 1, ">= 1"),
-            "filter_cutoff_hz": (self.filter_cutoff_hz > 0, "positive"),
+            "filter_cutoff_hz": (0 < self.filter_cutoff_hz < np.inf, "positive and finite"),
             "filter_padlen": (self.filter_padlen >= 0, ">= 0"),
-            "contact_threshold_n": (self.contact_threshold_n > 0, "positive"),
+            "contact_threshold_n": (0 < self.contact_threshold_n < np.inf, "positive and finite"),
             "contact_hold_samples": (self.contact_hold_samples >= 1, ">= 1"),
             "gravity": (np.isfinite(self.gravity), "finite"),
         }

@@ -7,12 +7,12 @@ buffers stay in them, and the calling process stays small:
 `preprocess` writes each trial as it arrives.
 
 `run_pipeline` sweeps the whole session at once with every profile and
-horizon (`prediction.sweep_session`, reduced), which hands each trial over
-as soon as it is swept, folded per horizon to its start count and each
-profile's sum of mean errors, largest max error and sum of scores. One pass
-over that record makes each trial's `metrics.Outcome` per profile and
-horizon it fits and its skip row per horizon it does not, and each
-(subject, profile, horizon)'s outcomes become a row (`summarize`).
+horizon from every start (`prediction.sweep_session`, reduced), which hands
+each trial over as soon as it is swept, folded per horizon to its start
+count and each profile's sum of mean errors, largest max error and sum of
+scores. One pass over that record makes each trial's `metrics.Outcome` per
+profile and horizon it fits and its skip row per horizon it does not, and
+each (subject, profile, horizon)'s outcomes become a row (`summarize`).
 `compute_statistics` groups the metric rows' values by (metric, profile,
 horizon) once and runs the trend fits and the per-horizon tests on them.
 One function, `_test_row`, turns every test (trend F-test, ANOVA or pairwise
@@ -23,7 +23,8 @@ output row is produced in a fixed sorted order, so a run's outputs are
 byte-identical regardless of thread count. Trials too short for a horizon
 are skipped with a reason instead of aborting the run. `result_bundle`
 builds every bundle with statistics: `run_pipeline` ends with it, and
-`analyze` calls it on the rows of a `metrics.csv`.
+`analyze` calls it on the rows of a `metrics.csv`. `export_results` writes
+a bundle as `bundle.json` and every one of its tables.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def run_pipeline(config: RunConfig, trials) -> ResultBundle:
     # (subject, profile index, horizon index) -> one Outcome per trial, and
     # (subject, horizon index) -> one SkipRow per trial too short for it
     outcomes, skips = defaultdict(list), defaultdict(list)
-    session = sweep_session(trials, specs, config.profiles, config.stride, config.threads, reduced=True)
+    session = sweep_session(trials, specs, config.profiles, threads=config.threads, reduced=True)
     for i, record in session:
         trial = trials[i]
         labels = (trial.activity_id, trial.repeat_index, trial.is_static)
@@ -366,14 +367,6 @@ TABLES = {
 }
 
 
-def export_table(bundle: ResultBundle, out_dir: str, name: str) -> str:
-    """Write one of the TABLES from the bundle into out_dir; returns its path."""
-    header, rows = TABLES[name]
-    path = os.path.join(out_dir, name)
-    write_table(path, header, map(format_row, rows(bundle)))
-    return path
-
-
 def export_results(bundle: ResultBundle, out_dir: str) -> list[str]:
     """Write the bundle as bundle.json and every one of the TABLES.
 
@@ -385,4 +378,9 @@ def export_results(bundle: ResultBundle, out_dir: str) -> list[str]:
     with open(bundle_path, "w", encoding="utf-8") as fh:
         json.dump(asdict(bundle), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return [bundle_path] + [export_table(bundle, out_dir, name) for name in TABLES]
+    written = [bundle_path]
+    for name, (header, rows) in TABLES.items():
+        path = os.path.join(out_dir, name)
+        write_table(path, header, map(format_row, rows(bundle)))
+        written.append(path)
+    return written

@@ -1,7 +1,7 @@
 """Horizon sweeps: profile-conditioned prediction and per-sample errors.
 
-A sweep slides a fixed-length horizon over a trial (stride 1 by default,
-last start chosen so the horizon ends exactly on the final sample). For each
+A sweep slides a fixed-length horizon over a trial, starting at every
+sample while the horizon still ends on or before the final one. For each
 start the state is handed over from the reference, the assumed acceleration
 profile is integrated forward, and the error at every sample is the
 Euclidean distance between predicted and reference positions. A start's
@@ -128,13 +128,11 @@ class _Sweep:
 
     The trials are laid back to back, component-major: trial t fills columns
     offsets[t] : offsets[t] + lengths[t] of (3, L) position, velocity and
-    input arrays. Each trial's segment is padded with zeros to a whole number
-    of strides and the arrays end in max(ns) zero columns, so kernel row r is
-    the start at column r * stride and every row's window lies inside the
-    arrays. Rows whose horizon runs past their trial's end compute finite
-    values that no caller keeps. `blocks` cuts the rows into slices of at
-    most BLOCK_STARTS; with no horizon in `ns` the sweep has its geometry
-    only.
+    input arrays, and the arrays end in max(ns) zero columns, so kernel row r
+    is the start at column r and every row's window lies inside the arrays.
+    Rows whose horizon runs past their trial's end compute finite values that
+    no caller keeps. `blocks` cuts the rows into slices of at most
+    BLOCK_STARTS; with no horizon in `ns` the sweep has its geometry only.
 
     A pass is one profile over the first n columns of each row's window. Zero,
     const and oracle errors at (start, lag) do not depend on the horizon, so
@@ -143,32 +141,27 @@ class _Sweep:
     sweep, each with its own `work()` arrays.
     """
 
-    def __init__(self, trials, dt: float, kinds, ns, stride: int = 1):
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
+    def __init__(self, trials, dt: float, kinds, ns):
         for trial in trials:
             if trial.dt != dt:
                 raise ValueError(f"trial dt {trial.dt} does not match horizon dt {dt}")
         kinds = [ProfileKind(kind) for kind in kinds]
         self.lengths = np.array([trial.n_samples for trial in trials], dtype=int)
-        # a stride past the longest trial lays out and starts each trial as that length does
-        stride = min(stride, int(self.lengths.max(initial=1)))
-        self.ns, self.n_kinds, self.stride = list(ns), len(kinds), stride
-        padded = -(-self.lengths // stride) * stride
-        self.offsets = np.cumsum(padded) - padded
-        self.rows = int(padded.sum()) // stride
+        self.ns, self.n_kinds = list(ns), len(kinds)
+        self.offsets = np.cumsum(self.lengths) - self.lengths
+        self.rows = int(self.lengths.sum())
         self.blocks = [slice(first, min(first + BLOCK_STARTS, self.rows)) for first in range(0, self.rows, BLOCK_STARTS)]
         if not self.ns:
             return
         n_cols = max(ns)
-        positions, velocities, accel = (np.zeros((3, int(padded.sum()) + n_cols)) for _ in range(3))
+        positions, velocities, accel = (np.zeros((3, self.rows + n_cols)) for _ in range(3))
         for trial, offset, n in zip(trials, self.offsets, self.lengths):
             positions[:, offset : offset + n] = trial.positions.T
             velocities[:, offset : offset + n] = trial.velocities.T
             accel[:, offset : offset + n] = trial.accel_inputs.T
-        # only these views keep the laid-out arrays alive
-        self.windows = sliding_window_view(positions, n_cols, axis=1)[:, ::stride]
-        self.v0s, self.a0s = velocities[:, ::stride], accel[:, ::stride]
+        # only these keep the laid-out arrays alive
+        self.windows = sliding_window_view(positions, n_cols, axis=1)
+        self.v0s, self.a0s = velocities, accel
         self.lags_dt = np.arange(n_cols) * dt
         every = list(range(len(ns)))
         self.passes = []  # (profile index, columns, input kernel or profile, horizon indices)
@@ -183,7 +176,7 @@ class _Sweep:
         if self.oracle:
             # per-trial prefix sums of the inputs, laid out like `accel`: at
             # trial sample j, s1 = sum of u[m] and s2 = sum of m * u[m] over
-            # m < j, and half = j - 1/2, all 0 on padding. Then
+            # m < j, and half = j - 1/2, all 0 past the last trial. Then
             # sum_i (k-i-1/2) u[s+i-1] = (s+k-1/2) * du1 - du2, with du the
             # sums' differences between trial samples s+k and s.
             s1, s2, half = np.zeros_like(accel), np.zeros_like(accel), np.zeros(accel.shape[1])
@@ -192,12 +185,12 @@ class _Sweep:
                 np.cumsum(u, axis=1, out=s1[:, offset + 1 : offset + n])
                 np.cumsum(u * m[:-1], axis=1, out=s2[:, offset + 1 : offset + n])
                 half[offset : offset + n] = m - 0.5
-            self.w1, self.w2, self.wh = (sliding_window_view(a, n_cols, axis=-1)[..., ::stride, :] for a in (s1, s2, half))
+            self.w1, self.w2, self.wh = (sliding_window_view(a, n_cols, axis=-1) for a in (s1, s2, half))
             self.dt2 = dt * dt
 
     def starts(self, n: int) -> np.ndarray:
         """Number of horizon starts of n samples in each trial."""
-        return np.maximum((self.lengths - n) // self.stride + 1, 0)
+        return np.maximum(self.lengths - n + 1, 0)
 
     def work(self) -> np.ndarray:
         """One thread's work arrays, each (block rows, longest horizon): the
@@ -297,11 +290,11 @@ class _Sweep:
                 yield from list(pool.map(block, self.blocks[i : i + 4 * workers]))
 
 
-def sweep_session(trials, specs, kinds, stride: int = 1, threads: int = 1, reduced: bool = False):
+def sweep_session(trials, specs, kinds, *, threads: int = 1, reduced: bool = False):
     """Sweep every trial with every profile in `kinds` at every horizon in
-    `specs`, starts `stride` samples apart, and yield (trial index, vectors)
-    in trial order, as soon as the trial's last block of starts is swept on
-    up to `threads` threads (see `worker_count`).
+    `specs`, from every start, and yield (trial index, vectors) in trial
+    order, as soon as the trial's last block of starts is swept on up to
+    `threads` threads (see `worker_count`).
 
     The trials are laid out once (`_Sweep`), with room only for the
     horizons that fit the longest trial: a longer horizon costs nothing.
@@ -322,13 +315,13 @@ def sweep_session(trials, specs, kinds, stride: int = 1, threads: int = 1, reduc
     longest = max((trial.n_samples for trial in trials), default=0)
     live = [j for j, spec in enumerate(specs) if spec.n_samples <= longest]
     ns = [specs[j].n_samples for j in live]
-    sweep = _Sweep(trials, dts.pop(), kinds, ns, stride)
+    sweep = _Sweep(trials, dts.pop(), kinds, ns)
     counts = [sweep.starts(spec.n_samples).tolist() for spec in specs]
     if live:
         blocks = sweep.run(threads)
     else:  # nothing to sweep, but the blocks still hand every trial over
         blocks = itertools.repeat(None)
-    starts = (sweep.offsets // sweep.stride).tolist() + [sweep.rows]  # each trial's first row, then the end
+    starts = sweep.offsets.tolist() + [sweep.rows]  # each trial's first row, then the end
 
     def empty(count):  # a trial's vectors at one horizon, before its first block
         if reduced:
@@ -360,17 +353,17 @@ def sweep_session(trials, specs, kinds, stride: int = 1, threads: int = 1, reduc
             t, vectors = t + 1, None
 
 
-def sweep_errors(trial: Trial, spec: HorizonSpec, kind: ProfileKind, stride: int = 1):
+def sweep_errors(trial: Trial, spec: HorizonSpec, kind: ProfileKind):
     """Every horizon of a trial, in start order: the (h, n) error matrix and
     the (h,) 0/1 int8 direction scores.
 
-    Starts run 0, stride, 2*stride, ... while the horizon still fits; a trial
-    shorter than one horizon is an error so callers can report the skip.
+    Starts run 0, 1, 2, ... while the horizon still fits; a trial shorter
+    than one horizon is an error so callers can report the skip.
     """
     n = spec.n_samples
-    # dt, kind and stride are checked first; as in `sweep_session`, a horizon
-    # the trial cannot fit gets no columns
-    sweep = _Sweep([trial], spec.dt, [kind], [n] if n <= trial.n_samples else [], stride)
+    # dt and kind are checked first; as in `sweep_session`, a horizon the
+    # trial cannot fit gets no columns
+    sweep = _Sweep([trial], spec.dt, [kind], [n] if n <= trial.n_samples else [])
     if trial.n_samples < n:
         raise TrialTooShortError.for_horizon(trial, spec)
     h = int(sweep.starts(n)[0])

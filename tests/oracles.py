@@ -121,14 +121,14 @@ def _nested_mean(grouped):
     return sum(activity_means) / len(activity_means)
 
 
-def _start_outcomes(trial, kind, n, dt, stride):
+def _start_outcomes(trial, kind, n, dt):
     """(mean error, max error, direction score) of each horizon of n samples
     in a trial, stepping the profile's accelerations one sample at a time."""
     positions = trial.positions.tolist()
     velocities = trial.velocities.tolist()
     accels = trial.accel_inputs.tolist()
     outcomes = []
-    for start in range(0, len(positions) - n + 1, stride):
+    for start in range(len(positions) - n + 1):
         profile = generate_profile(kind, accels[start], n, accels[start : start + n])
         axes = []
         for axis in range(3):
@@ -148,11 +148,11 @@ def reference_metric_rows(trials, config):
     loops.
 
     trials carry subject_id, activity_id, repeat_index, is_static and (n, 3)
-    positions, velocities and accel_inputs; config carries dt, stride,
-    profiles and horizons_ms. Subjects go in sorted order, then profiles
-    and horizons in config order. A trial shorter than a
-    horizon is skipped once per (subject, activity, repeat, horizon), with
-    the pipeline's reason; static trials give no direction scores. Returns
+    positions, velocities and accel_inputs; config carries dt, profiles and
+    horizons_ms. Subjects go in sorted order, then profiles and horizons in
+    config order. A trial shorter than a horizon is skipped once per
+    (subject, activity, repeat, horizon), with the pipeline's reason; static
+    trials give no direction scores. Returns
     (rows, skips): rows are (subject, profile, horizon_ms, ae, me, ada, mda)
     with ada and mda None when every trial is static, and skips are
     (subject, activity, repeat, horizon_ms, reason).
@@ -176,7 +176,7 @@ def reference_metric_rows(trials, config):
                             )
                             skips.append(key + (t_ms, reason))
                         continue
-                    outcomes = _start_outcomes(trial, profile, n, config.dt, config.stride)
+                    outcomes = _start_outcomes(trial, profile, n, config.dt)
                     means.setdefault(trial.activity_id, {})[trial.repeat_index] = [o[0] for o in outcomes]
                     maxima.setdefault(trial.activity_id, {})[trial.repeat_index] = [o[1] for o in outcomes]
                     if not trial.is_static:

@@ -43,10 +43,6 @@ def malformed_profiles(text):
 
 
 OVERRIDES = {
-    "--stride": (
-        st.one_of(st.integers(-2, 40).map(str), st.text("0123456789x.-+ ", max_size=3)),
-        lambda text: malformed_int(text, 1),
-    ),
     # at most 4 threads, so that no example starts many
     "--threads": (
         st.one_of(st.integers(-2, 4).map(str), st.text("x.-+ _", max_size=3)),
@@ -98,9 +94,9 @@ BOUNDED_VALUES = {
     "threads": st.one_of(st.integers(-2, 4).map(str), st.text("abx.-+ ,", max_size=4)),
     "filter_order": st.one_of(st.integers(-2, 8).map(str), st.text("abx.-+ ,", max_size=4)),
 }
-# unknown keys: misspelt ones, and the retired statistics and output settings
+# unknown keys: misspelt ones, and the retired statistics, output and sweep settings
 CONFIG_KEYS = [f.name for f in fields(DEFAULTS)] + [
-    "colour", "Threads", "horizons", "aggregation", "bonferroni_m", "cohens_d_variant", "out_format"
+    "colour", "Threads", "horizons", "aggregation", "bonferroni_m", "cohens_d_variant", "out_format", "stride"
 ]
 
 

@@ -68,7 +68,7 @@ def test_parse_config_overrides_and_comments():
         dt = 0.005
         horizons_ms = 125, 250
         profiles = zero, oracle
-        stride = 3            # coarser sweep
+        filter_order = 3      # gentler filter
         filter_zero_phase = false
         alpha = 0.01
         threads = 4
@@ -76,7 +76,7 @@ def test_parse_config_overrides_and_comments():
     )
     assert config.horizons_ms == (125.0, 250.0)
     assert config.profiles == ("zero", "oracle")
-    assert config.stride == 3
+    assert config.filter_order == 3
     assert config.filter_zero_phase is False
     assert config.alpha == 0.01
     assert config.threads == 4
@@ -86,7 +86,7 @@ def test_parse_config_rejects_unknown_or_invalid():
     with pytest.raises(ConfigError):
         parse_config("colour = blue")
     with pytest.raises(ConfigError):
-        parse_config("stride 3")
+        parse_config("alpha 0.01")
     with pytest.raises(ConfigError):
         parse_config("filter_zero_phase = maybe")
     with pytest.raises(ConfigError):
@@ -100,11 +100,11 @@ def test_parse_config_rejects_unknown_or_invalid():
 @pytest.mark.parametrize(
     "text, lineno",
     [
-        ("stride = abc\n", 1),
+        ("contact_hold_samples = abc\n", 1),
         ("# sweep setup\nhorizons_ms = 1x5\n", 2),
         ("dt = 0.005\n\nalpha = high\n", 3),
         ("threads = 2.5\n", 1),
-        ("stride = 2\nfilter_zero_phase = maybe\n", 2),
+        ("alpha = 0.01\nfilter_zero_phase = maybe\n", 2),
     ],
 )
 def test_cli_config_value_that_fails_to_parse_exits_1_naming_the_line(tmp_path, capsys, text, lineno):
@@ -121,7 +121,7 @@ def test_cli_config_errors_name_the_file_and_the_line(tmp_path, capsys):
     # a key that fails to parse, and a value out of range, each name the file
     # and the line that set it; a check across keys names the file only
     cases = {
-        "stride = 2\nbogus = 1\n": "line 2: unknown configuration key 'bogus'",
+        "alpha = 0.01\nbogus = 1\n": "line 2: unknown configuration key 'bogus'",
         "# filter\nfilter_order = 0\n": "line 2: filter_order must be >= 1, got 0",
         "profiles = zero, ballistic\n": "line 1: unknown profile 'ballistic'",
         "dt = 0.004\n": "horizon 125.0 ms is not a whole number of 4 ms samples",
@@ -686,14 +686,14 @@ def _caller_modules(tmp_path, command, threads, prelude=""):
     return result.stdout.split()[-4:]
 
 
-# run and metrics compute statistics, which import scipy.special; preprocess
-# and predict compute none, so they never import it
-STATISTICS = {"run": "True", "metrics": "True", "predict": "False", "preprocess": "False"}
+# run computes statistics, which import scipy.special; preprocess and
+# predict compute none, so they never import it
+STATISTICS = {"run": "True", "predict": "False", "preprocess": "False"}
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork: every command loads in the caller")
 @pytest.mark.parametrize("threads, cpus", [("1", None), ("2", 1), ("2", None)])  # None: the host's CPU count
-@pytest.mark.parametrize("command", ["run", "metrics", "predict", "preprocess"])
+@pytest.mark.parametrize("command", ["run", "predict", "preprocess"])
 def test_no_command_leaves_scipy_signal_in_the_caller(tmp_path, command, threads, cpus):
     # every command that loads trials loads them on forked processes, at one
     # worker too, so the caller loads neither scipy.signal nor the kernel
@@ -701,7 +701,7 @@ def test_no_command_leaves_scipy_signal_in_the_caller(tmp_path, command, threads
     assert _caller_modules(tmp_path, command, threads, prelude) == ["0", "False", "False", STATISTICS[command]]
 
 
-@pytest.mark.parametrize("command", ["run", "metrics", "predict", "preprocess"])
+@pytest.mark.parametrize("command", ["run", "predict", "preprocess"])
 def test_without_fork_the_caller_filters_without_scipy_signal(tmp_path, command):
     # a platform without fork loads in the caller, which loads the kernel alone
     prelude = "multiprocessing.get_all_start_methods = lambda: ['spawn']\n"
@@ -757,20 +757,23 @@ def test_cli_synth_run_report_round_trip(tmp_path):
 
 
 def test_cli_metrics_and_analyze(tmp_path):
+    # analyze takes its profiles from the rows, so a run of two profiles
+    # gives back that run's statistics
     run_cli("synth", "--out", tmp_path / "data", "--subjects", 3, "--activities", 3, "--repeats", 1)
-    metrics = run_cli(
-        "metrics",
+    run = run_cli(
+        "run",
         "--manifest", tmp_path / "data" / "manifest.json",
         "--out", tmp_path / "m",
         "--horizons", "125,250",
         "--profiles", "zero,cubic",
     )
-    assert metrics.returncode == 0, metrics.stderr
+    assert run.returncode == 0, run.stderr
     analyze = run_cli(
         "analyze", "--metrics-csv", tmp_path / "m" / "metrics.csv", "--out", tmp_path / "stats"
     )
     assert analyze.returncode == 0, analyze.stderr
-    assert (tmp_path / "stats" / "tests.csv").exists()
+    for name in ("tests.csv", "fits.csv", "levels.csv"):
+        assert (tmp_path / "stats" / name).read_bytes() == (tmp_path / "m" / name).read_bytes()
 
 
 def test_cli_preprocess_and_predict(tmp_path):
@@ -792,14 +795,6 @@ def test_cli_preprocess_and_predict(tmp_path):
     lines = (tmp_path / "pred" / "horizons.csv").read_text().splitlines()
     assert lines[0].startswith("subject_id,activity_id")
     assert len(lines) > 100
-
-
-def test_cli_metrics_and_run_write_identical_metrics_csv(tmp_path, capsys):
-    manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=2, n_repeats=1)
-    common = ["--manifest", str(manifest_path), "--horizons", "125,250", "--profiles", "zero,oracle"]
-    assert main(["metrics", *common, "--out", str(tmp_path / "m")]) == 0
-    assert main(["run", *common, "--out", str(tmp_path / "r")]) == 0
-    assert (tmp_path / "m" / "metrics.csv").read_bytes() == (tmp_path / "r" / "metrics.csv").read_bytes()
 
 
 def test_cli_preprocess_files_hold_exact_accelerations(tmp_path, capsys):
@@ -830,7 +825,7 @@ def test_cli_preprocess_writes_the_same_files_at_any_thread_count(tmp_path, caps
 def test_cli_predict_rows_match_sweep(tmp_path, capsys):
     manifest_path = _small_dataset(tmp_path, n_subjects=1, n_activities=2, n_repeats=1)
     # a non-default profile order, and a 2 s horizon longer than every trial, which adds no rows
-    args = ["--horizons", "125,2000,250", "--profiles", "cubic,zero", "--stride", "3"]
+    args = ["--horizons", "125,2000,250", "--profiles", "cubic,zero"]
     for threads in ("1", "3"):
         out = str(tmp_path / f"pred{threads}")
         assert main(["predict", "--manifest", str(manifest_path), "--out", out, *args, "--threads", threads]) == 0
@@ -842,14 +837,14 @@ def test_cli_predict_rows_match_sweep(tmp_path, capsys):
         (c[0], c[1], int(c[2]), c[3], c[4], int(c[5]), float(c[6]), float(c[7]), int(c[8]))
         for c in (line.split(",") for line in lines)
     ]
-    config = replace(DEFAULTS, horizons_ms=(125.0, 250.0), profiles=("cubic", "zero"), stride=3)
+    config = replace(DEFAULTS, horizons_ms=(125.0, 250.0), profiles=("cubic", "zero"))
     trials, _ = load_all_trials(load_manifest(manifest_path), config)
     expected = []
     for trial in trials:
         for kind in (ProfileKind.CUBIC, ProfileKind.ZERO):
             for t_ms in (125.0, 250.0):
                 spec = HorizonSpec.from_duration(t_ms, config.dt)
-                errors, scores = sweep_errors(trial, spec, kind, stride=3)
+                errors, scores = sweep_errors(trial, spec, kind)
                 expected.extend(
                     (
                         trial.subject_id,
@@ -857,7 +852,7 @@ def test_cli_predict_rows_match_sweep(tmp_path, capsys):
                         trial.repeat_index,
                         kind.value,
                         repr(t_ms),
-                        3 * row,
+                        row,
                         float(series.mean()),
                         float(series.max()),
                         int(score),
@@ -930,28 +925,6 @@ def _tables(out_dir, names=("tests.csv", "fits.csv", "levels.csv")):
     return {name: (out_dir / name).read_bytes() for name in names}
 
 
-def test_cli_stride_longer_than_every_trial_gives_each_trial_its_first_start(tmp_path, capsys):
-    data = tmp_path / "data"
-    assert main(["synth", "--out", str(data), "--subjects", "2", "--activities", "2", "--repeats", "1"]) == 0
-    trials, _ = load_all_trials(load_manifest(data / "manifest.json"), DEFAULTS)
-    longest = max(trial.n_samples for trial in trials)
-
-    def outputs(stride):
-        out = tmp_path / str(stride)
-        for command in ("run", "predict"):
-            args = ["--manifest", str(data / "manifest.json"), "--out", str(out), "--stride", str(stride)]
-            assert main([command, *args]) == 0
-        bundle = json.loads((out / "bundle.json").read_text())
-        assert bundle["config"].pop("stride") == stride
-        tables = {path.name: path.read_bytes() for path in out.glob("*.csv")}
-        return tables, bundle
-
-    expected = outputs(longest)
-    assert len(expected[0]) == 6
-    for stride in (10**6, 2**63 - 1, 10**20):
-        assert outputs(stride) == expected
-
-
 def test_cli_skips_csv_quotes_its_reasons(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--subjects", "2", "--activities", "2", "--repeats", "1"]) == 0
@@ -1009,7 +982,7 @@ def test_cli_analyze_rejects_malformed_metrics_row_naming_file_and_line(tmp_path
         assert "dt = 0.005 s is set with --config" in err
 
 
-@pytest.mark.parametrize("command", ["synth", "preprocess", "predict", "metrics", "run", "analyze"])
+@pytest.mark.parametrize("command", ["synth", "preprocess", "predict", "run", "analyze"])
 def test_cli_out_naming_an_existing_file_is_an_input_error(tmp_path, capsys, command):
     _, manifest_path = _write_single_trial_dataset(tmp_path)
     metrics_path = tmp_path / "metrics.csv"
@@ -1032,16 +1005,17 @@ def test_cli_out_naming_an_existing_file_is_an_input_error(tmp_path, capsys, com
         (["simulate", "--out", "o"], "invalid choice: 'simulate'"),
         ([], "the following arguments are required: command"),
         # flags a subcommand would ignore are not accepted
-        (["metrics", "--manifest", "m.json", "--out", "o", "--format", "json"], "unrecognized arguments: --format"),
+        (["synth", "--out", "o", "--format", "json"], "unrecognized arguments: --format"),
         (["predict", "--manifest", "m.json", "--out", "o", "--format", "csv"], "unrecognized arguments: --format"),
         (["preprocess", "--manifest", "m.json", "--out", "o", "--horizons", "125"], "unrecognized arguments"),
         (["preprocess", "--manifest", "m.json", "--out", "o", "--profiles", "zero"], "unrecognized arguments"),
-        (["preprocess", "--manifest", "m.json", "--out", "o", "--stride", "2"], "unrecognized arguments"),
+        (["synth", "--out", "o", "--threads", "2"], "unrecognized arguments"),
         (["preprocess", "--manifest", "m.json", "--out", "o", "--format", "csv"], "unrecognized arguments"),
-        # the retired --format flag and report subcommand
+        # the retired --format flag and report and metrics subcommands
         (["run", "--manifest", "m.json", "--out", "o", "--format", "csv"], "unrecognized arguments: --format csv"),
         (["analyze", "--metrics-csv", "m.csv", "--out", "o", "--format", "json"], "unrecognized arguments: --format"),
         (["report", "--bundle", "bundle.json", "--out", "o"], "invalid choice: 'report'"),
+        (["metrics", "--manifest", "m.json", "--out", "o"], "invalid choice: 'metrics'"),
     ],
 )
 def test_cli_usage_errors_exit_1_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
@@ -1062,16 +1036,15 @@ def test_cli_help_and_version_exit_0(capsys, argv):
 
 def test_cli_help_lists_only_the_flags_each_subcommand_reads(capsys):
     taken = {}
-    for command in ("preprocess", "predict", "metrics", "run", "analyze"):
+    for command in ("preprocess", "predict", "run", "analyze"):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         shown = capsys.readouterr().out
         taken[command] = {flag for flag in FLAGS if flag in shown}
-    sweep = {"--profiles", "--horizons", "--stride", "--threads"}
+    sweep = {"--profiles", "--horizons", "--threads"}
     assert taken == {
         "preprocess": {"--threads"},
         "predict": sweep,
-        "metrics": sweep,
         "run": sweep,
         "analyze": set(),
     }
@@ -1192,7 +1165,7 @@ def test_cli_file_that_cannot_be_read_as_text_or_csv_exits_1_naming_it(tmp_path,
         args = ["analyze", "--metrics-csv", str(path), "--out", str(tmp_path / "out")]
     elif file_key == "config":
         path = tmp_path / "run.cfg"
-        path.write_bytes(b"stride = \xff\n")
+        path.write_bytes(b"alpha = \xff\n")
         args += ["--config", str(path)]
     elif file_key == "manifest":
         path = Path(manifest_path)
@@ -1220,11 +1193,9 @@ def test_cli_header_only_file_prints_one_error_line(tmp_path, capsys, file_key):
 @pytest.mark.parametrize(
     "flag, text",
     [
-        ("--stride", "0"),
         ("--threads", "0"),
         ("--horizons", "125,abc"),
         ("--horizons", "125,9e99"),
-        ("--stride", "two"),
         ("--profiles", ","),
         ("--profiles", "zero,zero"),
         ("--profiles", "zero,Zero"),
@@ -1237,8 +1208,14 @@ def test_cli_header_only_file_prints_one_error_line(tmp_path, capsys, file_key):
         ("filter_padlen", "-3"),
         ("contact_hold_samples", "0"),
         ("contact_threshold_n", "-5"),
-        # the retired flag and keys, rejected whatever their value
+        ("contact_threshold_n", "inf"),
+        ("filter_cutoff_hz", "inf"),
+        # the retired flags and keys, rejected whatever their value
         ("--format", "xml"),
+        ("--stride", "0"),
+        ("--stride", "two"),
+        ("--stride", "2"),
+        ("stride", "2"),
         ("bonferroni_m", "-2"),
         ("aggregation", "pooled"),
         ("bonferroni_m", "0"),
@@ -1273,7 +1250,7 @@ def test_cli_malformed_override_exits_1_naming_the_setting(tmp_path, capsys, fla
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert flag in err
-    if flag in ("aggregation", "bonferroni_m", "cohens_d_variant", "out_format"):
+    if flag in ("aggregation", "bonferroni_m", "cohens_d_variant", "out_format", "stride"):
         assert f"unknown configuration key {flag!r}" in err
 
 

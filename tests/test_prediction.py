@@ -30,7 +30,7 @@ DT = 0.005
 
 def predicted_positions(trial, spec, kind, rows):
     """The sweep kernel's (len(rows), n, 3) predicted positions for the
-    start rows in the slice `rows` of a one-trial, stride-1 layout."""
+    start rows in the slice `rows` of a one-trial layout."""
     sweep = _Sweep([trial], trial.dt, [kind], [spec.n_samples])
     ((_, n, response, _),) = sweep.passes
     b = rows.stop - rows.start
@@ -156,19 +156,6 @@ def test_sweep_too_short_raises_before_laying_out_the_horizon(kind):
     assert peak < 2**20
 
 
-def test_sweep_stride():
-    trial = make_trial(SyntheticSpec(kind="sinusoid", duration=59 * DT, dt=DT, amplitude=1.0))
-    hspec = HorizonSpec.from_duration(125, DT)
-    errors, scores = sweep_errors(trial, hspec, ProfileKind.ZERO, stride=7)
-    # row i is the horizon starting at sample 7 * i
-    every, every_score = sweep_errors(trial, hspec, ProfileKind.ZERO)
-    assert len(errors) == 5
-    assert_array_equal(errors, every[::7])
-    assert_array_equal(scores, every_score[::7])
-    with pytest.raises(ValueError):
-        sweep_errors(trial, hspec, ProfileKind.ZERO, stride=0)
-
-
 def test_sweep_equals_per_start_prediction_bitwise(monkeypatch):
     trial = make_trial(SyntheticSpec(kind="sinusoid", duration=0.7, dt=DT, amplitude=1.0))
     hspec = HorizonSpec.from_duration(250, DT)
@@ -218,6 +205,10 @@ def test_sweep_errors_dt_check():
         next(sweep_session([trial], [wrong_dt], [ProfileKind.ZERO]))
     with pytest.raises(ValueError, match="one sample period"):
         next(sweep_session([trial], [HorizonSpec.from_duration(125, trial.dt), wrong_dt], [ProfileKind.ZERO]))
+    # threads and reduced are keyword-only, so a fourth positional argument
+    # is refused rather than read as a thread count
+    with pytest.raises(TypeError):
+        sweep_session([trial], [HorizonSpec.from_duration(125, trial.dt)], [ProfileKind.ZERO], 3)
 
 
 TWO_SAMPLES = HorizonSpec(horizon_ms=5.0, dt=DT, n_samples=2)
@@ -384,41 +375,36 @@ def ragged_session(seed=11):
     return trials
 
 
-@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("block", [1024, 512, 64])
-def test_session_sweep_equals_per_trial_sweeps_bitwise(monkeypatch, stride, block):
+def test_session_sweep_equals_per_trial_sweeps_bitwise(monkeypatch, threads, block):
     monkeypatch.setattr(prediction, "BLOCK_STARTS", block)
     trials = ragged_session()
     # the last horizon (1 s, 201 samples) is longer than every trial
     specs = [HorizonSpec.from_duration(t, DT) for t in (125, 250, 375, 1000)]
     assert max(trial.n_samples for trial in trials) < specs[-1].n_samples
     kinds = list(ProfileKind)
-    handed = list(sweep_session(trials, specs, kinds, stride))
+    handed = list(sweep_session(trials, specs, kinds, threads=threads))
     assert [i for i, _ in handed] == list(range(len(trials)))
-    for i, vectors in sweep_session(trials, specs, kinds, stride, threads=3):
-        for ours, theirs in zip(vectors, handed[i][1]):
-            for a, b in zip(ours, theirs):
-                assert_array_equal(a, b)
     for trial, (_, vectors) in zip(trials, handed):
         for spec, (means, maxima, scores) in zip(specs, vectors):
             if trial.n_samples < spec.n_samples:
                 assert means.shape == maxima.shape == scores.shape == (len(kinds), 0)
                 continue
             for p, kind in enumerate(kinds):
-                errors, expected_scores = sweep_errors(trial, spec, kind, stride=stride)
+                errors, expected_scores = sweep_errors(trial, spec, kind)
                 assert_array_equal(means[p], errors.mean(axis=1))
                 assert_array_equal(maxima[p], errors.max(axis=1))
                 assert_array_equal(scores[p], expected_scores)
 
 
-@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("block", [1024, 512, 64])
-def test_pipeline_batched_reduction_equals_per_trial_sweeps(monkeypatch, stride, block):
+def test_pipeline_batched_reduction_equals_per_trial_sweeps(monkeypatch, threads, block):
     monkeypatch.setattr(prediction, "BLOCK_STARTS", block)
     trials = ragged_session()
-    config = replace(DEFAULTS, horizons_ms=(125.0, 250.0, 375.0), stride=stride)
+    config = replace(DEFAULTS, horizons_ms=(125.0, 250.0, 375.0), threads=threads)
     bundle = run_pipeline(config, trials)
-    assert run_pipeline(replace(config, threads=3), trials) == bundle
 
     # the per-(trial, profile, horizon) reduction, one sweep_errors call each
     expected_rows, expected_skips, seen = [], [], set()
@@ -428,7 +414,7 @@ def test_pipeline_batched_reduction_equals_per_trial_sweeps(monkeypatch, stride,
                 outcomes = []
                 for trial in (t for t in trials if t.subject_id == subject):
                     try:
-                        errors, trial_scores = sweep_errors(trial, spec, kind, stride=stride)
+                        errors, trial_scores = sweep_errors(trial, spec, kind)
                     except TrialTooShortError as exc:
                         key = (subject, trial.activity_id, trial.repeat_index, t_ms)
                         if key not in seen:
@@ -462,7 +448,7 @@ def test_session_that_no_horizon_fits_hands_every_trial_over_empty():
     specs = [HorizonSpec.from_duration(t, DT) for t in horizons_ms]
     assert max(trial.n_samples for trial in trials) < specs[0].n_samples
     kinds = list(ProfileKind)
-    handed = list(sweep_session(trials, specs, kinds, stride=3, threads=2))
+    handed = list(sweep_session(trials, specs, kinds, threads=2))
     assert [i for i, _ in handed] == list(range(len(trials)))
     for _, vectors in handed:
         assert len(vectors) == len(specs)
@@ -486,15 +472,14 @@ def test_session_that_no_horizon_fits_hands_every_trial_over_empty():
     # "s9", and the lengths straddle the horizons (26 to 126 samples)
     entries=st.lists(st.tuples(st.sampled_from(["s9", "s10", "s2"]), st.integers(2, 140)), min_size=1, max_size=8),
     horizons_ms=st.lists(st.sampled_from([125.0, 250.0, 375.0, 500.0, 625.0]), min_size=1, max_size=5, unique=True),
-    stride=st.integers(1, 3),
 )
-def test_skip_rows_list_every_too_short_pair_in_subject_horizon_trial_order(entries, horizons_ms, stride):
+def test_skip_rows_list_every_too_short_pair_in_subject_horizon_trial_order(entries, horizons_ms):
     rng = np.random.default_rng(3)
     trials = [
         Trial(subject, f"a{i}", i % 2, False, 70.0, DT, *(rng.normal(size=(n, 3)) for _ in range(3)))
         for i, (subject, n) in enumerate(entries)
     ]
-    config = replace(DEFAULTS, horizons_ms=tuple(sorted(horizons_ms, reverse=True)), stride=stride)
+    config = replace(DEFAULTS, horizons_ms=tuple(sorted(horizons_ms, reverse=True)))
     expected = [
         SkipRow(subject, trial.activity_id, trial.repeat_index, t_ms, str(TrialTooShortError.for_horizon(trial, spec)))
         for subject in sorted({trial.subject_id for trial in trials})
@@ -609,26 +594,6 @@ def test_horizon_longer_than_every_trial_takes_no_memory():
     assert bundle.metric_rows == expected.metric_rows
     assert [r for r in bundle.skip_rows if r.horizon_ms != 60000.0] == expected.skip_rows
     assert sum(r.horizon_ms == 60000.0 for r in bundle.skip_rows) == len(trials)
-
-
-def test_stride_longer_than_every_trial_takes_no_memory():
-    # a stride of 10^5 samples starts each trial once, as a stride of the
-    # longest trial's length does, and lays the session out no wider
-    trials = ragged_session()[:4]
-    config = replace(DEFAULTS, horizons_ms=(125.0, 250.0), stride=max(trial.n_samples for trial in trials))
-
-    def peak_and_rows(stride):
-        tracemalloc.start()
-        try:
-            bundle = run_pipeline(replace(config, stride=stride), trials)
-            return tracemalloc.get_traced_memory()[1], bundle.metric_rows
-        finally:
-            tracemalloc.stop()
-
-    peak, expected = peak_and_rows(config.stride)
-    long_peak, rows = peak_and_rows(10**5)
-    assert rows == expected
-    assert long_peak < peak + 2**20
 
 
 def test_run_memory_beyond_layout_does_not_grow_with_trial_length():

@@ -56,16 +56,14 @@ def sessions(draw):
 @settings(max_examples=100, deadline=None)
 @given(
     trials=sessions(),
-    stride=st.integers(1, 3),
     profiles=st.permutations(["zero", "const", "cubic", "oracle"]),
     threads=st.integers(1, 2),
 )
-def test_metric_rows_equal_reference(trials, stride, profiles, threads):
+def test_metric_rows_equal_reference(trials, profiles, threads):
     config = replace(
         DEFAULTS,
         horizons_ms=HORIZONS_MS,
         profiles=tuple(profiles),
-        stride=stride,
         threads=threads,
     )
     with pytest.MonkeyPatch.context() as patch:
