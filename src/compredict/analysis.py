@@ -8,15 +8,14 @@ with Welch's ANOVA, Welch's t-tests under a Bonferroni correction, and
 Cohen's d effect sizes. Every test returns a `TestResult` of one shape:
 statistic, df1, df2 (None for a t-test) and p-value.
 
-The t and F tail probabilities and the t quantile come from
-`scipy.special` (`stdtr`, `fdtrc`, `stdtrit`). It is imported in the four
-functions that call it, on the first statistic: the import costs ~23 MiB and
-~0.18 s, so commands that compute no statistics (`preprocess`, `predict`,
-`synth`) and the forked trial loaders never pay for it.
+The t and F tails are regularized incomplete beta functions, and the t
+quantile inverts the t tail, all computed with `math` alone, so that no
+process pays the ~22 MiB and ~0.28 s of importing `scipy.special` for them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,8 +121,6 @@ def nested_f_test(fit_reduced: FitResult, fit_full: FitResult) -> TestResult:
     residual sums give F = 0, p = 1; a perfectly fitting full model (with a
     worse reduced one) reports p = 0 and sets perfect_fit.
     """
-    from scipy import special
-
     n = fit_full.n_points
     p_r = fit_reduced.degree + 1
     p_f = fit_full.degree + 1
@@ -142,7 +139,7 @@ def nested_f_test(fit_reduced: FitResult, fit_full: FitResult) -> TestResult:
     if fit_full.wrss <= 0.0:
         return TestResult(statistic=float("inf"), df1=df1, df2=df2, p_value=0.0, perfect_fit=True)
     stat = (drop / df1) / (fit_full.wrss / df2)
-    return TestResult(statistic=float(stat), df1=df1, df2=df2, p_value=float(special.fdtrc(df1, df2, stat)))
+    return TestResult(statistic=float(stat), df1=df1, df2=df2, p_value=_f_p_value(float(stat), df1, df2))
 
 
 @dataclass(frozen=True)
@@ -186,8 +183,6 @@ def _clean_group(values, name: str, min_size: int = 2) -> np.ndarray:
 
 def welch_t_test(a, b) -> TestResult:
     """Two-sided Welch's t-test with Welch-Satterthwaite degrees of freedom."""
-    from scipy import special
-
     a = _clean_group(a, "a")
     b = _clean_group(b, "b")
     var_a = float(np.var(a, ddof=1))
@@ -197,8 +192,11 @@ def welch_t_test(a, b) -> TestResult:
     se_a = var_a / a.size
     se_b = var_b / b.size
     stat = (float(np.mean(a)) - float(np.mean(b))) / np.sqrt(se_a + se_b)
+    if se_a**2 / (a.size - 1) + se_b**2 / (b.size - 1) == 0.0:
+        # the squares underflow; df is scale-invariant, so take it on shares of the sum
+        se_a, se_b = se_a / (se_a + se_b), se_b / (se_a + se_b)
     df = (se_a + se_b) ** 2 / (se_a**2 / (a.size - 1) + se_b**2 / (b.size - 1))
-    return TestResult(statistic=float(stat), df1=float(df), df2=None, p_value=float(2.0 * special.stdtr(df, -abs(stat))))
+    return TestResult(statistic=float(stat), df1=float(df), df2=None, p_value=_t_p_value(float(stat), float(df)))
 
 
 def welch_anova(groups) -> TestResult:
@@ -208,8 +206,6 @@ def welch_anova(groups) -> TestResult:
     Welch-Satterthwaite denominator degrees of freedom. With two groups the
     p-value equals the two-sided Welch t-test on the same data.
     """
-    from scipy import special
-
     cleaned = [_clean_group(g, f"group {i}") for i, g in enumerate(groups)]
     k = len(cleaned)
     if k < 2:
@@ -227,7 +223,7 @@ def welch_anova(groups) -> TestResult:
     spread = float((((1.0 - w / w_total) ** 2) / (n - 1.0)).sum() / (k**2 - 1.0))
     stat = between / (1.0 + 2.0 * (k - 2.0) * spread)
     df2 = 1.0 / (3.0 * spread)
-    return TestResult(statistic=float(stat), df1=float(k - 1), df2=df2, p_value=float(special.fdtrc(k - 1, df2, stat)))
+    return TestResult(statistic=float(stat), df1=float(k - 1), df2=df2, p_value=_f_p_value(stat, float(k - 1), df2))
 
 
 def bonferroni(p_values, m: int) -> list[float]:
@@ -253,12 +249,81 @@ def cohens_d(a, b) -> float:
 
 def confidence_interval(values, level: float = 0.95) -> tuple[float, float]:
     """t-based confidence interval for the mean: mean +/- t * s / sqrt(n)."""
-    from scipy import special
-
     values = _clean_group(values, "values")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     mean = float(np.mean(values))
     sd = float(np.std(values, ddof=1))
-    half = special.stdtrit(values.size - 1, 0.5 + level / 2.0) * sd / np.sqrt(values.size)
+    half = _t_quantile(0.5 + level / 2.0, values.size - 1.0) * sd / np.sqrt(values.size)
     return (float(mean - half), float(mean + half))
+
+
+# ---------------------------------------------------------------------------
+# t and F tails, through the regularized incomplete beta function
+
+
+def _stirling_error(z: float) -> float:
+    """lgamma(z) less Stirling's (z - 1/2) log z - z + log(2 pi) / 2."""
+    if z < 15.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - 0.5 * math.log(2.0 * math.pi)
+    r = 1.0 / (z * z)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / z
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), given y = 1 - x exactly, by Lentz's continued
+    fraction on whichever of I_x(a, b) and I_y(b, a) = 1 - I_x(a, b) it converges fast for."""
+    if x <= 0.0:
+        return 0.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, y, x)
+    s = a + b
+    # log(x**a * y**b / B(a, b)), each lgamma split into Stirling's form and its
+    # error so that no terms of size a log a cancel; log x near 1 comes from y
+    log_x = math.log1p(-y) if y < 0.5 else math.log(x)
+    log_y = math.log1p(-x) if x < 0.5 else math.log(y)
+    log_front = a * (log_x + math.log1p(b / a)) + b * (log_y + math.log1p(a / b)) + 0.5 * math.log(a * b / (2.0 * math.pi * s))
+    log_front += _stirling_error(s) - _stirling_error(a) - _stirling_error(b)
+    # 1 + d_1 / (1 + d_2 / (1 + ...)), with d_j = m (b - m) x for j = 2m and
+    # -(a + m) (s + m) x for j = 2m + 1, over (a + j - 1) (a + j)
+    c, d, fraction = 1.0, 0.0, 1.0
+    for j in range(1, 20_000):
+        m = j // 2
+        term = (m * (b - m) if j % 2 == 0 else -(a + m) * (s + m)) * x / ((a + j - 1) * (a + j))
+        d = 1.0 / ((1.0 + term * d) or 1e-300)  # Lentz's guard against a zero denominator
+        c = (1.0 + term / c) or 1e-300
+        fraction *= c * d
+        if abs(c * d - 1.0) < 3e-16:  # the last factor is within an ulp of 1
+            break
+    return math.exp(log_front) / (a * fraction)
+
+
+def _f_p_value(f: float, df1: float, df2: float) -> float:
+    """P(F >= f) on (df1, df2) degrees of freedom: I_x(df2/2, df1/2) at x = df2 / (df2 + df1 f)."""
+    if math.isnan(f + df1 + df2):
+        return math.nan
+    if f <= 0.0:
+        return 1.0
+    q = df1 * f
+    return _betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + q), q / (df2 + q))
+
+
+def _t_p_value(t: float, df: float) -> float:
+    """Two-sided P(|T| >= |t|) on df degrees of freedom, which is P(F >= t^2) on (1, df)."""
+    if math.isinf(df):
+        return math.erfc(abs(t) / math.sqrt(2.0))  # the normal tail
+    return _f_p_value(t * t, 1.0, df)
+
+
+def _t_quantile(q: float, df: float) -> float:
+    """The t quantile at q >= 1/2 on df degrees of freedom, by Newton's method from
+    t = 0 on the two-sided tail, which is convex for t > 0: no step overshoots."""
+    tail = 2.0 * (1.0 - q)  # 1 - q is exact for q >= 1/2
+    log_scale = math.lgamma(df / 2.0 + 0.5) - math.lgamma(df / 2.0) - 0.5 * math.log(math.pi * df)
+    t = 0.0
+    for _ in range(100):
+        step = (_t_p_value(t, df) - tail) / (2.0 * math.exp(log_scale - (df + 1.0) / 2.0 * math.log1p(t * t / df)))
+        t += step
+        if step <= 4e-16 * t:
+            break
+    return t

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 
 from compredict.analysis import (
     DegenerateVarianceError,
@@ -14,6 +17,7 @@ from compredict.analysis import (
     welch_t_test,
     wls_polyfit,
 )
+from compredict.analysis import _f_p_value, _t_p_value, _t_quantile
 
 from oracles import mp_f_sf, mp_t_cdf, mp_t_quantile, mp_wls_polyfit, mp_weighted_rss
 
@@ -97,6 +101,59 @@ def test_t_quantile_frozen_value_and_inverse():
             low, high = t_quantiles(2 * q - 1, df)
             assert_allclose(float(mp_t_cdf(high, df)), q, rtol=1e-10)
             assert_allclose(float(mp_t_cdf(low, df)), 1 - q, rtol=1e-10)
+
+
+# fractional degrees of freedom, as Welch-Satterthwaite gives, up to 1000
+FRACTIONAL_DF = [0.5, 0.77, 1.3, 2.9, 7.4, 19.6, 48.2, 133.7, 401.3, 987.6]
+
+
+def _worst_relative_error(cases):
+    """The largest |p / oracle - 1| over (p, oracle) pairs with oracle >= 1e-300."""
+    return max(abs(p / float(oracle) - 1.0) for p, oracle in cases if oracle >= 1e-300)
+
+
+def test_tails_at_fractional_df_match_the_oracle_to_1e_12_relative():
+    # a log-beta taken as lgamma(a + b) - lgamma(a) - lgamma(b) loses ~2.6e-12
+    # to cancellation by df = 1000; a relative bound holds deep in the tails
+    t_cases = [(t, df, 2 * mp_t_cdf(-t, df)) for df in FRACTIONAL_DF for t in (1e-3, 0.05, 0.7, 1.96, 3.3, 8.0, 20.0, 60.0)]
+    f_cases = [
+        (f, df1, df2, mp_f_sf(f, df1, df2))
+        for df1 in FRACTIONAL_DF
+        for df2 in FRACTIONAL_DF
+        for f in (1e-3, 0.03, 0.5, 1.0, 2.7, 9.1, 40.0, 300.0, 1e4)
+    ]
+    t_worst = _worst_relative_error((_t_p_value(t, df), p) for t, df, p in t_cases)
+    f_worst = _worst_relative_error((_f_p_value(f, df1, df2), p) for f, df1, df2, p in f_cases)
+    scipy_t = _worst_relative_error((2 * special.stdtr(df, -t), p) for t, df, p in t_cases)
+    scipy_f = _worst_relative_error((special.fdtrc(df1, df2, f), p) for f, df1, df2, p in f_cases)
+    print(f"worst relative error: t {t_worst:.2e} (scipy.special {scipy_t:.2e}), F {f_worst:.2e} (scipy.special {scipy_f:.2e})")
+    assert t_worst <= 1e-12
+    assert f_worst <= 1e-12
+
+
+def test_t_quantile_matches_the_oracle_to_1e_13_relative():
+    dfs = list(range(1, 31)) + list(range(31, 1001, 29)) + [1000]
+    oracle = {df: float(mp_t_quantile(0.975, df)) for df in dfs}
+    worst = max(abs(_t_quantile(0.975, float(df)) / oracle[df] - 1.0) for df in dfs)
+    scipy_worst = max(abs(special.stdtrit(df, 0.975) / oracle[df] - 1.0) for df in dfs)
+    print(f"worst relative error of the 0.975 quantile: {worst:.2e} (scipy.special {scipy_worst:.2e})")
+    assert worst <= 1e-13
+
+
+def test_tails_at_the_edges_give_scipy_special_values():
+    inf, nan = math.inf, math.nan
+    assert _t_p_value(0.0, 5.0) == _t_p_value(-0.0, 5.0) == 1.0
+    # P(F >= f) = 1 for f <= 0, as scipy.stats.f.sf and the oracle give
+    # (scipy.special.fdtrc gives NaN below 0)
+    assert _f_p_value(0.0, 2.0, 3.0) == _f_p_value(-1.0, 2.0, 3.0) == 1.0
+    assert _t_p_value(inf, 5.0) == _t_p_value(-inf, 5.0) == _f_p_value(inf, 2.0, 3.0) == 0.0
+    tails = [_t_p_value(nan, 5.0), _t_p_value(1.0, nan), _f_p_value(nan, 2.0, 3.0), _f_p_value(1.0, nan, 3.0), _f_p_value(1.0, 2.0, nan)]
+    assert all(math.isnan(p) for p in tails)
+    # infinite df: the normal tail, twice stdtr(inf, -2)
+    assert _t_p_value(-2.0, inf) == 2 * 0.02275013194817922
+    # tails below the double range underflow to 0 (a warning would fail the test)
+    assert _t_p_value(1e150, 5.0) == _t_p_value(1e10, 1000.0) == _f_p_value(1e6, 1000.0, 1000.0) == 0.0
+    assert _t_quantile(0.5, 7.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

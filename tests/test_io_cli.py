@@ -670,15 +670,14 @@ def test_loading_fault_exits_2_and_leaves_no_worker(tmp_path, capsys, monkeypatc
         assert multiprocessing.active_children() == []
 
 
-def _caller_modules(tmp_path, command, threads, prelude=""):
+def _caller_modules(args, prelude=""):
     """Whether scipy.signal, the sosfilt kernel and scipy.special are loaded
-    in a process that ran the command after the prelude's lines."""
-    manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=2, n_repeats=1)
+    in a process that ran the command line args after the prelude's lines."""
     script = (
         "import multiprocessing, os, sys\n"
         + prelude
         + "from compredict.cli import main\n"
-        f"code = main([{command!r}, '--manifest', {str(manifest_path)!r}, '--out', {str(tmp_path / 'out')!r}, '--threads', {threads!r}])\n"
+        f"code = main({args!r})\n"
         "print(code, 'scipy.signal' in sys.modules, 'scipy.signal._sosfilt' in sys.modules, 'scipy.special' in sys.modules)\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -686,11 +685,13 @@ def _caller_modules(tmp_path, command, threads, prelude=""):
     return result.stdout.split()[-4:]
 
 
-# run computes statistics, which import scipy.special; preprocess and
-# predict compute none, so they never import it
-STATISTICS = {"run": "True", "predict": "False", "preprocess": "False"}
+def _command_args(tmp_path, command, threads):
+    manifest_path = _small_dataset(tmp_path, n_subjects=2, n_activities=2, n_repeats=1)
+    return [command, "--manifest", str(manifest_path), "--out", str(tmp_path / "out"), "--threads", threads]
 
 
+# no command imports scipy.special: the statistics compute their t and F
+# tails with math alone
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork: every command loads in the caller")
 @pytest.mark.parametrize("threads, cpus", [("1", None), ("2", 1), ("2", None)])  # None: the host's CPU count
 @pytest.mark.parametrize("command", ["run", "predict", "preprocess"])
@@ -698,14 +699,22 @@ def test_no_command_leaves_scipy_signal_in_the_caller(tmp_path, command, threads
     # every command that loads trials loads them on forked processes, at one
     # worker too, so the caller loads neither scipy.signal nor the kernel
     prelude = "" if cpus is None else f"os.cpu_count = lambda: {cpus}\n"
-    assert _caller_modules(tmp_path, command, threads, prelude) == ["0", "False", "False", STATISTICS[command]]
+    assert _caller_modules(_command_args(tmp_path, command, threads), prelude) == ["0", "False", "False", "False"]
 
 
 @pytest.mark.parametrize("command", ["run", "predict", "preprocess"])
 def test_without_fork_the_caller_filters_without_scipy_signal(tmp_path, command):
     # a platform without fork loads in the caller, which loads the kernel alone
     prelude = "multiprocessing.get_all_start_methods = lambda: ['spawn']\n"
-    assert _caller_modules(tmp_path, command, "2", prelude) == ["0", "False", "True", STATISTICS[command]]
+    assert _caller_modules(_command_args(tmp_path, command, "2"), prelude) == ["0", "False", "True", "False"]
+
+
+def test_analyze_leaves_no_scipy_subpackage_in_the_caller(tmp_path):
+    assert main(_command_args(tmp_path, "run", "1")) == 0
+    args = ["analyze", "--metrics-csv", str(tmp_path / "out" / "metrics.csv"), "--out", str(tmp_path / "stats")]
+    assert _caller_modules(args) == ["0", "False", "False", "False"]
+    for name in ("tests.csv", "levels.csv"):  # statistics were computed
+        assert len((tmp_path / "stats" / name).read_text().splitlines()) > 1
 
 
 def test_cli_profile_names_are_case_insensitive(tmp_path):
@@ -953,6 +962,31 @@ def test_cli_analyze_reproduces_the_statistics_of_run(tmp_path, small_synth_sess
     assert main(["run", "--manifest", str(small_synth_session), "--out", str(tmp_path / "run")]) == 0
     assert main(["analyze", "--metrics-csv", str(tmp_path / "run" / "metrics.csv"), "--out", str(tmp_path / "a")]) == 0
     assert _tables(tmp_path / "a") == _tables(tmp_path / "run")
+
+
+def test_cli_analyze_takes_welch_df_on_errors_too_small_to_square(tmp_path):
+    # ae_m ~ 1e-85 h m: each se**2 underflows to 0 in the Welch-Satterthwaite
+    # df, which is scale-invariant, so the pairwise tests match the file
+    # scaled by 1e80
+    rng = np.random.default_rng(17)
+    spread = rng.normal(size=(6, 3, 5))
+    tests = {}
+    for scale in (1e-85, 1e-5):
+        rows = [
+            (f"s{s:02d}", profile, h, scale * h * (f + 0.1 * spread[s, p, i]), 0.5 * scale * h * f, 0.5 + 0.1 * spread[s, p, i], 0.4)
+            for s in range(6)
+            for p, (profile, f) in enumerate((("zero", 1.0), ("const", 0.6), ("cubic", 0.3)))
+            for i, h in enumerate((125.0, 250.0, 375.0, 500.0, 625.0))
+        ]
+        write_table(tmp_path / f"{scale}.csv", METRICS_HEADER, map(format_row, rows))
+        assert main(["analyze", "--metrics-csv", str(tmp_path / f"{scale}.csv"), "--out", str(tmp_path / str(scale))]) == 0
+        with open(tmp_path / str(scale) / "tests.csv", newline="") as fh:
+            tests[scale] = [row for row in csv.DictReader(fh) if row["df1"] and not row["df2"]]
+    assert len(tests[1e-85]) == len(tests[1e-5]) > 0
+    for tiny, scaled in zip(tests[1e-85], tests[1e-5]):
+        assert tiny["comparison"] == scaled["comparison"]
+        for key in ("statistic", "df1", "p_value"):
+            assert_allclose(float(tiny[key]), float(scaled[key]), rtol=1e-12)
 
 
 @pytest.mark.parametrize(

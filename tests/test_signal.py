@@ -448,9 +448,10 @@ def test_preprocess_can_skip_filter():
 
 def test_importing_the_cli_leaves_scipy_signal_unimported():
     # scipy.signal takes about a second to import, and filtering needs only its
-    # kernel; scipy.stats costs as much, and scipy.special gives the statistics
-    # all they need, imported on the first statistic (~23 MiB, ~0.18 s)
-    code = "import sys, compredict.cli; print(sorted({'scipy.signal', 'scipy.special', 'scipy.stats'} & set(sys.modules)))"
+    # kernel; scipy.stats costs as much; the statistics need neither
+    # scipy.special (~22 MiB) nor the standard library's statistics (~0.2 MiB
+    # more in every process and forked loader)
+    code = "import sys, compredict.cli; print(sorted({'scipy.signal', 'scipy.special', 'scipy.stats', 'statistics'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
