@@ -14,16 +14,17 @@ time times initial velocity, plus the input response from `_input_kernel`
 This path does not step the ZOH update sample by sample, so it matches
 stepped propagation to rounding error only.
 
-One object, `_Sweep`, lays a session out, cuts its starts into blocks and
-evaluates every profile and horizon a block at a time, on up to
-`worker_count` threads. It lays trials back to back, component-major, so
-the lags of a block of starts are strided window views of contiguous rows:
-no gather and no per-start copy. Every element is the same expression
-whatever the block, so a sweep is bit-identical to evaluating each start on
-its own. `sweep_errors` returns one trial's (h, n) error matrix and (h,)
-scores; `sweep_session` hands a session over trial by trial, with each
-start's mean error, max error and score, or, reduced, folded to each
-horizon's start count and each profile's error sum, error max and score sum.
+One object, `_Sweep`, cuts a session's starts into blocks and evaluates
+every profile and horizon a block at a time, on up to `worker_count`
+threads. It lays out one batch of blocks at a time, trials back to back and
+component-major, so the lags of a block of starts are strided window views
+of contiguous rows: no gather and no per-start copy, and no array as long
+as the session. Every element is the same expression whatever the block or
+batch, so a sweep is bit-identical to evaluating each start on its own.
+`sweep_errors` returns one trial's (h, n) error matrix and (h,) scores;
+`sweep_session` hands a session over trial by trial, with each start's mean
+error, max error and score, or, reduced, folded to each horizon's start
+count and each profile's error sum, error max and score sum.
 """
 
 from __future__ import annotations
@@ -126,13 +127,15 @@ def worker_count(threads: int, tasks: int) -> int:
 class _Sweep:
     """Every profile at every horizon of a session, a block of start rows at a time.
 
-    The trials are laid back to back, component-major: trial t fills columns
+    The trials lie back to back, component-major: trial t fills columns
     offsets[t] : offsets[t] + lengths[t] of (3, L) position, velocity and
-    input arrays, and the arrays end in max(ns) zero columns, so kernel row r
-    is the start at column r and every row's window lies inside the arrays.
-    Rows whose horizon runs past their trial's end compute finite values that
-    no caller keeps. `blocks` cuts the rows into slices of at most
-    BLOCK_STARTS; with no horizon in `ns` the sweep has its geometry only.
+    input arrays, which end in max(ns) zero columns, so kernel row r is the
+    start at column r and every row's window lies inside the arrays. Only a
+    batch's columns of them are ever built (`lay_out`), and its rows are
+    indexed from the batch's first. Rows whose horizon runs past their
+    trial's end compute finite values that no caller keeps. `blocks` cuts the
+    rows into slices of at most BLOCK_STARTS; with no horizon in `ns` the
+    sweep has its geometry only.
 
     A pass is one profile over the first n columns of each row's window. Zero,
     const and oracle errors at (start, lag) do not depend on the horizon, so
@@ -146,6 +149,7 @@ class _Sweep:
             if trial.dt != dt:
                 raise ValueError(f"trial dt {trial.dt} does not match horizon dt {dt}")
         kinds = [ProfileKind(kind) for kind in kinds]
+        self.trials = trials
         self.lengths = np.array([trial.n_samples for trial in trials], dtype=int)
         self.ns, self.n_kinds = list(ns), len(kinds)
         self.offsets = np.cumsum(self.lengths) - self.lengths
@@ -153,15 +157,7 @@ class _Sweep:
         self.blocks = [slice(first, min(first + BLOCK_STARTS, self.rows)) for first in range(0, self.rows, BLOCK_STARTS)]
         if not self.ns:
             return
-        n_cols = max(ns)
-        positions, velocities, accel = (np.zeros((3, self.rows + n_cols)) for _ in range(3))
-        for trial, offset, n in zip(trials, self.offsets, self.lengths):
-            positions[:, offset : offset + n] = trial.positions.T
-            velocities[:, offset : offset + n] = trial.velocities.T
-            accel[:, offset : offset + n] = trial.accel_inputs.T
-        # only these keep the laid-out arrays alive
-        self.windows = sliding_window_view(positions, n_cols, axis=1)
-        self.v0s, self.a0s = velocities, accel
+        self.n_cols = n_cols = max(ns)
         self.lags_dt = np.arange(n_cols) * dt
         every = list(range(len(ns)))
         self.passes = []  # (profile index, columns, input kernel or profile, horizon indices)
@@ -173,20 +169,47 @@ class _Sweep:
             else:
                 self.passes.append((p, n_cols, kind, every))
         self.oracle = ProfileKind.ORACLE in kinds
+        self.dt2 = dt * dt
+
+    def lay_out(self, first: int, stop: int):
+        """Lay out the columns first : stop + max(ns), which the windows of
+        start rows first : stop read, with row and column first at index 0.
+        The last batch's arrays are dropped before these are built, so call
+        this batch by batch, in order: a trial that runs on past stop hands
+        the oracle's prefix sums at column stop on to the next batch, which
+        scans on from them, so every sum is the whole trial's scan bit for
+        bit."""
+        self.windows = self.v0s = self.a0s = self.w1 = self.w2 = self.wh = None
+        width = stop - first + self.n_cols
+        positions, velocities, accel = (np.zeros((3, width)) for _ in range(3))
         if self.oracle:
-            # per-trial prefix sums of the inputs, laid out like `accel`: at
-            # trial sample j, s1 = sum of u[m] and s2 = sum of m * u[m] over
-            # m < j, and half = j - 1/2, all 0 past the last trial. Then
-            # sum_i (k-i-1/2) u[s+i-1] = (s+k-1/2) * du1 - du2, with du the
-            # sums' differences between trial samples s+k and s.
-            s1, s2, half = np.zeros_like(accel), np.zeros_like(accel), np.zeros(accel.shape[1])
-            for offset, n in zip(self.offsets, self.lengths):
-                u, m = accel[:, offset : offset + n - 1], np.arange(n)
-                np.cumsum(u, axis=1, out=s1[:, offset + 1 : offset + n])
-                np.cumsum(u * m[:-1], axis=1, out=s2[:, offset + 1 : offset + n])
-                half[offset : offset + n] = m - 0.5
-            self.w1, self.w2, self.wh = (sliding_window_view(a, n_cols, axis=-1) for a in (s1, s2, half))
-            self.dt2 = dt * dt
+            s1, s2, half = np.zeros((3, width)), np.zeros((3, width)), np.zeros(width)
+        for trial, offset, n in zip(self.trials, self.offsets, self.lengths):
+            a, b = max(first - offset, 0), min(first + width - offset, n)  # the trial's samples here
+            if a >= b:
+                continue
+            cols = slice(offset + a - first, offset + b - first)
+            positions[:, cols] = trial.positions[a:b].T
+            velocities[:, cols] = trial.velocities[a:b].T
+            accel[:, cols] = trial.accel_inputs[a:b].T
+            if self.oracle:
+                # at trial sample j, s1 = sum of u[m] and s2 = sum of m * u[m]
+                # over m < j, and half = j - 1/2, all 0 past the last trial.
+                # Then sum_i (k-i-1/2) u[s+i-1] = (s+k-1/2) * du1 - du2, with
+                # du the sums' differences between trial samples s+k and s.
+                m, u = np.arange(a, b), trial.accel_inputs[a : b - 1].T
+                half[cols] = m - 0.5
+                if a:  # the trial began in an earlier batch: scan on from its carried sums
+                    s1[:, cols.start], s2[:, cols.start] = self.carry
+                for s, terms in ((s1, u), (s2, u * m[:-1])):
+                    s[:, cols.start + 1 : cols.stop] = terms
+                    scan = s[:, cols.start + (a == 0) : cols.stop]  # a trial's own scan starts at u[0]
+                    np.cumsum(scan, axis=1, out=scan)
+        self.windows = sliding_window_view(positions, self.n_cols, axis=1)
+        self.v0s, self.a0s = velocities, accel
+        if self.oracle:
+            self.carry = s1[:, stop - first].copy(), s2[:, stop - first].copy()
+            self.w1, self.w2, self.wh = (sliding_window_view(a, self.n_cols, axis=-1) for a in (s1, s2, half))
 
     def starts(self, n: int) -> np.ndarray:
         """Number of horizon starts of n samples in each trial."""
@@ -196,7 +219,7 @@ class _Sweep:
         """One thread's work arrays, each (block rows, longest horizon): the
         base positions of the three components, the prediction, the errors
         and, with the oracle, its response."""
-        return np.empty((5 + self.oracle, self.blocks[0].stop, self.windows.shape[-1]))
+        return np.empty((5 + self.oracle, self.blocks[0].stop, self.n_cols))
 
     def _base(self, rows, base):
         """P0 + (k*dt)*V0 at the start rows in the slice `rows`, into the
@@ -273,7 +296,8 @@ class _Sweep:
     def run(self, threads: int):
         """`block` of every one of `blocks` in order, on a pool of
         `worker_count` threads (a pool of one at one worker), four blocks per
-        thread at a time. A batch is swept whole before any of it is handed
+        thread at a time. Each batch is laid out on its own, and the threads
+        share its layout. A batch is swept whole before any of it is handed
         on: a slow consumer holds the threads back instead of piling up
         results, and never runs while they do, so neither waits for the GIL
         held by the other."""
@@ -287,7 +311,10 @@ class _Sweep:
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for i in range(0, len(self.blocks), 4 * workers):
-                yield from list(pool.map(block, self.blocks[i : i + 4 * workers]))
+                batch = self.blocks[i : i + 4 * workers]
+                first = batch[0].start
+                self.lay_out(first, batch[-1].stop)
+                yield from list(pool.map(block, [slice(rows.start - first, rows.stop - first) for rows in batch]))
 
 
 def sweep_session(trials, specs, kinds, *, threads: int = 1, reduced: bool = False):
@@ -296,8 +323,9 @@ def sweep_session(trials, specs, kinds, *, threads: int = 1, reduced: bool = Fal
     order, as soon as the trial's last block of starts is swept on up to
     `threads` threads (see `worker_count`).
 
-    The trials are laid out once (`_Sweep`), with room only for the
-    horizons that fit the longest trial: a longer horizon costs nothing.
+    The trials are laid out a batch of blocks at a time (`_Sweep`), with room
+    only for the horizons that fit the longest trial: a longer horizon costs
+    nothing.
     vectors[j] holds the (means, maxima, int8 scores) of specs[j], each
     (len(kinds), starts): none for a trial shorter than the spec. A mean is
     the row mean of that start's error series, as `errors.mean(axis=1)` of
@@ -351,6 +379,7 @@ def sweep_session(trials, specs, kinds, *, threads: int = 1, reduced: bool = Fal
                 vectors = [(c[t], m.sum(axis=1), x, s) for c, (m, x, s) in zip(counts, vectors)]
             yield t, vectors
             t, vectors = t + 1, None
+            means = maxima = scores = None  # the handed trial's last unpacked vectors go too
 
 
 def sweep_errors(trial: Trial, spec: HorizonSpec, kind: ProfileKind):
@@ -367,6 +396,7 @@ def sweep_errors(trial: Trial, spec: HorizonSpec, kind: ProfileKind):
     if trial.n_samples < n:
         raise TrialTooShortError.for_horizon(trial, spec)
     h = int(sweep.starts(n)[0])
+    sweep.lay_out(0, sweep.rows)  # one batch
     work = sweep.work()
     errors, scores = np.empty((h, n)), np.empty(h, dtype=np.int8)
     for first in range(0, h, BLOCK_STARTS):

@@ -372,11 +372,21 @@ def mp_t_cdf(x, df):
     return tail / 2 if x < 0 else 1 - tail / 2
 
 
+def mp_betainc(a, b, x, y):
+    """I_x(a, b), with y = 1 - x, by the all-positive series
+    x^a y^b / (a B(a, b)) 2F1(a + b, 1; a + 1; x), summed on the side where it
+    converges fast: mpmath's own betainc fails to converge at a = b = 5e3."""
+    if x > (a + 1) / (a + b + 2):
+        return 1 - mp_betainc(b, a, y, x)
+    return x**a * y**b / (a * mp.beta(a, b)) * mp.hyp2f1(a + b, 1, a + 1, x)
+
+
 def mp_f_sf(x, df1, df2):
     x, df1, df2 = mp.mpf(x), mp.mpf(df1), mp.mpf(df2)
     if x <= 0:
         return mp.mpf(1)
-    return mp.betainc(df2 / 2, df1 / 2, x2=df2 / (df1 * x + df2), regularized=True)
+    d = df1 * x + df2
+    return mp_betainc(df2 / 2, df1 / 2, df2 / d, df1 * x / d)
 
 
 def mp_t_quantile(q, df):

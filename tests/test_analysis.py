@@ -105,6 +105,8 @@ def test_t_quantile_frozen_value_and_inverse():
 
 # fractional degrees of freedom, as Welch-Satterthwaite gives, up to 1000
 FRACTIONAL_DF = [0.5, 0.77, 1.3, 2.9, 7.4, 19.6, 48.2, 133.7, 401.3, 987.6]
+# and an F test's second df up to 1e4
+LARGE_DF2 = [2718.3, 1e4]
 
 
 def _worst_relative_error(cases):
@@ -119,8 +121,8 @@ def test_tails_at_fractional_df_match_the_oracle_to_1e_12_relative():
     f_cases = [
         (f, df1, df2, mp_f_sf(f, df1, df2))
         for df1 in FRACTIONAL_DF
-        for df2 in FRACTIONAL_DF
-        for f in (1e-3, 0.03, 0.5, 1.0, 2.7, 9.1, 40.0, 300.0, 1e4)
+        for df2 in FRACTIONAL_DF + LARGE_DF2
+        for f in (1e-3, 0.03, 0.5, 1.0, 1.5, 2.7, 9.1, 40.0, 300.0, 1e4)
     ]
     t_worst = _worst_relative_error((_t_p_value(t, df), p) for t, df, p in t_cases)
     f_worst = _worst_relative_error((_f_p_value(f, df1, df2), p) for f, df1, df2, p in f_cases)
@@ -129,6 +131,12 @@ def test_tails_at_fractional_df_match_the_oracle_to_1e_12_relative():
     print(f"worst relative error: t {t_worst:.2e} (scipy.special {scipy_t:.2e}), F {f_worst:.2e} (scipy.special {scipy_f:.2e})")
     assert t_worst <= 1e-12
     assert f_worst <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="the F tail loses 1.8e-12 at df2 = 3e4 and 4.3e-12 at 1e5")
+@pytest.mark.parametrize("df2", [3e4, 1e5])
+def test_f_tail_beyond_df2_1e4_matches_the_oracle_to_1e_12_relative(df2):
+    assert _worst_relative_error([(_f_p_value(1.5, 5.0, df2), mp_f_sf(1.5, 5.0, df2))]) <= 1e-12
 
 
 def test_t_quantile_matches_the_oracle_to_1e_13_relative():

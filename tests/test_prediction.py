@@ -32,6 +32,7 @@ def predicted_positions(trial, spec, kind, rows):
     """The sweep kernel's (len(rows), n, 3) predicted positions for the
     start rows in the slice `rows` of a one-trial layout."""
     sweep = _Sweep([trial], trial.dt, [kind], [spec.n_samples])
+    sweep.lay_out(0, sweep.rows)  # the whole trial as one batch
     ((_, n, response, _),) = sweep.passes
     b = rows.stop - rows.start
     base, (out, tmp) = np.empty((3, b, n)), np.empty((2, b, n))
@@ -383,6 +384,12 @@ def test_session_sweep_equals_per_trial_sweeps_bitwise(monkeypatch, threads, blo
     # the last horizon (1 s, 201 samples) is longer than every trial
     specs = [HorizonSpec.from_duration(t, DT) for t in (125, 250, 375, 1000)]
     assert max(trial.n_samples for trial in trials) < specs[-1].n_samples
+    assert_session_equals_per_trial_sweeps(trials, specs, threads)
+
+
+def assert_session_equals_per_trial_sweeps(trials, specs, threads):
+    """Every profile's session vectors equal its per-trial `sweep_errors`
+    matrices' row means, row maxima and scores, bit for bit."""
     kinds = list(ProfileKind)
     handed = list(sweep_session(trials, specs, kinds, threads=threads))
     assert [i for i, _ in handed] == list(range(len(trials)))
@@ -396,6 +403,25 @@ def test_session_sweep_equals_per_trial_sweeps_bitwise(monkeypatch, threads, blo
                 assert_array_equal(means[p], errors.mean(axis=1))
                 assert_array_equal(maxima[p], errors.max(axis=1))
                 assert_array_equal(scores[p], expected_scores)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_oracle_sums_carried_through_several_batches_equal_the_whole_trial_scan(monkeypatch, threads):
+    # 64-start blocks make batches of 256 rows at one thread and 768 at
+    # three: a batch starts on the first row of a 700-sample trial, which
+    # then spans three batches, and another on the last row of the trial
+    # after it, which keeps only its carried sums there
+    monkeypatch.setattr(prediction, "BLOCK_STARTS", 64)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three threads make three workers on any host
+    rng = np.random.default_rng(13)
+    trials = [
+        Trial(f"s{i % 2}", f"a{i}", 0, False, 70.0, DT, *(rng.normal(size=(n, 3)) for _ in range(3)))
+        for i, n in enumerate([100, 156, 700, 69, 40, 25, 90])
+    ]
+    offsets = np.cumsum([0] + [trial.n_samples for trial in trials])
+    assert offsets[2] == 256 and offsets[3] > 3 * 256 and offsets[4] - 1 == 4 * 256
+    specs = [HorizonSpec.from_duration(t, DT) for t in (125, 250, 625)]
+    assert_session_equals_per_trial_sweeps(trials, specs, threads)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -596,14 +622,13 @@ def test_horizon_longer_than_every_trial_takes_no_memory():
     assert sum(r.horizon_ms == 60000.0 for r in bundle.skip_rows) == len(trials)
 
 
-def test_run_memory_beyond_layout_does_not_grow_with_trial_length():
-    # Beyond the layout's arrays (with the oracle's prefix sums) and the
+def test_run_memory_beyond_the_handed_means_does_not_grow_with_trial_length():
+    # The sweep lays out one batch of starts at a time, so beyond the
     # per-start means of the one trial being swept, which the sweep sums and
     # drops before it hands the trial over folded, run_pipeline's tracemalloc
-    # peak is the same for two 30 s trials as for two 2 min ones
+    # peak is the same for two 1 min trials as for two 4 min ones
     rng = np.random.default_rng(5)
     config = replace(DEFAULTS, threads=1)
-    n_max = max(spec.n_samples for spec in config.horizon_specs())
 
     def extra(seconds):
         n = int(round(seconds / DT)) + 1
@@ -617,11 +642,9 @@ def test_run_memory_beyond_layout_does_not_grow_with_trial_length():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        sweep = _Sweep(trials, DT, [], [n_max])
-        # positions, velocities, inputs and the oracle's two prefix sums, and its half-sample column
-        held = 5 * sweep.v0s.nbytes + sweep.v0s.nbytes // 3
-        starts = sum(int(sweep.starts(spec.n_samples)[0]) for spec in config.horizon_specs())
+        starts = sum(n - spec.n_samples + 1 for spec in config.horizon_specs())
         handed = starts * len(config.profiles) * 8  # the means; maxima and scores fold block by block
-        return peak - held - handed
+        return peak - handed
 
-    assert extra(120) <= extra(30) + 2**20
+    short, long = extra(60), extra(240)
+    assert abs(long - short) <= 2**20, (short, long)
